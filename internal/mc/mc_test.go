@@ -3,15 +3,20 @@ package mc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/mapping"
 	"repro/internal/noise"
+	"repro/internal/qsim"
 	"repro/internal/swapins"
 	"repro/internal/workloads"
 )
@@ -366,5 +371,153 @@ func TestCancellationMidBatch(t *testing.T) {
 		if elapsed > 5*time.Second {
 			t.Errorf("%s: took %v after cancellation; not prompt", name, elapsed)
 		}
+	}
+}
+
+// stateFidelityReference is the full-replay shot loop StateFidelity ran
+// before checkpoint resume: every shot re-applies every event from |0…0⟩
+// and draws each event's errors right after its gate. It runs the shards
+// serially (the estimate never depends on the pool) and is the oracle the
+// differential test holds StateFidelity to, bit for bit.
+func stateFidelityReference(e *Engine, shots int, seed int64) (estimate, stderr float64) {
+	ideal := qsim.NewState(e.ions)
+	for _, ev := range e.evs {
+		ideal.ApplyGate(ev.gate)
+	}
+	st := qsim.NewState(e.ions)
+	paulis := [3]qsim.Matrix2{qsim.MatX(), qsim.MatY(), qsim.MatZ()}
+	var agg welford
+	for shard := 0; shard*shardSize < shots; shard++ {
+		rng := rand.New(rand.NewSource(shardSeed(seed, shard)))
+		var w welford
+		for s := 0; s < shardShots(shots, shard); s++ {
+			st.Reset()
+			for _, ev := range e.evs {
+				st.ApplyGate(ev.gate)
+				for r := 0; r < ev.reps; r++ {
+					if rng.Float64() < ev.p {
+						for _, q := range ev.gate.Qubits {
+							st.ApplyMat2(paulis[rng.Intn(3)], q)
+						}
+					}
+				}
+			}
+			w.add(st.FidelityWith(ideal))
+		}
+		agg.merge(w)
+	}
+	return agg.mean, math.Sqrt(agg.sampleVariance() / float64(agg.n))
+}
+
+// diffCase is one engine for the differential test; tweak, when set, edits
+// the compiled event stream (error probabilities only) before the run.
+type diffCase struct {
+	name  string
+	c     *circuit.Circuit
+	n     int
+	p     noise.Params
+	tweak func(evs []gateEvent)
+	seeds []int64
+}
+
+// forceFirstError returns a tweak that makes event k the first error of
+// every shot: no event before it can fire, event k always does, and the
+// events after it keep their scheduled probabilities.
+func forceFirstError(k int) func([]gateEvent) {
+	return func(evs []gateEvent) {
+		for i := range evs[:k] {
+			evs[i].p = 0
+		}
+		evs[k].p = 1
+	}
+}
+
+func TestStateFidelityMatchesFullReplay(t *testing.T) {
+	inflated := noise.Default()
+	inflated.Epsilon = 2e-3 // a good share of shots err, at varied events
+	noiseless := noise.Default()
+	noiseless.Gamma, noiseless.Epsilon, noiseless.K0, noiseless.OneQubitError = 0, 0, 0, 0
+
+	measured := workloads.QFTN(6).Circuit.Clone()
+	for q := 0; q < measured.NumQubits(); q++ {
+		measured.ApplyMeasure(q)
+	}
+	measured.ApplyRY(0.3, 2) // gates after a Measure still evolve the state
+	measureOnly := circuit.New(4)
+	for q := 0; q < 4; q++ {
+		measureOnly.ApplyMeasure(q)
+	}
+
+	cases := []diffCase{
+		{name: "qft", c: workloads.QFTN(6).Circuit, n: 6, p: inflated, seeds: []int64{1, 7, 42}},
+		{name: "random-swaps-a", c: workloads.Random(7, 14, 3).Circuit, n: 7, p: inflated, seeds: []int64{5}},
+		{name: "random-swaps-b", c: workloads.Random(7, 14, 11).Circuit, n: 7, p: inflated, seeds: []int64{9}},
+		{name: "measure", c: measured, n: 6, p: inflated, seeds: []int64{2}},
+		{name: "noiseless", c: workloads.QFTN(6).Circuit, n: 6, p: noiseless, seeds: []int64{3}},
+		{name: "first-event-certain", c: workloads.QFTN(6).Circuit, n: 6, p: inflated,
+			tweak: func(evs []gateEvent) { evs[0].p = 1 }, seeds: []int64{4}},
+		{name: "measure-only", c: measureOnly, n: 4, p: inflated, seeds: []int64{6}},
+	}
+
+	// Forced first errors around the checkpoint boundaries of a QFT-6
+	// stream: stride = ⌈√N⌉ events between checkpoints.
+	qft, qftCfg := compileSmall(t, 6, 4, workloads.QFTN(6))
+	probe, err := NewEngine(qft.Physical, qft.Schedule, qftCfg.Device, inflated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nEv := len(probe.evs)
+	stride := int(math.Ceil(math.Sqrt(float64(nEv))))
+	for _, k := range []int{stride - 1, stride, stride + 1, 2 * stride, nEv - 1} {
+		cases = append(cases, diffCase{name: fmt.Sprintf("forced-first-error-%d-of-%d", k, nEv),
+			c: workloads.QFTN(6).Circuit, n: 6, p: inflated, tweak: forceFirstError(k), seeds: []int64{8}})
+	}
+
+	ctx := context.Background()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cr, cfg := compileSmall(t, tc.n, 4, workloads.Benchmark{Name: tc.name, Circuit: tc.c})
+			switch {
+			case strings.HasPrefix(tc.name, "random-swaps") && cr.Physical.CountKind(circuit.SWAP) == 0:
+				t.Fatal("compiled circuit has no SWAPs; the reps = 3 path goes untested")
+			case strings.HasPrefix(tc.name, "measure") && cr.Physical.CountKind(circuit.Measure) == 0:
+				t.Fatal("compiled circuit lost its Measure markers")
+			}
+			for _, seed := range tc.seeds {
+				for _, shots := range []int{1, 255, 256, 257, 1000} {
+					ref, err := NewEngine(cr.Physical, cr.Schedule, cfg.Device, tc.p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if tc.name == "measure-only" && len(ref.evs) != 0 {
+						t.Fatalf("measure-only circuit compiled to %d events, want 0", len(ref.evs))
+					}
+					if tc.tweak != nil {
+						tc.tweak(ref.evs)
+					}
+					if a := ref.AnalyticClean(); tc.p == inflated && tc.tweak == nil && len(ref.evs) > 0 && (a < 0.05 || a > 0.95) {
+						t.Fatalf("clean probability %g: want both clean and errored shots", a)
+					}
+					wantEst, wantSe := stateFidelityReference(ref, shots, seed)
+					for _, workers := range []int{1, 3, 8} {
+						eng, err := NewEngine(cr.Physical, cr.Schedule, cfg.Device, tc.p, WithWorkers(workers))
+						if err != nil {
+							t.Fatal(err)
+						}
+						if tc.tweak != nil {
+							tc.tweak(eng.evs)
+						}
+						est, se, err := eng.StateFidelity(ctx, shots, seed)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if math.Float64bits(est) != math.Float64bits(wantEst) || math.Float64bits(se) != math.Float64bits(wantSe) {
+							t.Errorf("seed %d, %d shots, %d workers: %v ± %v, full replay gives %v ± %v",
+								seed, shots, workers, est, se, wantEst, wantSe)
+						}
+					}
+				}
+			}
+		})
 	}
 }
