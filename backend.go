@@ -78,16 +78,13 @@ type Artifact struct {
 	via   *poolMember
 	inner *Artifact
 
-	// mcOnce/mcEngine cache the Monte-Carlo engine (flattened event
-	// stream + ideal state) and mcStats the finished estimates: (shots,
-	// seed) are fixed per backend, so repeated Simulate calls on one
-	// artifact neither recompile the schedule nor rerun the batch.
-	// (Sweeps over shots or seeds build an mc.Engine directly.)
-	mcOnce   sync.Once
-	mcEngine *mc.Engine
-	mcErr    error
-	mcMu     sync.Mutex
-	mcStats  *MCStats
+	// mcStats caches the finished Monte-Carlo estimates: (shots, seed) are
+	// fixed per backend, so repeated Simulate calls on one artifact do not
+	// rerun the batch. The engine itself is not kept, so a cached artifact
+	// holds no event stream or statevector. (Sweeps over shots or seeds
+	// build an mc.Engine directly.)
+	mcMu    sync.Mutex
+	mcStats *MCStats
 }
 
 // Result is the unified metrics type every backend returns: success rate,
@@ -368,23 +365,19 @@ func runMC(ctx context.Context, a *Artifact) (*MCStats, error) {
 		return &out, nil
 	}
 
-	a.mcOnce.Do(func() {
-		mcOpts := []mc.EngineOption{mc.WithWorkers(a.cfg.mcWorkers)}
-		if mx := a.cfg.mx; mx != nil {
-			mcOpts = append(mcOpts, mc.WithShardObserver(func(shots int, elapsed time.Duration) {
-				mx.mcShots.Add(int64(shots))
-				mx.mcShardSec.Observe(elapsed.Seconds())
-			}))
-		}
-		a.mcEngine, a.mcErr = mc.NewEngine(a.Compile.Physical, a.Compile.Schedule,
-			a.cfg.core.Device, a.cfg.core.NoiseParams(), mcOpts...)
-	})
-	if a.mcErr != nil {
-		return nil, a.mcErr
+	mcOpts := []mc.EngineOption{mc.WithWorkers(a.cfg.mcWorkers)}
+	if mx := a.cfg.mx; mx != nil {
+		mcOpts = append(mcOpts, mc.WithShardObserver(func(shots int, elapsed time.Duration) {
+			mx.mcShots.Add(int64(shots))
+			mx.mcShardSec.Observe(elapsed.Seconds())
+		}))
 	}
-	eng := a.mcEngine
+	eng, err := mc.NewEngine(a.Compile.Physical, a.Compile.Schedule,
+		a.cfg.core.Device, a.cfg.core.NoiseParams(), mcOpts...)
+	if err != nil {
+		return nil, err
+	}
 	stats := &MCStats{Shots: a.cfg.shots, Seed: a.cfg.seed}
-	var err error
 	stats.CleanProbability, stats.CleanStderr, err = eng.CleanProbability(ctx, a.cfg.shots, a.cfg.seed)
 	if err != nil {
 		return nil, err

@@ -23,6 +23,24 @@
 // estimates are bit-identical for any worker count and any interleaving.
 // Build an Engine once to amortize schedule compilation across sweeps over
 // shots and seeds.
+//
+// StateFidelity costs about one ideal pass plus the suffixes of the shots
+// that err, not shots × gates. A shot's error draws never depend on the
+// state, so each shot first draws all of them — per event, per repetition,
+// one Float64 and, on a hit, one Intn(3) per gate qubit, the same RNG
+// order as a gate-by-gate replay — and records them as (event, qubit,
+// Pauli). Each call evolves the ideal state once and keeps a copy of it
+// before every ⌈√N⌉-th of its N events. A shot that drew no error adds the
+// ideal state's self-fidelity, computed once; one that did copies the
+// checkpoint at or before its first error and replays from there,
+// applying each recorded Pauli right after its event's gate. Both are
+// bit-identical to replaying every gate from |0…0⟩: up to the first error
+// a replay performs exactly the ideal pass's arithmetic in the same order,
+// so it reaches the checkpoint's amplitudes (and, in a clean shot, the
+// ideal state itself) bit for bit, and from there the same operations
+// follow. The checkpoints of one call are held in a single buffer capped
+// at checkpointBytes (16 MiB): when ⌈√N⌉ of them would not fit, the stride
+// widens until they do.
 package mc
 
 //lint:deterministic-package
@@ -73,9 +91,6 @@ type Engine struct {
 	// obs, when set, is called after every completed shard with the shard's
 	// shot count and wall-clock time (WithShardObserver).
 	obs func(shots int, elapsed time.Duration)
-
-	idealOnce sync.Once
-	ideal     *qsim.State // final ideal state, computed on first StateFidelity
 }
 
 // EngineOption configures an Engine.
@@ -258,6 +273,11 @@ func (e *Engine) CleanProbability(ctx context.Context, shots int, seed int64) (e
 // MaxStateFidelityIons. The returned uncertainty is the standard error of
 // the mean from the unbiased (n−1) sample variance, accumulated with
 // Welford's algorithm per shard and merged in shard order.
+//
+// Each shot draws its errors before touching a statevector, adds the
+// precomputed ideal self-fidelity when it drew none, and otherwise replays
+// only from the ideal checkpoint at or before its first error (see the
+// package comment for why this is bit-identical to a full replay).
 func (e *Engine) StateFidelity(ctx context.Context, shots int, seed int64) (estimate, stderr float64, err error) {
 	if shots < 1 {
 		return 0, 0, fmt.Errorf("mc: shots %d < 1", shots)
@@ -266,18 +286,27 @@ func (e *Engine) StateFidelity(ctx context.Context, shots int, seed int64) (esti
 		return 0, 0, fmt.Errorf("mc: StateFidelity supports ≤%d ions, got %d", MaxStateFidelityIons, e.ions)
 	}
 
-	e.idealOnce.Do(func() {
-		ideal := qsim.NewState(e.ions)
-		for _, ev := range e.evs {
-			ideal.ApplyGate(ev.gate)
+	// One ideal pass, snapshotting the state before every stride-th event.
+	dim := 1 << uint(e.ions)
+	stride := checkpointStride(len(e.evs), dim)
+	checkpoints := make([]complex128, (len(e.evs)+stride-1)/stride*dim)
+	ideal := qsim.NewState(e.ions)
+	for i, ev := range e.evs {
+		if i%stride == 0 {
+			copy(checkpoints[i/stride*dim:], ideal.Amplitudes())
 		}
-		e.ideal = ideal
-	})
+		ideal.ApplyGate(ev.gate)
+	}
+	// A clean shot's replay performs the ideal pass's arithmetic in the
+	// same order, so its final state — and its fidelity — is this, bit for
+	// bit.
+	cleanFidelity := ideal.FidelityWith(ideal)
 
 	nShards := (shots + shardSize - 1) / shardSize
 	stats := make([]welford, nShards)
 	err = e.forEachShard(ctx, nShards, func() func(int) error {
 		st := qsim.NewState(e.ions) // one reusable statevector per worker
+		var errs []pauliError       // one shot's drawn errors, reused
 		return func(shard int) error {
 			start := time.Now() //lint:deterministic-exempt shard wall-clock only feeds the WithShardObserver metrics hook, never the estimate
 			rng := rand.New(rand.NewSource(shardSeed(seed, shard)))
@@ -287,18 +316,21 @@ func (e *Engine) StateFidelity(ctx context.Context, shots int, seed int64) (esti
 				if err := ctx.Err(); err != nil {
 					return err
 				}
-				st.Reset()
-				for _, ev := range e.evs {
-					st.ApplyGate(ev.gate)
-					for r := 0; r < ev.reps; r++ {
-						if rng.Float64() < ev.p {
-							for _, q := range ev.gate.Qubits {
-								applyRandomPauli(st, q, rng)
-							}
-						}
+				errs = e.drawErrors(rng, errs[:0])
+				if len(errs) == 0 {
+					w.add(cleanFidelity)
+					continue
+				}
+				c := errs[0].event / stride
+				st.SetAmplitudes(checkpoints[c*dim : (c+1)*dim])
+				next := 0
+				for i := c * stride; i < len(e.evs); i++ {
+					st.ApplyGate(e.evs[i].gate)
+					for ; next < len(errs) && errs[next].event == i; next++ {
+						st.ApplyMat2(paulis[errs[next].pauli], errs[next].qubit)
 					}
 				}
-				w.add(st.FidelityWith(e.ideal))
+				w.add(st.FidelityWith(ideal))
 			}
 			stats[shard] = w
 			if e.obs != nil {
@@ -315,6 +347,45 @@ func (e *Engine) StateFidelity(ctx context.Context, shots int, seed int64) (esti
 		agg.merge(w)
 	}
 	return agg.mean, math.Sqrt(agg.sampleVariance() / float64(agg.n)), nil
+}
+
+// checkpointBytes caps the memory of one StateFidelity call's ideal-state
+// checkpoints. At 16 ions a state is 1 MiB, so the cap leaves at least 16.
+const checkpointBytes = 16 << 20
+
+// checkpointStride returns the number of events between ideal-state
+// checkpoints for a stream of n events over dim amplitudes: ⌈√n⌉, which
+// balances checkpoint count against the longest replayed gap, widened when
+// that many checkpoints would exceed checkpointBytes.
+func checkpointStride(n, dim int) int {
+	stride := max(1, int(math.Ceil(math.Sqrt(float64(n)))))
+	maxCheckpoints := max(1, checkpointBytes/(dim*16)) // 16 bytes per complex128
+	return max(stride, (n+maxCheckpoints-1)/maxCheckpoints)
+}
+
+// pauliError is one drawn error: Pauli paulis[pauli] on qubit right after
+// the gate of event.
+type pauliError struct {
+	event, qubit, pauli int
+}
+
+// paulis indexes the injected Paulis by the rng.Intn(3) draw.
+var paulis = [3]qsim.Matrix2{qsim.MatX(), qsim.MatY(), qsim.MatZ()}
+
+// drawErrors appends one shot's errors to buf in event order, drawing from
+// rng exactly as a gate-by-gate replay does: per event, per repetition, one
+// Float64, and on a hit one Intn(3) per gate qubit.
+func (e *Engine) drawErrors(rng *rand.Rand, buf []pauliError) []pauliError {
+	for i, ev := range e.evs {
+		for r := 0; r < ev.reps; r++ {
+			if rng.Float64() < ev.p {
+				for _, q := range ev.gate.Qubits {
+					buf = append(buf, pauliError{event: i, qubit: q, pauli: rng.Intn(3)})
+				}
+			}
+		}
+	}
+	return buf
 }
 
 // AnalyticClean returns the analytic zero-event probability for the same
@@ -378,17 +449,6 @@ func wilsonHalfWidth(p float64, n int) float64 {
 	nf := float64(n)
 	const z = 1.0
 	return (z / (1 + z*z/nf)) * math.Sqrt(p*(1-p)/nf+z*z/(4*nf*nf))
-}
-
-func applyRandomPauli(st *qsim.State, q int, rng *rand.Rand) {
-	switch rng.Intn(3) {
-	case 0:
-		st.ApplyMat2(qsim.MatX(), q)
-	case 1:
-		st.ApplyMat2(qsim.MatY(), q)
-	default:
-		st.ApplyMat2(qsim.MatZ(), q)
-	}
 }
 
 // CleanProbability is the one-shot form of Engine.CleanProbability: compile

@@ -71,6 +71,15 @@ func (s *State) NumQubits() int { return s.n }
 // Amplitudes returns the raw amplitude slice. Callers must not mutate it.
 func (s *State) Amplitudes() []complex128 { return s.amp }
 
+// SetAmplitudes overwrites the state with a copy of amp, a snapshot of
+// another state of the same width taken from its Amplitudes.
+func (s *State) SetAmplitudes(amp []complex128) {
+	if len(amp) != len(s.amp) {
+		panic(fmt.Sprintf("qsim: %d amplitudes for a %d-qubit state", len(amp), s.n))
+	}
+	copy(s.amp, amp)
+}
+
 // Clone deep-copies the state.
 func (s *State) Clone() *State {
 	out := &State{n: s.n, amp: make([]complex128, len(s.amp))}
