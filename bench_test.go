@@ -5,8 +5,8 @@
 //
 // Each benchmark both exercises the full pipeline at paper scale and, on the
 // first iteration, reports the headline reproduction numbers through b.Log
-// (visible with -v). The printed rows are the same ones cmd/experiments
-// emits; EXPERIMENTS.md records a reference snapshot.
+// (visible with -v). The printed rows are the same ones
+// go run ./cmd/experiments emits.
 package tilt_test
 
 import (

@@ -3,9 +3,10 @@
 // baseline swap insertion), Fig. 7 (MaxSwapLen sweep), Fig. 8 (architecture
 // comparison), and Table III (compilation and execution metrics).
 //
-// Absolute numbers depend on the calibrated noise constants (DESIGN.md §2);
-// the assertions this package's tests make — and EXPERIMENTS.md records —
-// are about shape: who wins, by what order, where crossovers fall.
+// Absolute numbers depend on the calibrated noise constants (README,
+// "Calibration and substitutions"); the assertions this package's tests
+// make — and cmd/experiments prints — are about shape: who wins, by what
+// order, where crossovers fall.
 package experiments
 
 import (

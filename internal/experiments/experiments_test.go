@@ -9,7 +9,7 @@ import (
 
 // The tests in this package assert the paper's qualitative claims — the
 // shapes of Figs. 6–8 and Tables II–III — at full benchmark scale. They are
-// the executable form of EXPERIMENTS.md.
+// the executable form of what go run ./cmd/experiments prints.
 
 func TestTable2MatchesPaperShapes(t *testing.T) {
 	rows := Table2()

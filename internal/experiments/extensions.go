@@ -224,8 +224,8 @@ type PlacementRow struct {
 }
 
 // PlacementAblation compares the three initial-placement strategies on the
-// long-distance benchmarks — the design choice DESIGN.md calls out as the
-// difference between a sweeping ancilla and a thrashing one.
+// long-distance benchmarks — the design choice that makes the difference
+// between a sweeping ancilla and a thrashing one.
 func PlacementAblation(ctx context.Context, head int) ([]PlacementRow, error) {
 	var rows []PlacementRow
 	for _, name := range []string{"BV", "QFT", "SQRT"} {

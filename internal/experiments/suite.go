@@ -18,7 +18,8 @@ import (
 // This file holds the breadth studies: the §III-C short-distance application
 // suite (VQE, Ising, surface code), the paper's headline advantage summary
 // ("up to 4.35x and 1.95x on average"), and the noise-robustness check that
-// backs EXPERIMENTS.md's stability claim.
+// backs the claim that the headline orderings do not hinge on the
+// calibrated constants (go run ./cmd/experiments -extensions).
 
 // SuiteRow compares architectures on one short-distance-suite workload.
 type SuiteRow struct {
@@ -156,7 +157,8 @@ type RobustnessRow struct {
 }
 
 // Robustness re-evaluates the Fig. 8 headline orderings with each noise
-// constant halved and doubled — the stability claim EXPERIMENTS.md makes.
+// constant halved and doubled — the stability claim the README's
+// "Calibration and substitutions" section makes.
 // Only the three benchmarks carrying the §VI-B claims are re-run.
 func Robustness(ctx context.Context) ([]RobustnessRow, error) {
 	variants := []struct {

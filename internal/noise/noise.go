@@ -8,8 +8,8 @@
 //   - Eq. 5: program execution time t_exe = t_m·dist + Σ_d t_d.
 //
 // The paper states the functional forms but not every constant; Params
-// carries calibrated defaults (documented in DESIGN.md §2) and every value
-// is injectable so studies can explore other operating points.
+// carries calibrated defaults (documented in the README's "Calibration and
+// substitutions" section) and every value is injectable so studies can explore other operating points.
 package noise
 
 import (
@@ -57,7 +57,8 @@ type Params struct {
 }
 
 // Default returns the calibrated parameter set used for the paper
-// reproduction (see DESIGN.md §2 for the calibration anchors).
+// reproduction (the README's "Calibration and substitutions" section lists
+// each constant and whether the paper or the calibration fixes it).
 func Default() Params {
 	return Params{
 		Gamma:              1e-6,

@@ -60,7 +60,8 @@ type Model struct {
 	ReorderFactor float64
 }
 
-// DefaultModel returns the calibrated QCCD model (see DESIGN.md §2).
+// DefaultModel returns the calibrated QCCD model (README, "Calibration and
+// substitutions").
 func DefaultModel() Model {
 	return Model{Timing: DefaultTiming(), CoolingDecay: 0.995, ReorderFactor: 0.15}
 }

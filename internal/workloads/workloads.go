@@ -6,9 +6,9 @@
 //
 // Each generator matches the paper's qubit count and communication pattern
 // exactly; two-qubit gate counts (measured at the CNOT level, the paper's
-// convention) land within a few percent of Table II — residual differences
-// come from Toffoli/UMA decomposition choices that the paper does not pin
-// down and are recorded in EXPERIMENTS.md.
+// convention) land within 12% of Table II — residual differences come from
+// Toffoli/UMA decomposition choices that the paper does not pin down (go
+// run ./cmd/experiments -table2 prints both columns).
 package workloads
 
 import (
@@ -250,7 +250,8 @@ func QFTN(n int) Benchmark {
 // consumes the search register in natural order while the diffusion ladder
 // consumes it in a strided order, so no linear placement can localize both
 // phases (MCZ is invariant under control reordering, so semantics are
-// unchanged). See DESIGN.md §2 for the substitution record.
+// unchanged). The README's "Calibration and substitutions" section records
+// the substitution.
 func SQRT() Benchmark {
 	b := groverPermuted(40, 0x5A5A5A5A5A, 1, stridedOrder(40, 17))
 	b.Name = "SQRT"

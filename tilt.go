@@ -188,7 +188,8 @@ type TuneResult = core.TuneResult
 // NewCircuit returns an empty circuit over n qubits.
 func NewCircuit(n int) *Circuit { return circuit.New(n) }
 
-// DefaultNoise returns the calibrated noise parameters (DESIGN.md §2).
+// DefaultNoise returns the calibrated noise parameters (README,
+// "Calibration and substitutions").
 func DefaultNoise() NoiseParams { return noise.Default() }
 
 // DefaultOptions returns the standard configuration used throughout the
@@ -285,7 +286,7 @@ func BenchmarkRCS() Benchmark { return workloads.RCS() }
 func BenchmarkQFT() Benchmark { return workloads.QFT() }
 
 // BenchmarkSQRT returns the 78-qubit Grover-search kernel standing in for
-// the ScaffCC sqrt benchmark (see DESIGN.md §2).
+// the ScaffCC sqrt benchmark (README, "Calibration and substitutions").
 func BenchmarkSQRT() Benchmark { return workloads.SQRT() }
 
 // GHZ returns an n-qubit GHZ-state preparation circuit, a minimal
