@@ -414,7 +414,6 @@ func stateFidelityReference(e *Engine, shots int, seed int64) (estimate, stderr 
 type diffCase struct {
 	name  string
 	c     *circuit.Circuit
-	n     int
 	p     noise.Params
 	tweak func(evs []gateEvent)
 	seeds []int64
@@ -449,14 +448,14 @@ func TestStateFidelityMatchesFullReplay(t *testing.T) {
 	}
 
 	cases := []diffCase{
-		{name: "qft", c: workloads.QFTN(6).Circuit, n: 6, p: inflated, seeds: []int64{1, 7, 42}},
-		{name: "random-swaps-a", c: workloads.Random(7, 14, 3).Circuit, n: 7, p: inflated, seeds: []int64{5}},
-		{name: "random-swaps-b", c: workloads.Random(7, 14, 11).Circuit, n: 7, p: inflated, seeds: []int64{9}},
-		{name: "measure", c: measured, n: 6, p: inflated, seeds: []int64{2}},
-		{name: "noiseless", c: workloads.QFTN(6).Circuit, n: 6, p: noiseless, seeds: []int64{3}},
-		{name: "first-event-certain", c: workloads.QFTN(6).Circuit, n: 6, p: inflated,
+		{name: "qft", c: workloads.QFTN(6).Circuit, p: inflated, seeds: []int64{1, 7, 42}},
+		{name: "random-swaps-a", c: workloads.Random(7, 14, 3).Circuit, p: inflated, seeds: []int64{5}},
+		{name: "random-swaps-b", c: workloads.Random(7, 14, 11).Circuit, p: inflated, seeds: []int64{9}},
+		{name: "measure", c: measured, p: inflated, seeds: []int64{2}},
+		{name: "noiseless", c: workloads.QFTN(6).Circuit, p: noiseless, seeds: []int64{3}},
+		{name: "first-event-certain", c: workloads.QFTN(6).Circuit, p: inflated,
 			tweak: func(evs []gateEvent) { evs[0].p = 1 }, seeds: []int64{4}},
-		{name: "measure-only", c: measureOnly, n: 4, p: inflated, seeds: []int64{6}},
+		{name: "measure-only", c: measureOnly, p: inflated, seeds: []int64{6}},
 	}
 
 	// Forced first errors around the checkpoint boundaries of a QFT-6
@@ -470,54 +469,105 @@ func TestStateFidelityMatchesFullReplay(t *testing.T) {
 	stride := int(math.Ceil(math.Sqrt(float64(nEv))))
 	for _, k := range []int{stride - 1, stride, stride + 1, 2 * stride, nEv - 1} {
 		cases = append(cases, diffCase{name: fmt.Sprintf("forced-first-error-%d-of-%d", k, nEv),
-			c: workloads.QFTN(6).Circuit, n: 6, p: inflated, tweak: forceFirstError(k), seeds: []int64{8}})
+			c: workloads.QFTN(6).Circuit, p: inflated, tweak: forceFirstError(k), seeds: []int64{8}})
 	}
 
 	ctx := context.Background()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cr, cfg := compileSmall(t, tc.n, 4, workloads.Benchmark{Name: tc.name, Circuit: tc.c})
+			cr, cfg := compileSmall(t, tc.c.NumQubits(), 4, workloads.Benchmark{Name: tc.name, Circuit: tc.c})
 			switch {
 			case strings.HasPrefix(tc.name, "random-swaps") && cr.Physical.CountKind(circuit.SWAP) == 0:
 				t.Fatal("compiled circuit has no SWAPs; the reps = 3 path goes untested")
 			case strings.HasPrefix(tc.name, "measure") && cr.Physical.CountKind(circuit.Measure) == 0:
 				t.Fatal("compiled circuit lost its Measure markers")
 			}
+			var engines []*Engine
+			for _, workers := range []int{1, 3, 8} {
+				eng, err := NewEngine(cr.Physical, cr.Schedule, cfg.Device, tc.p, WithWorkers(workers))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.tweak != nil {
+					tc.tweak(eng.evs)
+				}
+				engines = append(engines, eng)
+			}
+			ref := engines[0]
+			if tc.name == "measure-only" && len(ref.evs) != 0 {
+				t.Fatalf("measure-only circuit compiled to %d events, want 0", len(ref.evs))
+			}
+			if a := ref.AnalyticClean(); tc.p == inflated && tc.tweak == nil && len(ref.evs) > 0 && (a < 0.05 || a > 0.95) {
+				t.Fatalf("clean probability %g: want both clean and errored shots", a)
+			}
 			for _, seed := range tc.seeds {
 				for _, shots := range []int{1, 255, 256, 257, 1000} {
-					ref, err := NewEngine(cr.Physical, cr.Schedule, cfg.Device, tc.p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if tc.name == "measure-only" && len(ref.evs) != 0 {
-						t.Fatalf("measure-only circuit compiled to %d events, want 0", len(ref.evs))
-					}
-					if tc.tweak != nil {
-						tc.tweak(ref.evs)
-					}
-					if a := ref.AnalyticClean(); tc.p == inflated && tc.tweak == nil && len(ref.evs) > 0 && (a < 0.05 || a > 0.95) {
-						t.Fatalf("clean probability %g: want both clean and errored shots", a)
-					}
 					wantEst, wantSe := stateFidelityReference(ref, shots, seed)
-					for _, workers := range []int{1, 3, 8} {
-						eng, err := NewEngine(cr.Physical, cr.Schedule, cfg.Device, tc.p, WithWorkers(workers))
-						if err != nil {
-							t.Fatal(err)
-						}
-						if tc.tweak != nil {
-							tc.tweak(eng.evs)
-						}
+					for _, eng := range engines {
 						est, se, err := eng.StateFidelity(ctx, shots, seed)
 						if err != nil {
 							t.Fatal(err)
 						}
 						if math.Float64bits(est) != math.Float64bits(wantEst) || math.Float64bits(se) != math.Float64bits(wantSe) {
 							t.Errorf("seed %d, %d shots, %d workers: %v ± %v, full replay gives %v ± %v",
-								seed, shots, workers, est, se, wantEst, wantSe)
+								seed, shots, eng.workers, est, se, wantEst, wantSe)
 						}
 					}
 				}
 			}
 		})
+	}
+}
+
+func TestCheckpointStrideRespectsMemoryCap(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 99, 100, 101, 400, 10_000, 1_000_000} {
+		floor := max(1, int(math.Ceil(math.Sqrt(float64(n)))))
+		for ions := 1; ions <= MaxStateFidelityIons; ions++ {
+			dim := 1 << ions
+			stride := checkpointStride(n, dim)
+			bytes := func(stride int) int { return (n + stride - 1) / stride * dim * 16 }
+			switch {
+			case stride < floor:
+				t.Errorf("n=%d, %d ions: stride %d below ⌈√n⌉ = %d", n, ions, stride, floor)
+			case bytes(stride) > checkpointBytes:
+				t.Errorf("n=%d, %d ions: stride %d keeps %d bytes of checkpoints, cap %d", n, ions, stride, bytes(stride), checkpointBytes)
+			case stride > floor && bytes(stride-1) <= checkpointBytes:
+				t.Errorf("n=%d, %d ions: stride %d widened past %d, which fits the cap", n, ions, stride, stride-1)
+			}
+		}
+	}
+}
+
+func TestStateFidelityMatchesFullReplayUnderMemoryCap(t *testing.T) {
+	// At 16 ions a state is 1 MiB, so a stream of a few hundred events
+	// needs more than the 16 checkpoints the cap allows and the stride
+	// widens past ⌈√N⌉. Shots resuming around the widened boundaries must
+	// still match the full replay bit for bit.
+	cr, cfg := compileSmall(t, 16, 4, workloads.Random(16, 60, 5))
+	p := noise.Default()
+	probe, err := NewEngine(cr.Physical, cr.Schedule, cfg.Device, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(probe.evs)
+	stride := checkpointStride(n, 1<<16)
+	if stride <= int(math.Ceil(math.Sqrt(float64(n)))) {
+		t.Fatalf("%d events at 16 ions: stride %d is not widened by the cap", n, stride)
+	}
+	for _, k := range []int{stride, 3*stride - 1, n - 1} {
+		eng, err := NewEngine(cr.Physical, cr.Schedule, cfg.Device, p, WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		forceFirstError(k)(eng.evs)
+		wantEst, wantSe := stateFidelityReference(eng, 2, 3)
+		est, se, err := eng.StateFidelity(context.Background(), 2, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(est) != math.Float64bits(wantEst) || math.Float64bits(se) != math.Float64bits(wantSe) {
+			t.Errorf("first error at event %d of %d (stride %d): %v ± %v, full replay gives %v ± %v",
+				k, n, stride, est, se, wantEst, wantSe)
+		}
 	}
 }

@@ -305,3 +305,22 @@ func TestResetRestoresZeroKet(t *testing.T) {
 		t.Errorf("norm after Reset = %g", s.Norm())
 	}
 }
+
+func TestSetAmplitudesCopiesSnapshot(t *testing.T) {
+	src := NewRandomState(3, rand.New(rand.NewSource(1)))
+	snap := append([]complex128(nil), src.Amplitudes()...)
+	s := NewState(3)
+	s.SetAmplitudes(snap)
+	snap[0] = 42 // the state must not alias the snapshot
+	for i, a := range s.Amplitudes() {
+		if a != src.Amplitudes()[i] {
+			t.Fatalf("amp[%d] = %v, want %v", i, a, src.Amplitudes()[i])
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("SetAmplitudes with a 2-qubit snapshot on a 3-qubit state should panic")
+		}
+	}()
+	s.SetAmplitudes(NewState(2).Amplitudes())
+}

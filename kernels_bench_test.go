@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -143,6 +144,11 @@ func mcCrosscheckKernel(tb testing.TB) func(b *testing.B) {
 	}
 }
 
+// kernelSpeedup is parent ÷ change ns/op, rounded to two decimals.
+func kernelSpeedup(parent, change kernelRow) float64 {
+	return math.Round(100*float64(parent.NsPerOp)/float64(change.NsPerOp)) / 100
+}
+
 // TestGenerateKernelsBench measures the Monte-Carlo kernels and writes this
 // commit's side of BENCH_kernels.json, keeping the other side. Gated behind
 // LINQ_BENCH_KERNELS=<side> because it measures wall-clock time —
@@ -156,7 +162,7 @@ func TestGenerateKernelsBench(t *testing.T) {
 	if side == "" {
 		t.Skipf("set %s=parent or %s=change to regenerate %s", kernelsEnv, kernelsEnv, kernelsBenchFile)
 	}
-	if side != "parent" && side != "change" {
+	if !slices.Contains(kernelsSides, side) {
 		t.Fatalf("%s=%q: want parent or change", kernelsEnv, side)
 	}
 
@@ -204,7 +210,7 @@ func TestGenerateKernelsBench(t *testing.T) {
 		if c, ok := out.Sides["change"]; ok {
 			out.Speedup = map[string]float64{}
 			for name := range kernelDescriptions {
-				out.Speedup[name] = math.Round(100*float64(p.Results[name].NsPerOp)/float64(c.Results[name].NsPerOp)) / 100
+				out.Speedup[name] = kernelSpeedup(p.Results[name], c.Results[name])
 			}
 		}
 	}
@@ -268,7 +274,7 @@ func TestKernelsBenchArtifact(t *testing.T) {
 		if c.NsPerOp <= 0 {
 			continue
 		}
-		if want := math.Round(100*float64(p.NsPerOp)/float64(c.NsPerOp)) / 100; bench.Speedup[name] != want {
+		if want := kernelSpeedup(p, c); bench.Speedup[name] != want {
 			t.Errorf("speedup[%s] = %v, want %v from the recorded ns/op", name, bench.Speedup[name], want)
 		}
 	}
