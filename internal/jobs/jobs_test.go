@@ -12,6 +12,7 @@ import (
 
 	tilt "repro"
 	"repro/internal/jobs"
+	"repro/internal/journal"
 )
 
 // fakeBackend counts compiles and can block or fail on command.
@@ -424,42 +425,203 @@ func TestStoreEviction(t *testing.T) {
 	}
 }
 
-// TestManagerMetricsSettle: after a mixed workload settles, the registry's
-// counters are mutually consistent (settled-counter style — no mid-flight
-// assertions).
+// TestManagerMetricsSettle drives every lifecycle edge against a journaled,
+// instrumented manager — dedup onto a queued and onto a running execution,
+// cancellation while queued and while running (with and without a surviving
+// subscriber), TTL expiry through Get and at pop time, a failing backend and
+// plain completions — then checks that the settled sinks agree: Stats equals
+// the metric series, every live gauge reads zero, and the journal holds
+// exactly one submission and one terminal record per job.
 func TestManagerMetricsSettle(t *testing.T) {
 	reg := tilt.NewMetricsRegistry()
-	be := &fakeBackend{name: "fake"}
-	m := newManager(t, []jobs.Pool{{Name: "fake", Backend: be, Workers: 4}},
-		jobs.WithMetrics(reg))
-
-	const n = 24
-	ids := make([]string, n)
-	var err error
-	for i := range ids {
-		if ids[i], err = m.Submit(jobs.Request{Backend: "fake", Circuit: tilt.GHZ(2 + i%6).Circuit}); err != nil {
+	dir := t.TempDir()
+	jnl, err := journal.Open(dir, journal.WithoutSync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	be := &fakeBackend{name: "fake", gate: gate}
+	bad := &fakeBackend{name: "bad", fail: errors.New("synthetic compile failure")}
+	m, err := jobs.New([]jobs.Pool{
+		{Name: "fake", Backend: be, Workers: 1},
+		{Name: "bad", Backend: bad, Workers: 1},
+	}, jobs.WithMetrics(reg), jobs.WithJournal(jnl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	submit := func(req jobs.Request) string {
+		t.Helper()
+		id, err := m.Submit(req)
+		if err != nil {
 			t.Fatal(err)
 		}
+		ids = append(ids, id)
+		return id
+	}
+	state := func(id string) jobs.Job {
+		t.Helper()
+		j, err := m.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+
+	run := submit(jobs.Request{Backend: "fake", Circuit: tilt.GHZ(4).Circuit})
+	waitState(t, m, run, jobs.StateRunning)
+	dupRun := submit(jobs.Request{Backend: "fake", Circuit: tilt.GHZ(4).Circuit, TTL: time.Hour})
+	q := submit(jobs.Request{Backend: "fake", Circuit: tilt.GHZ(5).Circuit})
+	dupQ := submit(jobs.Request{Backend: "fake", Circuit: tilt.GHZ(5).Circuit})
+	if j := state(dupRun); j.State != jobs.StateRunning || !j.Deduped {
+		t.Fatalf("duplicate of a running execution: %+v", j)
+	}
+	if j := state(dupQ); j.State != jobs.StateQueued || !j.Deduped {
+		t.Fatalf("duplicate of a queued execution: %+v", j)
+	}
+
+	cancelQ := submit(jobs.Request{Backend: "fake", Circuit: tilt.GHZ(6).Circuit})
+	if err := m.Cancel(cancelQ); err != nil {
+		t.Fatal(err)
+	}
+	ttlGet := submit(jobs.Request{Backend: "fake", Circuit: tilt.GHZ(7).Circuit, TTL: time.Millisecond})
+	// ttlPop outranks q, so the worker pops (and prunes) it first; nothing
+	// reads it before then, so only pop-time pruning can expire it.
+	ttlPop := submit(jobs.Request{Backend: "fake", Circuit: tilt.GHZ(8).Circuit, TTL: time.Millisecond, Priority: 5})
+	time.Sleep(10 * time.Millisecond)
+	if j := state(ttlGet); j.State != jobs.StateFailed || !strings.Contains(j.Error, "TTL expired") {
+		t.Fatalf("TTL expiry through Get: %+v", j)
+	}
+
+	// Cancel the running duplicate (its leader survives), then the leader
+	// itself (nobody survives: the execution is interrupted).
+	if err := m.Cancel(dupRun); err != nil {
+		t.Fatal(err)
+	}
+	if j := state(run); j.State != jobs.StateRunning {
+		t.Fatalf("surviving subscriber: state = %s", j.State)
+	}
+	if err := m.Cancel(run); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, q, jobs.StateRunning)
+	if j := state(ttlPop); j.State != jobs.StateFailed || !strings.Contains(j.Error, "TTL expired") {
+		t.Fatalf("TTL expiry at pop time: %+v", j)
+	}
+	close(gate)
+
+	failed := submit(jobs.Request{Backend: "bad", Circuit: tilt.GHZ(3).Circuit})
+	const plain = 6
+	for i := 0; i < plain; i++ {
+		submit(jobs.Request{Backend: "fake", Circuit: tilt.GHZ(9 + i).Circuit})
 	}
 	for _, id := range ids {
 		waitTerminal(t, m, id)
+	}
+	if j := state(failed); j.State != jobs.StateFailed {
+		t.Fatalf("failing backend: state = %s", j.State)
+	}
+
+	st := m.Stats()
+	want := jobs.Stats{
+		Submitted: int64(len(ids)),
+		Deduped:   2,         // dupRun, dupQ
+		Done:      2 + plain, // q, dupQ, plain
+		Failed:    3,         // ttlGet, ttlPop, failed
+		Cancelled: 3,         // cancelQ, dupRun, run
+	}
+	if st != want {
+		t.Errorf("Stats() = %+v, want %+v", st, want)
 	}
 
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	out := b.String()
-	for _, want := range []string{
-		fmt.Sprintf(`linq_jobs_submitted_total{backend="fake",tenant="anonymous"} %d`, n),
-		fmt.Sprintf(`linq_jobs_finished_total{backend="fake",state="done",tenant="anonymous"} %d`, n),
-		`linq_jobs_queued{backend="fake",tenant="anonymous"} 0`,
-		`linq_jobs_running{backend="fake",tenant="anonymous"} 0`,
+	expo := b.String()
+	sum := func(family, match string) int64 {
+		var total float64
+		for _, v := range seriesValues(expo, family, match) {
+			total += v
+		}
+		return int64(total)
+	}
+	for _, c := range []struct {
+		name      string
+		stat, got int64
+	}{
+		{"submitted", st.Submitted, sum("linq_jobs_submitted_total", "")},
+		{"deduped", st.Deduped, sum("linq_jobs_deduped_total", "")},
+		{"done", st.Done, sum("linq_jobs_finished_total", `state="done"`)},
+		{"failed", st.Failed, sum("linq_jobs_finished_total", `state="failed"`)},
+		{"cancelled", st.Cancelled, sum("linq_jobs_finished_total", `state="cancelled"`)},
+		{"ttl_expired", 2, sum("linq_jobs_ttl_expired_total", "")},
 	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q:\n%s", want, out)
+		if c.stat != c.got {
+			t.Errorf("%s: Stats %d, metrics %d", c.name, c.stat, c.got)
 		}
 	}
+	for _, family := range []string{"linq_jobs_queued", "linq_jobs_running"} {
+		vals := seriesValues(expo, family, "")
+		if len(vals) == 0 {
+			t.Errorf("exposition has no %s series", family)
+		}
+		for _, v := range vals {
+			if v != 0 {
+				t.Errorf("%s settled at %v, want 0:\n%s", family, v, expo)
+			}
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := m.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reread, err := journal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reread.Close()
+	submits, terminals := map[string]int{}, map[string]int{}
+	if err := reread.Replay(func(rec journal.Record) error {
+		switch {
+		case rec.Op == journal.OpSubmitted:
+			submits[rec.ID]++
+		case rec.Op.Terminal():
+			terminals[rec.ID]++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(submits) != len(ids) || len(terminals) != len(ids) {
+		t.Errorf("journal covers %d submitted / %d terminal jobs, want %d each", len(submits), len(terminals), len(ids))
+	}
+	for _, id := range ids {
+		if submits[id] != 1 || terminals[id] != 1 {
+			t.Errorf("job %s journaled %d submitted and %d terminal records, want 1 each", id, submits[id], terminals[id])
+		}
+	}
+}
+
+// seriesValues returns the sample values of every series of the family in a
+// Prometheus text exposition whose label set contains match.
+func seriesValues(expo, family, match string) []float64 {
+	var out []float64
+	for _, line := range strings.Split(expo, "\n") {
+		if !strings.HasPrefix(line, family+"{") || !strings.Contains(line, match) {
+			continue
+		}
+		var v float64
+		if _, err := fmt.Sscan(line[strings.LastIndexByte(line, ' ')+1:], &v); err == nil {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // TestConcurrentSubmitPollCancel hammers the manager from many goroutines
