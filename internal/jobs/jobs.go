@@ -18,14 +18,24 @@
 // terminal state before Shutdown returns (or is cancelled when the drain
 // context expires first).
 //
-// With a write-ahead journal attached (WithJournal), every state
-// transition is journaled before it is acknowledged and New replays the
+// Every job state change — Submit, dispatch, completion, Cancel, TTL
+// expiry and the jobs recovery rebuilds — goes through one transition
+// function, moveLocked, which derives all of its side effects from the
+// (from, to) pair: the journal record, the tenant counts and gauges, the
+// Stats counters and metric families, the trace spans, the result store
+// and waiters, and the event-bus event.
+//
+// With a write-ahead journal attached (WithJournal), New replays the
 // journal: jobs that were queued at crash time re-queue, jobs that were in
 // flight re-run (deduplicated by fingerprint as usual), and terminal
-// results survive byte for byte. With a tenant registry attached
-// (WithTenants), submissions are owned by tenants: per-tenant queue
-// quotas gate admission, per-tenant in-flight caps gate dispatch, and the
-// priority heap schedules weighted-fair across tenants within a priority.
+// results survive byte for byte. Only the submission record is durable.
+// Started and terminal records are advisory: a lost one means the job
+// runs again after a restart, deterministically, to the same result.
+//
+// With a tenant registry attached (WithTenants), submissions are owned by
+// tenants: per-tenant queue quotas gate admission, per-tenant in-flight
+// caps gate dispatch, and the priority heap schedules weighted-fair across
+// tenants within a priority.
 package jobs
 
 import (
@@ -61,6 +71,15 @@ const (
 	StateCancelled State = "cancelled"
 )
 
+// stateNew and stateReplayed are the pseudo-states a job enters moveLocked
+// from: a fresh submission, or one rebuilt from the journal. A replayed job
+// is already on disk (the recovery checkpoint restates it) and was counted
+// by the process that accepted it, so its admission books neither.
+const (
+	stateNew      State = ""
+	stateReplayed State = "replayed"
+)
+
 // Terminal reports whether s is a terminal state.
 func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
@@ -85,11 +104,6 @@ var (
 	// some of its jobs drain (HTTP 429).
 	ErrQuotaExceeded = errors.New("jobs: tenant queue quota exceeded")
 )
-
-// ErrClosed is the manager's shut-down error.
-//
-// Deprecated: use ErrShuttingDown (same value; errors.Is matches either).
-var ErrClosed = ErrShuttingDown
 
 // Pool declares one backend worker pool.
 type Pool struct {
@@ -169,6 +183,7 @@ type jobState struct {
 	deadline  time.Time // zero = no TTL
 	state     State
 	exec      *execution
+	circuit   json.RawMessage // submission wire form, dropped once journaled
 
 	// span is the job's root span and queueSpan its queue-wait child (both
 	// nil without WithTracer; every tracing call is nil-safe). traceID is
@@ -280,10 +295,12 @@ type eventSub struct {
 
 // Recovery summarizes what New rebuilt from the journal.
 type Recovery struct {
-	// Requeued jobs were queued at crash time and queue again.
+	// Requeued jobs were queued at crash time and queue again. This
+	// includes duplicates that attached to an already-running execution:
+	// they never dispatched on their own, so they have no started record.
 	Requeued int `json:"requeued"`
-	// Rerun jobs were in flight at crash time; their results were lost,
-	// so they queue again and re-execute.
+	// Rerun jobs were in flight at crash time (a started record survived);
+	// their results were lost, so they queue again and re-execute.
 	Rerun int `json:"rerun"`
 	// Terminal jobs finished before the crash; their snapshots (results
 	// included, byte for byte) went straight to the result store.
@@ -301,7 +318,8 @@ type Recovery struct {
 func (m *Manager) Recovery() Recovery { return m.recovery }
 
 // Stats is a consistent snapshot of the manager's lifecycle counters: the
-// cumulative totals plus the current queue and running depths.
+// cumulative totals plus the current queue and running depths (summed over
+// the per-tenant counts).
 type Stats struct {
 	Submitted int64 `json:"submitted"`
 	Deduped   int64 `json:"deduped"`
@@ -317,13 +335,9 @@ func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	st := m.stats
-	for _, j := range m.jobs {
-		switch j.state {
-		case StateQueued:
-			st.Queued++
-		case StateRunning:
-			st.Running++
-		}
+	for _, ts := range m.tenants {
+		st.Queued += ts.queued
+		st.Running += ts.running
 	}
 	return st
 }
@@ -349,13 +363,15 @@ func WithTracer(t *tracing.Tracer) Option {
 	return func(c *managerConfig) { c.tracer = t }
 }
 
-// WithJournal attaches a write-ahead journal: every state transition is
-// journaled (submissions durably, before Submit returns), and New replays
-// the journal's surviving records — re-queueing queued jobs, re-running
-// in-flight ones, restoring terminal snapshots — then checkpoints the
-// survivors so the journal restarts compact. The manager owns the
-// journal's write path from here on; the caller still closes it after
-// Shutdown.
+// WithJournal attaches a write-ahead journal. Each transition appends one
+// record. Only the submission record is durable: it is fsynced before
+// Submit returns. Started and terminal records are advisory; losing one
+// means the job re-runs after a restart, deterministically, to the same
+// result. New replays the journal's surviving records — re-queueing
+// queued jobs, re-running in-flight ones, restoring terminal snapshots —
+// then checkpoints the survivors so the journal restarts compact. The
+// manager owns the journal's write path from here on; the caller still
+// closes it after Shutdown.
 func WithJournal(j *journal.Journal) Option {
 	return func(c *managerConfig) { c.journal = j }
 }
@@ -380,6 +396,7 @@ func WithStoreSize(n int) Option {
 // dedup, and completion counters, queue/running gauges, and queue-wait and
 // run-time histograms, plus the runner's per-job latency families. Share
 // the registry with the backends' tilt.WithMetrics for one scrapeable view.
+// Without it the manager books into a private registry.
 func WithMetrics(r *tilt.MetricsRegistry) Option {
 	return func(c *managerConfig) { c.metrics = r }
 }
@@ -481,10 +498,12 @@ func New(pools []Pool, opts ...Option) (*Manager, error) {
 
 		eventSubs: make(map[uint64]*eventSub),
 	}
-	if cfg.metrics != nil {
-		m.mx = newInstruments(cfg.metrics)
-		m.runnerOpts = append(m.runnerOpts, runner.WithMetrics(cfg.metrics))
+	reg := cfg.metrics
+	if reg == nil {
+		reg = metrics.NewRegistry()
 	}
+	m.mx = newInstruments(reg)
+	m.runnerOpts = []runner.Option{runner.WithWorkers(1), runner.WithMetrics(reg)}
 	for _, pc := range pools {
 		if pc.Name == "" || pc.Backend == nil {
 			return nil, fmt.Errorf("jobs: pool %q needs a name and a backend", pc.Name)
@@ -581,25 +600,26 @@ func (m *Manager) recover() error {
 			maxSeq = seq
 		}
 		if j.term != nil {
-			m.restoreTerminalLocked(*j.term) //lint:lockorder-exempt Manager.mu is the outer lock; metrics family.mu is a leaf never held across jobs calls
+			m.store.Add(id, jobFromRecord(*j.term))
+			m.recovery.Terminal++
+			m.mx.replayed.With(j.term.Backend, "terminal").Inc() //lint:lockorder-exempt Manager.mu is the outer lock; metrics family.mu is a leaf never held across jobs calls
 			checkpoint = append(checkpoint, *j.term)
 			continue
 		}
-		rec := m.requeueLocked(j, seq, now)
-		checkpoint = append(checkpoint, rec)
+		checkpoint = append(checkpoint, m.requeueLocked(j, seq, now)) //lint:lockorder-exempt Manager.mu is the outer lock over the journal, metrics and tracing locks, which never call back into jobs
 	}
 	if maxSeq > m.seq {
 		m.seq = maxSeq
 	}
-	if err := m.jnl.Checkpoint(checkpoint); err != nil { //lint:lockorder-exempt hierarchy is Manager.mu > Journal.mu; the journal never calls back into jobs
+	if err := m.jnl.Checkpoint(checkpoint); err != nil {
 		return fmt.Errorf("jobs: journal checkpoint: %w", err)
 	}
 	return nil
 }
 
-// restoreTerminalLocked rebuilds a finished job's snapshot from its
-// terminal journal record and places it in the result store.
-func (m *Manager) restoreTerminalLocked(rec journal.Record) {
+// jobFromRecord rebuilds a finished job's snapshot from its terminal
+// journal record, result included byte for byte.
+func jobFromRecord(rec journal.Record) Job {
 	snap := Job{
 		ID:        rec.ID,
 		Name:      rec.Name,
@@ -624,38 +644,31 @@ func (m *Manager) restoreTerminalLocked(rec journal.Record) {
 			snap.Error = fmt.Sprintf("jobs: journaled result unreadable: %v", err)
 		}
 	}
-	m.store.Add(rec.ID, snap)
-	m.recovery.Terminal++
-	if m.mx != nil {
-		m.mx.replayed.With(rec.Backend, "terminal").Inc()
-	}
+	return snap
 }
 
 // requeueLocked re-admits a job that was live at crash time and returns the
 // checkpoint record restating it. Jobs whose TTL lapsed during the outage
 // expire; jobs this process can no longer rebuild (unparseable circuit,
 // backend without a pool) finalize as failed.
-func (m *Manager) requeueLocked(j *replayedJob, seq uint64, now time.Time) journal.Record {
-	rec := j.rec
-	fail := func(outcome, errMsg string) journal.Record {
-		snap := Job{
-			ID: rec.ID, Name: rec.Name, Backend: rec.Backend,
-			Tenant: rec.Tenant, State: StateFailed, Priority: rec.Priority,
-			Deduped: rec.Deduped, Submitted: rec.Submitted,
-			Finished: now, Error: errMsg,
-		}
-		m.store.Add(rec.ID, snap)
-		if m.mx != nil {
-			m.mx.replayed.With(rec.Backend, outcome).Inc()
-		}
-		return journal.Record{
-			Op: journal.OpFinalized, ID: rec.ID, Tenant: rec.Tenant,
-			Name: rec.Name, Backend: rec.Backend, Priority: rec.Priority,
-			Deduped: rec.Deduped, Submitted: rec.Submitted, Finished: now,
-			State: string(StateFailed), Error: errMsg,
-		}
+func (m *Manager) requeueLocked(r *replayedJob, seq uint64, now time.Time) journal.Record {
+	rec := r.rec
+	j := &jobState{
+		id: rec.ID, name: rec.Name, backend: rec.Backend, tenant: rec.Tenant,
+		priority: rec.Priority, deduped: rec.Deduped, submitted: rec.Submitted,
+		deadline: rec.Deadline, state: stateReplayed,
 	}
-	if !rec.Deadline.IsZero() && now.After(rec.Deadline) && !j.running {
+	fail := func(outcome, errMsg string) journal.Record {
+		m.mx.replayed.With(rec.Backend, outcome).Inc()
+		m.moveLocked(j, StateFailed, now, nil, errMsg)
+		return j.record(journal.OpFinalized, now, nil, errMsg)
+	}
+	if r.running {
+		// The in-flight run's progress is gone; it re-queues. Its TTL was
+		// already satisfied when it first started, so none applies now.
+		j.deadline = time.Time{}
+	}
+	if j.expired(now) {
 		m.recovery.Expired++
 		return fail("expired", ErrTTLExpired.Error())
 	}
@@ -674,35 +687,18 @@ func (m *Manager) requeueLocked(j *replayedJob, seq uint64, now time.Time) journ
 		return fail("unrecoverable", fmt.Sprintf("jobs: recovery: circuit unreadable: %v", err))
 	}
 
-	js := &jobState{
-		id:        rec.ID,
-		name:      rec.Name,
-		backend:   rec.Backend,
-		tenant:    rec.Tenant,
-		priority:  rec.Priority,
-		deduped:   rec.Deduped,
-		submitted: rec.Submitted,
-		state:     StateQueued,
-	}
-	if j.running {
-		// The in-flight run's progress is gone; it re-queues. Its TTL was
-		// already satisfied when it first started, so none applies now.
+	outcome := "requeued"
+	if r.running {
+		outcome = "rerun"
 		m.recovery.Rerun++
 	} else {
-		js.deadline = rec.Deadline
 		m.recovery.Requeued++
 	}
+	m.mx.replayed.With(rec.Backend, outcome).Inc()
 	if seq > m.seq {
 		m.seq = seq // attachLocked stamps the execution with m.seq
 	}
-	m.attachLocked(js, p, rec.Backend+"\x00"+circ.Fingerprint(), &circ)
-	if m.mx != nil {
-		outcome := "requeued"
-		if j.running {
-			outcome = "rerun"
-		}
-		m.mx.replayed.With(rec.Backend, outcome).Inc()
-	}
+	m.admitLocked(j, p, rec.Backend+"\x00"+circ.Fingerprint(), &circ)
 	// The checkpoint restates the job as freshly submitted; rec already
 	// holds the identity and circuit, so reuse it (Op is already
 	// OpSubmitted).
@@ -754,13 +750,7 @@ func (m *Manager) Submit(req Request) (string, error) {
 	if m.treg != nil && req.Tenant != "" {
 		if t, known := m.treg.Lookup(req.Tenant); known && t.MaxQueued > 0 {
 			if ts := m.tenants[req.Tenant]; ts != nil && ts.queued >= t.MaxQueued {
-				if m.mx != nil {
-					// Lock hierarchy: Manager.mu is the outermost lock; the
-					// metrics family mutex is a leaf held only inside
-					// With/Inc and never while any jobs call is made, so the
-					// edge cannot reverse.
-					m.mx.rejected.With(tenantLabel(req.Tenant), "queued_quota").Inc() //lint:lockorder-exempt Manager.mu is the outer lock; metrics family.mu is a leaf never held across jobs calls
-				}
+				m.mx.rejected.With(tenantLabel(req.Tenant), "queued_quota").Inc()
 				return "", fmt.Errorf("%w: tenant %q has %d jobs queued (max %d)",
 					ErrQuotaExceeded, req.Tenant, ts.queued, t.MaxQueued)
 			}
@@ -775,7 +765,7 @@ func (m *Manager) Submit(req Request) (string, error) {
 		tenant:    req.Tenant,
 		priority:  req.Priority,
 		submitted: time.Now(),
-		state:     StateQueued,
+		circuit:   circJSON,
 	}
 	if req.TTL > 0 {
 		j.deadline = j.submitted.Add(req.TTL)
@@ -785,65 +775,38 @@ func (m *Manager) Submit(req Request) (string, error) {
 		// carrying the client's traceparent) or roots a fresh trace when
 		// the submission arrived without one.
 		j.span = m.tracer.StartRemote("job", req.Parent)
-		j.span.SetAttr("job_id", j.id) //lint:lockorder-exempt Manager.mu is the outer lock; tracing Span.mu is a leaf never held across jobs calls
+		j.span.SetAttr("job_id", j.id)
 		j.span.SetAttr("backend", j.backend)
 		j.span.SetAttr("tenant", tenantLabel(j.tenant))
 		j.traceID = j.span.Context().TraceID
 		j.queueSpan = j.span.StartChild("queue-wait")
 	}
-	key := req.Backend + "\x00" + fp
-	_, dedup := m.inflight[key]
-	if m.jnl != nil {
-		// Write-ahead: the submission must be durable before the state
-		// mutates and before the caller learns the ID.
-		if err := m.jnl.Append(journal.Record{
-			Op: journal.OpSubmitted, ID: j.id, Tenant: j.tenant,
-			Name: j.name, Backend: j.backend, Priority: j.priority,
-			Deduped: dedup, Submitted: j.submitted, Deadline: j.deadline,
-			Circuit: circJSON,
-		}); err != nil {
-			return "", fmt.Errorf("jobs: journal submit: %w", err)
-		}
+	if err := m.admitLocked(j, p, req.Backend+"\x00"+fp, req.Circuit); err != nil {
+		return "", fmt.Errorf("jobs: journal submit: %w", err)
 	}
-	m.attachLocked(j, p, key, req.Circuit)
-	m.stats.Submitted++
-	if m.mx != nil {
-		m.mx.submitted.With(j.backend, tenantLabel(j.tenant)).Inc()
-	}
-	if dedup {
-		m.stats.Deduped++
-		if m.mx != nil {
-			m.mx.deduped.With(j.backend, tenantLabel(j.tenant)).Inc()
-		}
-		j.span.SetAttr("deduped", "true")
-		if j.state == StateRunning {
-			// Attached to an execution already on a worker: no queue wait.
-			j.queueSpan.End() //lint:lockorder-exempt Manager.mu is the outer lock; tracing Tracer.mu only guards the span store and never calls back into jobs
-		}
-	}
-	m.emitLocked(j, j.state, "")
 	return j.id, nil
 }
 
-// attachLocked inserts an ID'd, validated job into the live structures:
-// subscribe to an identical in-flight circuit (dedup), or queue a fresh
-// execution with its weighted-fair tag. Shared by Submit and recovery.
-func (m *Manager) attachLocked(j *jobState, p *pool, key string, circ *tilt.Circuit) {
-	if e, live := m.inflight[key]; live {
-		// Identical circuit already queued or running here: subscribe to
-		// its single compile+simulate instead of queueing another.
+// admitLocked moves a new or replayed job into the live set and subscribes
+// it to its execution: the identical circuit already queued or running here
+// (dedup: every subscriber shares one compile+simulate), or a fresh
+// execution queued with its weighted-fair tag. A duplicate of a running
+// execution enters Running with its TTL satisfied. The transition journals
+// before anything changes, so a failed submission append admits nothing.
+func (m *Manager) admitLocked(j *jobState, p *pool, key string, circ *tilt.Circuit) error {
+	e, live := m.inflight[key]
+	to := StateQueued
+	if live {
 		j.deduped = true
-		j.exec = e
-		e.subs[j.id] = j
-		j.state = e.state
-		if e.state == StateQueued && j.priority > e.priority {
-			e.priority = j.priority
-			heap.Fix(&p.q, e.index)
-		}
 		if e.state == StateRunning {
-			j.deadline = time.Time{} // already started: TTL is satisfied
+			to, j.deadline = StateRunning, time.Time{}
 		}
-	} else {
+	}
+	if err := m.moveLocked(j, to, j.submitted, nil, ""); err != nil {
+		return err
+	}
+	switch {
+	case !live:
 		base := context.Background()
 		if j.span != nil {
 			// The execution context carries the first subscriber's span, so
@@ -853,53 +816,41 @@ func (m *Manager) attachLocked(j *jobState, p *pool, key string, circ *tilt.Circ
 			base = tracing.ContextWithSpan(base, j.span)
 		}
 		ctx, cancel := context.WithCancel(base)
-		e := &execution{
+		e = &execution{
 			key:      key,
 			pool:     p,
 			circuit:  circ,
 			name:     j.name,
 			ctx:      ctx,
 			cancel:   cancel,
-			subs:     map[string]*jobState{j.id: j},
+			subs:     make(map[string]*jobState, 1),
 			priority: j.priority,
 			seq:      m.seq,
 			state:    StateQueued,
 			tenant:   j.tenant,
 			vtime:    m.vtagLocked(p, j.tenant),
 		}
-		j.exec = e
 		m.inflight[key] = e
 		heap.Push(&p.q, e)
 		m.gaugeQueueDepthLocked(p)
 		p.cond.Signal()
+	case e.state == StateQueued && j.priority > e.priority:
+		e.priority = j.priority
+		heap.Fix(&p.q, e.index)
 	}
-	m.jobs[j.id] = j
-	ts := m.tstateLocked(j.tenant)
-	if j.state == StateQueued {
-		ts.queued++
-		if m.mx != nil {
-			m.mx.queued.With(j.backend, tenantLabel(j.tenant)).Inc()
-		}
-	} else {
-		ts.running++
-		if m.mx != nil {
-			m.mx.running.With(j.backend, tenantLabel(j.tenant)).Inc()
-		}
-	}
+	j.exec = e
+	e.subs[j.id] = j
+	return nil
 }
 
 // gaugeQueueDepthLocked re-samples the pool's physical queue depth gauge.
 func (m *Manager) gaugeQueueDepthLocked(p *pool) {
-	if m.mx != nil {
-		m.mx.queueDepth.With(p.name).Set(float64(p.q.Len())) //lint:lockorder-exempt Manager.mu is the outer lock; metrics family.mu is a leaf never held across jobs calls
-	}
+	m.mx.queueDepth.With(p.name).Set(float64(p.q.Len()))
 }
 
 // gaugeInflightLocked re-samples the tenant's in-flight executions gauge.
 func (m *Manager) gaugeInflightLocked(tenantID string) {
-	if m.mx != nil {
-		m.mx.inflight.With(tenantLabel(tenantID)).Set(float64(m.tstateLocked(tenantID).runningExecs))
-	}
+	m.mx.inflight.With(tenantLabel(tenantID)).Set(float64(m.tstateLocked(tenantID).runningExecs))
 }
 
 // tstateLocked returns the tenant's runtime state, creating it lazily.
@@ -934,14 +885,8 @@ func (m *Manager) vtagLocked(p *pool, tenantID string) float64 {
 func (m *Manager) Get(id string) (Job, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if j, ok := m.jobs[id]; ok {
-		// Lazy TTL expiry: a queued job past its deadline reads as failed
-		// even before a worker would have pruned it at pop time.
-		if j.state == StateQueued && !j.deadline.IsZero() && time.Now().After(j.deadline) {
-			m.expireLocked(j)
-		} else {
-			return m.snapshotLocked(j), nil
-		}
+	if j, ok := m.liveLocked(id); ok {
+		return m.snapshotLocked(j), nil
 	}
 	if snap, ok := m.store.Get(id); ok {
 		return snap, nil
@@ -978,41 +923,34 @@ func (m *Manager) List(tenantID string) []Job {
 // ctx.Err() (poll Get for the state at that moment).
 func (m *Manager) Wait(ctx context.Context, id string) (Job, error) {
 	m.mu.Lock()
-	j, live := m.jobs[id]
-	if live {
-		// Same lazy TTL expiry as Get: an expired queued job terminates now
-		// rather than blocking the waiter until a worker prunes it.
-		if j.state == StateQueued && !j.deadline.IsZero() && time.Now().After(j.deadline) {
-			m.expireLocked(j)
-		} else {
-			ch := make(chan Job, 1)
-			m.waiters[id] = append(m.waiters[id], ch)
+	if _, live := m.liveLocked(id); live {
+		ch := make(chan Job, 1)
+		m.waiters[id] = append(m.waiters[id], ch)
+		m.mu.Unlock()
+		select {
+		case snap := <-ch:
+			return snap, nil
+		case <-ctx.Done():
+			m.mu.Lock()
+			chs := m.waiters[id]
+			for i, c := range chs {
+				if c == ch {
+					m.waiters[id] = append(chs[:i], chs[i+1:]...)
+					break
+				}
+			}
+			if len(m.waiters[id]) == 0 {
+				delete(m.waiters, id)
+			}
 			m.mu.Unlock()
+			// The job may have finished while we raced ctx: prefer the
+			// snapshot if the transition already delivered it.
 			select {
 			case snap := <-ch:
 				return snap, nil
-			case <-ctx.Done():
-				m.mu.Lock()
-				chs := m.waiters[id]
-				for i, c := range chs {
-					if c == ch {
-						m.waiters[id] = append(chs[:i], chs[i+1:]...)
-						break
-					}
-				}
-				if len(m.waiters[id]) == 0 {
-					delete(m.waiters, id)
-				}
-				m.mu.Unlock()
-				// The job may have finished while we raced ctx: prefer the
-				// snapshot if finalize already delivered it.
-				select {
-				case snap := <-ch:
-					return snap, nil
-				default:
-				}
-				return Job{}, ctx.Err()
+			default:
 			}
+			return Job{}, ctx.Err()
 		}
 	}
 	if snap, ok := m.store.Get(id); ok {
@@ -1021,6 +959,23 @@ func (m *Manager) Wait(ctx context.Context, id string) (Job, error) {
 	}
 	m.mu.Unlock()
 	return Job{}, ErrNotFound
+}
+
+// liveLocked returns the active job with the given ID. A queued job past
+// its TTL expires here first (lazy expiry: it reads as failed before a
+// worker would prune it at pop time) and reports not live.
+func (m *Manager) liveLocked(id string) (*jobState, bool) {
+	j, ok := m.jobs[id]
+	if now := time.Now(); ok && j.state == StateQueued && j.expired(now) {
+		m.moveLocked(j, StateFailed, now, nil, ErrTTLExpired.Error())
+		return nil, false
+	}
+	return j, ok
+}
+
+// expired reports whether the job's TTL deadline has passed.
+func (j *jobState) expired(now time.Time) bool {
+	return !j.deadline.IsZero() && now.After(j.deadline)
 }
 
 // Subscribe registers a job-transition event stream scoped to one tenant:
@@ -1040,28 +995,24 @@ func (m *Manager) Subscribe(tenantID string, buf int) (<-chan Event, func()) {
 	m.subSeq++
 	id := m.subSeq
 	m.eventSubs[id] = &eventSub{tenant: tenantID, ch: ch}
-	if m.mx != nil {
-		m.mx.evSubs.Set(float64(len(m.eventSubs))) //lint:lockorder-exempt Manager.mu is the outer lock; metrics family.mu is a leaf never held across jobs calls
-	}
+	m.mx.evSubs.Set(float64(len(m.eventSubs)))
 	m.mu.Unlock()
 	cancel := func() {
 		m.mu.Lock()
 		if _, live := m.eventSubs[id]; live {
 			delete(m.eventSubs, id)
-			if m.mx != nil {
-				m.mx.evSubs.Set(float64(len(m.eventSubs)))
-			}
+			m.mx.evSubs.Set(float64(len(m.eventSubs)))
 		}
 		m.mu.Unlock()
 	}
 	return ch, cancel
 }
 
-// emitLocked fans one job transition out to the matching subscribers. The
-// sends are non-blocking (a full subscriber drops the event and books
-// linq_events_dropped_total), so a stalled SSE client can never wedge the
-// scheduler.
-func (m *Manager) emitLocked(j *jobState, st State, errMsg string) {
+// emitLocked fans the job's transition into its current state out to the
+// matching subscribers. The sends are non-blocking (a full subscriber
+// drops the event and books linq_events_dropped_total), so a stalled SSE
+// client can never wedge the scheduler.
+func (m *Manager) emitLocked(j *jobState, errMsg string) {
 	if len(m.eventSubs) == 0 {
 		return
 	}
@@ -1073,7 +1024,7 @@ func (m *Manager) emitLocked(j *jobState, st State, errMsg string) {
 		Name:    j.name,
 		Backend: j.backend,
 		Tenant:  j.tenant,
-		State:   st,
+		State:   j.state,
 		Deduped: j.deduped,
 		TraceID: j.traceID,
 		Error:   errMsg,
@@ -1084,13 +1035,9 @@ func (m *Manager) emitLocked(j *jobState, st State, errMsg string) {
 		}
 		select {
 		case s.ch <- ev:
-			if m.mx != nil {
-				m.mx.evPublished.Inc()
-			}
+			m.mx.evPublished.Inc()
 		default:
-			if m.mx != nil {
-				m.mx.evDropped.Inc()
-			}
+			m.mx.evDropped.Inc()
 		}
 	}
 }
@@ -1159,8 +1106,7 @@ func (m *Manager) Cancel(id string) error {
 		}
 		return ErrNotFound
 	}
-	m.detachLocked(j)
-	m.finalizeLocked(j, StateCancelled, nil, context.Canceled.Error())
+	m.moveLocked(j, StateCancelled, time.Now(), nil, context.Canceled.Error())
 	return nil
 }
 
@@ -1197,7 +1143,8 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	}
 }
 
-// snapshotLocked renders the live job as a public snapshot.
+// snapshotLocked renders the job as a public snapshot. Its execution's
+// start time stays zero until dispatch turns every subscriber Running.
 func (m *Manager) snapshotLocked(j *jobState) Job {
 	snap := Job{
 		ID:        j.id,
@@ -1208,92 +1155,149 @@ func (m *Manager) snapshotLocked(j *jobState) Job {
 		Priority:  j.priority,
 		Deduped:   j.deduped,
 		Submitted: j.submitted,
+		TraceID:   j.traceID,
 	}
-	if j.exec != nil && j.state == StateRunning {
+	if j.exec != nil {
 		snap.Started = j.exec.started
 	}
-	snap.TraceID = j.traceID
 	return snap
 }
 
-// finalizeLocked moves a job to a terminal state: snapshot into the result
-// store, drop from the active set, book the metrics.
-func (m *Manager) finalizeLocked(j *jobState, st State, res *tilt.Result, errMsg string) {
-	now := time.Now()
-	prev := j.state
-	j.state = st
+// moveLocked is the one job state transition: admission (from stateNew or
+// stateReplayed), dispatch (Queued → Running), and the terminal moves of
+// completion, Cancel and TTL expiry. From the (from, to) pair it derives
+// the journal record, the active set and tenant counts with their gauges,
+// the Stats counters, metrics and histograms, the spans, the terminal
+// bookkeeping (finishLocked) and the event. Only the submission record is
+// durable: its append error returns before anything changes. Started and
+// terminal records are advisory, so every other transition returns nil.
+func (m *Manager) moveLocked(j *jobState, to State, at time.Time, res *tilt.Result, errMsg string) error {
+	from := j.state
+	j.state = to // a new job is not yet reachable, so this undoes nothing on error
+	var op journal.Op
+	switch {
+	case m.jnl == nil, from == stateReplayed:
+		// No journal, or recovery's checkpoint restates the job.
+	case from == stateNew:
+		op = journal.OpSubmitted
+	case to == StateRunning:
+		op = journal.OpStarted
+	case to == StateCancelled:
+		op = journal.OpCancelled
+	default:
+		op = journal.OpFinalized
+	}
+	if op != "" {
+		// Only the submission's append error matters: a lost started or
+		// terminal record just means the job re-runs after a restart.
+		if err := m.jnl.Append(j.record(op, at, res, errMsg)); err != nil && op == journal.OpSubmitted {
+			return err
+		}
+		j.circuit = nil
+	}
+
+	ts := m.tstateLocked(j.tenant)
+	tl := tenantLabel(j.tenant)
+	switch from {
+	case stateNew:
+		m.stats.Submitted++
+		m.mx.submitted.With(j.backend, tl).Inc()
+		if j.deduped {
+			m.stats.Deduped++
+			m.mx.deduped.With(j.backend, tl).Inc()
+			j.span.SetAttr("deduped", "true")
+		}
+		m.jobs[j.id] = j
+	case stateReplayed:
+		m.jobs[j.id] = j
+	case StateQueued:
+		ts.queued--
+		m.mx.queued.With(j.backend, tl).Dec()
+	case StateRunning:
+		ts.running--
+		m.mx.running.With(j.backend, tl).Dec()
+		m.mx.runSec.With(j.backend, tl).Observe(at.Sub(j.exec.started).Seconds())
+	}
+	switch to {
+	case StateQueued:
+		ts.queued++
+		m.mx.queued.With(j.backend, tl).Inc()
+	case StateRunning:
+		ts.running++
+		m.mx.running.With(j.backend, tl).Inc()
+		if from == StateQueued {
+			m.mx.queueSec.With(j.backend, tl).Observe(at.Sub(j.submitted).Seconds())
+		}
+		j.queueSpan.End()
+	default:
+		m.finishLocked(j, from, at, res, errMsg)
+	}
+	m.emitLocked(j, errMsg)
+	return nil
+}
+
+// finishLocked is moveLocked's terminal half: the job leaves its execution
+// and the active set, its snapshot reaches the result store and waiters,
+// the outcome is counted, and its spans close.
+func (m *Manager) finishLocked(j *jobState, from State, at time.Time, res *tilt.Result, errMsg string) {
+	m.detachLocked(j)
 	snap := m.snapshotLocked(j)
-	snap.State = st
-	snap.Finished = now
+	snap.Finished = at
 	snap.Result = res
 	snap.Error = errMsg
-	if j.exec != nil && !j.exec.started.IsZero() {
-		snap.Started = j.exec.started
-	}
-	if m.jnl != nil {
-		op := journal.OpFinalized
-		if st == StateCancelled {
-			op = journal.OpCancelled
-		}
-		rec := journal.Record{
-			Op: op, ID: j.id, Tenant: j.tenant, Name: j.name,
-			Backend: j.backend, Priority: j.priority, Deduped: j.deduped,
-			Submitted: j.submitted, Finished: now,
-			State: string(st), Error: errMsg,
-		}
-		if res != nil {
-			if b, err := json.Marshal(res); err == nil {
-				rec.Result = b
-			}
-		}
-		// Terminal records are advisory: losing one only means the job
-		// re-runs after a crash (deterministically, to the same result),
-		// so an append error never blocks the job from finishing.
-		_ = m.jnl.Append(rec)
-	}
 	m.store.Add(j.id, snap)
 	delete(m.jobs, j.id)
 	for _, ch := range m.waiters[j.id] {
 		ch <- snap // buffered; each waiter registers exactly one slot
 	}
 	delete(m.waiters, j.id)
-	ts := m.tstateLocked(j.tenant)
-	switch prev {
-	case StateQueued:
-		ts.queued--
-	case StateRunning:
-		ts.running--
-	}
-	switch st {
-	case StateDone:
-		m.stats.Done++
-	case StateFailed:
-		m.stats.Failed++
-	case StateCancelled:
-		m.stats.Cancelled++
-	}
-	if m.mx != nil {
-		tl := tenantLabel(j.tenant)
-		switch prev {
-		case StateQueued:
-			m.mx.queued.With(j.backend, tl).Dec()
-		case StateRunning:
-			m.mx.running.With(j.backend, tl).Dec()
-			m.mx.runSec.With(j.backend, tl).Observe(now.Sub(snap.Started).Seconds())
+	if from != stateReplayed {
+		switch j.state {
+		case StateDone:
+			m.stats.Done++
+		case StateFailed:
+			m.stats.Failed++
+		case StateCancelled:
+			m.stats.Cancelled++
 		}
-		m.mx.finished.With(j.backend, string(st), tl).Inc()
+		tl := tenantLabel(j.tenant)
+		m.mx.finished.With(j.backend, string(j.state), tl).Inc()
+		if from == StateQueued && j.state == StateFailed {
+			// A queued job fails only by outliving its TTL.
+			m.mx.expired.With(j.backend, tl).Inc()
+		}
 	}
-	// Close out the job's spans: the queue-wait child first (still open
-	// when a queued job is cancelled or expires), then the root, carrying
-	// the failure if any. Nil-safe without WithTracer.
+	// The queue-wait child (still open when a queued job is cancelled or
+	// expires), then the root with the failure if any; nil-safe.
 	j.queueSpan.End()
-	j.span.SetAttr("state", string(st))
+	j.span.SetAttr("state", string(j.state))
 	if errMsg != "" {
 		j.span.EndErr(errors.New(errMsg))
 	} else {
 		j.span.End()
 	}
-	m.emitLocked(j, st, errMsg)
+}
+
+// record maps the job onto its journal record for op: the submission with
+// its deadline and circuit, the bare started marker, or the terminal
+// outcome with its result.
+func (j *jobState) record(op journal.Op, at time.Time, res *tilt.Result, errMsg string) journal.Record {
+	rec := journal.Record{Op: op, ID: j.id, Tenant: j.tenant, Backend: j.backend}
+	if op == journal.OpStarted {
+		return rec
+	}
+	rec.Name, rec.Priority, rec.Deduped, rec.Submitted = j.name, j.priority, j.deduped, j.submitted
+	if op == journal.OpSubmitted {
+		rec.Deadline, rec.Circuit = j.deadline, j.circuit
+		return rec
+	}
+	rec.Finished, rec.State, rec.Error = at, string(j.state), errMsg
+	if res != nil {
+		if b, err := json.Marshal(res); err == nil {
+			rec.Result = b
+		}
+	}
+	return rec
 }
 
 // detachLocked unsubscribes a job from its execution; the last subscriber
@@ -1335,15 +1339,6 @@ func (m *Manager) detachLocked(j *jobState) {
 	e.cancel()
 }
 
-// expireLocked fails a queued job whose TTL elapsed.
-func (m *Manager) expireLocked(j *jobState) {
-	m.detachLocked(j)
-	if m.mx != nil {
-		m.mx.expired.With(j.backend, tenantLabel(j.tenant)).Inc()
-	}
-	m.finalizeLocked(j, StateFailed, nil, ErrTTLExpired.Error())
-}
-
 // worker is one pool worker: pop the highest-priority execution, run it
 // through the runner, fan the outcome out to every subscriber. Workers
 // exit once the manager is closed and the pool's queue is drained — that
@@ -1364,8 +1359,8 @@ func (p *pool) worker() {
 		// left the execution is dropped without compiling anything.
 		now := time.Now()
 		for _, j := range e.subs {
-			if !j.deadline.IsZero() && now.After(j.deadline) {
-				m.expireLocked(j)
+			if j.expired(now) {
+				m.moveLocked(j, StateFailed, now, nil, ErrTTLExpired.Error())
 			}
 		}
 		if len(e.subs) == 0 {
@@ -1378,26 +1373,7 @@ func (p *pool) worker() {
 		m.tstateLocked(e.tenant).runningExecs++
 		m.gaugeInflightLocked(e.tenant)
 		for _, j := range e.subs {
-			j.state = StateRunning
-			j.queueSpan.End()
-			jts := m.tstateLocked(j.tenant)
-			jts.queued--
-			jts.running++
-			if m.jnl != nil {
-				// A lost started record only downgrades a post-crash re-run
-				// to a re-queue; never fail dispatch over it.
-				_ = m.jnl.Append(journal.Record{
-					Op: journal.OpStarted, ID: j.id, Tenant: j.tenant,
-					Backend: j.backend,
-				})
-			}
-			if m.mx != nil {
-				tl := tenantLabel(j.tenant)
-				m.mx.queued.With(j.backend, tl).Dec()
-				m.mx.running.With(j.backend, tl).Inc()
-				m.mx.queueSec.With(j.backend, tl).Observe(now.Sub(j.submitted).Seconds())
-			}
-			m.emitLocked(j, StateRunning, "")
+			m.moveLocked(j, StateRunning, now, nil, "")
 		}
 		m.mu.Unlock()
 
@@ -1407,7 +1383,7 @@ func (p *pool) worker() {
 			Name:    e.name,
 			Backend: p.backend,
 			Circuit: e.circuit,
-		}}, append([]runner.Option{runner.WithWorkers(1)}, m.runnerOpts...)...)[0]
+		}}, m.runnerOpts...)[0]
 
 		m.mu.Lock()
 		m.completeLocked(e, res)
@@ -1466,14 +1442,12 @@ func (m *Manager) eligibleLocked(e *execution) bool {
 }
 
 // completeLocked retires a finished execution and fans its outcome out to
-// every remaining subscriber. All subscribers share the same Result
-// pointer: results are read-only and bit-identical by construction, so
-// duplicates genuinely pay for one compile and one simulate.
+// every remaining subscriber; the last one to leave retires the execution
+// from the dedup index and releases its context. All subscribers share the
+// same Result pointer: results are read-only and bit-identical by
+// construction, so duplicates genuinely pay for one compile and one
+// simulate.
 func (m *Manager) completeLocked(e *execution, res runner.JobResult) {
-	if m.inflight[e.key] == e {
-		delete(m.inflight, e.key)
-	}
-	e.cancel() // release the context's resources
 	e.pool.running--
 	m.tstateLocked(e.tenant).runningExecs--
 	m.gaugeInflightLocked(e.tenant)
@@ -1490,10 +1464,10 @@ func (m *Manager) completeLocked(e *execution, res runner.JobResult) {
 			st = StateCancelled
 		}
 	}
+	now := time.Now()
 	for _, j := range e.subs {
-		m.finalizeLocked(j, st, res.Result, errMsg)
+		m.moveLocked(j, st, now, res.Result, errMsg)
 	}
-	e.subs = nil
 }
 
 // execQueue is a max-heap of executions by (priority, weighted-fair

@@ -367,8 +367,8 @@ func TestShutdownDrains(t *testing.T) {
 			t.Errorf("job %s drained to %s (%s), want done", id, j.State, j.Error)
 		}
 	}
-	if _, err := m.Submit(jobs.Request{Backend: "fake", Circuit: tilt.GHZ(3).Circuit}); !errors.Is(err, jobs.ErrClosed) {
-		t.Errorf("Submit after Shutdown: err = %v, want ErrClosed", err)
+	if _, err := m.Submit(jobs.Request{Backend: "fake", Circuit: tilt.GHZ(3).Circuit}); !errors.Is(err, jobs.ErrShuttingDown) {
+		t.Errorf("Submit after Shutdown: err = %v, want ErrShuttingDown", err)
 	}
 }
 
@@ -470,7 +470,7 @@ func TestManagerMetricsSettle(t *testing.T) {
 
 	run := submit(jobs.Request{Backend: "fake", Circuit: tilt.GHZ(4).Circuit})
 	waitState(t, m, run, jobs.StateRunning)
-	dupRun := submit(jobs.Request{Backend: "fake", Circuit: tilt.GHZ(4).Circuit, TTL: time.Hour})
+	dupRun := submit(jobs.Request{Backend: "fake", Circuit: tilt.GHZ(4).Circuit})
 	q := submit(jobs.Request{Backend: "fake", Circuit: tilt.GHZ(5).Circuit})
 	dupQ := submit(jobs.Request{Backend: "fake", Circuit: tilt.GHZ(5).Circuit})
 	if j := state(dupRun); j.State != jobs.StateRunning || !j.Deduped {
@@ -794,8 +794,5 @@ func TestSubmitAfterShutdownIsTyped(t *testing.T) {
 	_, err = m.Submit(jobs.Request{Backend: "fake", Circuit: tilt.GHZ(3).Circuit})
 	if !errors.Is(err, jobs.ErrShuttingDown) {
 		t.Errorf("Submit after Shutdown: err = %v, want ErrShuttingDown", err)
-	}
-	if !errors.Is(err, jobs.ErrClosed) {
-		t.Errorf("deprecated ErrClosed alias must still match: err = %v", err)
 	}
 }

@@ -120,6 +120,10 @@ func TestRestartRecovery(t *testing.T) {
 
 	idRun := submit("fake", 7, 0) // in flight at crash time
 	waitState(t, m1, idRun, jobs.StateRunning)
+	// A TTL'd duplicate attached to the running execution never waits in
+	// the queue, so its TTL is already satisfied: it must re-run with idRun
+	// after the restart, not expire.
+	idDupRun := submit("fake", 7, 50*time.Millisecond)
 	idQueued := submit("fake", 9, 0)                 // queued behind it (1 worker)
 	idTTL := submit("fake", 11, 50*time.Millisecond) // will outlive its TTL during the outage
 	idLost := submit("other", 5, 0)                  // its backend does not come back
@@ -140,7 +144,9 @@ func TestRestartRecovery(t *testing.T) {
 	m2 := newManager(t, []jobs.Pool{{Name: "fake", Backend: be2, Workers: 1}}, jobs.WithJournal(jnl2))
 
 	rc := m2.Recovery()
-	want := jobs.Recovery{Requeued: 1, Rerun: 1, Terminal: 1, Expired: 1, Unrecoverable: 1}
+	// idDupRun has no started record (it never dispatched on its own), so
+	// it counts as requeued alongside idQueued.
+	want := jobs.Recovery{Requeued: 2, Rerun: 1, Terminal: 1, Expired: 1, Unrecoverable: 1}
 	if rc != want {
 		t.Fatalf("Recovery() = %+v, want %+v", rc, want)
 	}
@@ -171,6 +177,15 @@ func TestRestartRecovery(t *testing.T) {
 			t.Errorf("job %s after restart has no result", id)
 		}
 	}
+	runJob, dupJob := waitTerminal(t, m2, idRun), waitTerminal(t, m2, idDupRun)
+	if dupJob.State != jobs.StateDone {
+		t.Errorf("running-attached duplicate after restart: state = %s (%s)", dupJob.State, dupJob.Error)
+	}
+	runRes, _ := json.Marshal(runJob.Result)
+	dupRes, _ := json.Marshal(dupJob.Result)
+	if string(dupRes) != string(runRes) {
+		t.Errorf("duplicate result diverged from its leader:\n got %s\nwant %s", dupRes, runRes)
+	}
 
 	// The TTL job expired during the outage.
 	j, err = m2.Get(idTTL)
@@ -195,7 +210,7 @@ func TestRestartRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, old := range []string{idDone, idRun, idQueued, idTTL, idLost} {
+	for _, old := range []string{idDone, idRun, idDupRun, idQueued, idTTL, idLost} {
 		if idNew == old {
 			t.Fatalf("new submission reused recovered ID %s", old)
 		}
