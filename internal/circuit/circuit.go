@@ -125,15 +125,16 @@ func (g Gate) validate() error {
 	if got, want := len(g.Qubits), g.Kind.Arity(); got != want {
 		return fmt.Errorf("circuit: gate %s wants %d qubits, got %d", g.Kind, want, got)
 	}
-	seen := make(map[int]bool, len(g.Qubits))
-	for _, q := range g.Qubits {
+	// Arity is at most 3, so a pairwise scan beats a set.
+	for i, q := range g.Qubits {
 		if q < 0 {
 			return fmt.Errorf("circuit: gate %s has negative qubit %d", g.Kind, q)
 		}
-		if seen[q] {
-			return fmt.Errorf("circuit: gate %s repeats qubit %d", g.Kind, q)
+		for _, prev := range g.Qubits[:i] {
+			if prev == q {
+				return fmt.Errorf("circuit: gate %s repeats qubit %d", g.Kind, q)
+			}
 		}
-		seen[q] = true
 	}
 	if !g.Kind.Parameterized() && g.Theta != 0 {
 		return fmt.Errorf("circuit: gate %s is not parameterized but has theta %v", g.Kind, g.Theta)
@@ -182,7 +183,20 @@ func (g Gate) String() string {
 type Circuit struct {
 	numQubits int
 	gates     []Gate
+	// arena is the current chunk backing the Qubits of gates added through
+	// Add. Each gate gets a cap-limited window of it, so appending to one
+	// gate's Qubits can never overwrite a neighbour's.
+	arena []int
 }
+
+// arenaChunk is the size, in qubit operands, of the largest arena chunk:
+// chunks double from arenaFirst up to it, so a small circuit wastes at
+// most half of a small chunk and a large one at most one partly filled
+// 8 KiB chunk.
+const (
+	arenaFirst = 16
+	arenaChunk = 1024
+)
 
 // New returns an empty circuit over n qubits. n must be positive.
 func New(n int) *Circuit {
@@ -205,6 +219,8 @@ func (c *Circuit) Gate(i int) Gate { return c.gates[i] }
 func (c *Circuit) Gates() []Gate { return c.gates }
 
 // Add appends a gate after validating it against the register width.
+// Add copies g.Qubits into storage owned by the circuit, so the caller may
+// reuse or modify its slice afterwards.
 func (c *Circuit) Add(g Gate) error {
 	if err := g.validate(); err != nil {
 		return err
@@ -214,18 +230,29 @@ func (c *Circuit) Add(g Gate) error {
 			return fmt.Errorf("circuit: qubit %d out of range [0,%d)", q, c.numQubits)
 		}
 	}
-	c.gates = append(c.gates, g)
+	c.gates = append(c.gates, Gate{Kind: g.Kind, Qubits: c.store(g.Qubits), Theta: g.Theta})
 	return nil
+}
+
+// store copies qs into the arena and returns the copy, cap-limited to its
+// length. A full chunk is left to the gates that reference it and a new
+// one is started.
+func (c *Circuit) store(qs []int) []int {
+	if len(c.arena)+len(qs) > cap(c.arena) {
+		size := min(max(2*cap(c.arena), arenaFirst), arenaChunk)
+		c.arena = make([]int, 0, max(size, len(qs)))
+	}
+	start := len(c.arena)
+	c.arena = append(c.arena, qs...)
+	return c.arena[start:len(c.arena):len(c.arena)]
 }
 
 // MustAdd appends a gate and panics on validation failure. It is intended
 // for programmatic circuit construction where arguments are statically known.
+// Like Add, it copies the qubits, so the variadic slice never outlives the
+// call.
 func (c *Circuit) MustAdd(k Kind, theta float64, qubits ...int) {
-	g, err := NewGate(k, theta, qubits...)
-	if err != nil {
-		panic(err)
-	}
-	if err := c.Add(g); err != nil {
+	if err := c.Add(Gate{Kind: k, Qubits: qubits, Theta: theta}); err != nil {
 		panic(err)
 	}
 }

@@ -46,27 +46,89 @@ func TestKindNative(t *testing.T) {
 	}
 }
 
+// TestNewGateValidation pins every gate-validation error, through NewGate
+// and through Add, including a repeated qubit in each operand pair of a
+// Toffoli.
 func TestNewGateValidation(t *testing.T) {
-	if _, err := NewGate(CNOT, 0, 1); err == nil {
-		t.Error("CNOT with one qubit should fail")
+	cases := []struct {
+		k      Kind
+		theta  float64
+		qubits []int
+		want   string
+	}{
+		{CNOT, 0, []int{1}, "circuit: gate cx wants 2 qubits, got 1"},
+		{X, 0, []int{0, 1}, "circuit: gate x wants 1 qubits, got 2"},
+		{CCX, 0, nil, "circuit: gate ccx wants 3 qubits, got 0"},
+		{X, 0, []int{-1}, "circuit: gate x has negative qubit -1"},
+		{CNOT, 0, []int{0, -2}, "circuit: gate cx has negative qubit -2"},
+		{CNOT, 0, []int{2, 2}, "circuit: gate cx repeats qubit 2"},
+		{CCX, 0, []int{4, 4, 5}, "circuit: gate ccx repeats qubit 4"},
+		{CCX, 0, []int{4, 5, 4}, "circuit: gate ccx repeats qubit 4"},
+		{CCX, 0, []int{5, 4, 4}, "circuit: gate ccx repeats qubit 4"},
+		{CCX, 0, []int{3, 3, 3}, "circuit: gate ccx repeats qubit 3"},
+		{CCX, 0, []int{3, 3, -1}, "circuit: gate ccx repeats qubit 3"},
+		{X, 1.0, []int{3}, "circuit: gate x is not parameterized but has theta 1"},
+		{CNOT, 0.5, []int{0, 1}, "circuit: gate cx is not parameterized but has theta 0.5"},
+		{RX, math.NaN(), []int{0}, "circuit: gate rx has non-finite theta"},
+		{RX, math.Inf(1), []int{0}, "circuit: gate rx has non-finite theta"},
+		{XX, math.Inf(-1), []int{0, 1}, "circuit: gate xx has non-finite theta"},
 	}
-	if _, err := NewGate(CNOT, 0, 2, 2); err == nil {
-		t.Error("CNOT with repeated qubit should fail")
-	}
-	if _, err := NewGate(X, 0, -1); err == nil {
-		t.Error("negative qubit should fail")
-	}
-	if _, err := NewGate(X, 1.0, 3); err == nil {
-		t.Error("theta on non-parameterized gate should fail")
-	}
-	if _, err := NewGate(RX, math.NaN(), 0); err == nil {
-		t.Error("NaN theta should fail")
-	}
-	if _, err := NewGate(RX, math.Inf(1), 0); err == nil {
-		t.Error("Inf theta should fail")
+	for _, tc := range cases {
+		if _, err := NewGate(tc.k, tc.theta, tc.qubits...); err == nil || err.Error() != tc.want {
+			t.Errorf("NewGate(%v, %v, %v) = %v, want %q", tc.k, tc.theta, tc.qubits, err, tc.want)
+		}
+		c := New(8)
+		if err := c.Add(Gate{Kind: tc.k, Qubits: tc.qubits, Theta: tc.theta}); err == nil || err.Error() != tc.want {
+			t.Errorf("Add(%v, %v, %v) = %v, want %q", tc.k, tc.theta, tc.qubits, err, tc.want)
+		}
+		if c.Len() != 0 {
+			t.Errorf("Add(%v, %v, %v) kept a rejected gate", tc.k, tc.theta, tc.qubits)
+		}
 	}
 	if g, err := NewGate(XX, math.Pi/4, 0, 5); err != nil || g.Distance() != 5 {
 		t.Errorf("valid XX gate: %v, distance %d", err, g.Distance())
+	}
+	if _, err := NewGate(CCX, 0, 0, 1, 2); err != nil {
+		t.Errorf("valid CCX gate: %v", err)
+	}
+}
+
+// TestAddCopiesQubits checks that Add and MustAdd take their own copy of
+// the operands: the caller may reuse its slice, and growing one gate's
+// Qubits never reaches into the next gate's.
+func TestAddCopiesQubits(t *testing.T) {
+	c := New(4)
+	qs := []int{0, 1}
+	if err := c.Add(Gate{Kind: CNOT, Qubits: qs}); err != nil {
+		t.Fatal(err)
+	}
+	qs[0], qs[1] = 2, 3
+	c.MustAdd(CZ, 0, qs...)
+	qs[0], qs[1] = 3, 0
+	want := "qreg q[4]\ncx q0, q1\ncz q2, q3\n"
+	if got := c.String(); got != want {
+		t.Fatalf("circuit changed with the caller's slice:\n%s", got)
+	}
+	grown := append(c.Gate(0).Qubits, 3)
+	grown[0] = 3
+	if got := c.String(); got != want {
+		t.Fatalf("appending to a gate's Qubits changed the circuit:\n%s", got)
+	}
+}
+
+// TestApplyAllocationsAmortized checks that building a circuit costs far
+// less than one allocation per gate: the variadic operands stay on the
+// stack and the qubit arena is allocated in chunks.
+func TestApplyAllocationsAmortized(t *testing.T) {
+	const gates = 4096
+	allocs := testing.AllocsPerRun(10, func() {
+		c := New(64)
+		for i := 0; i < gates; i++ {
+			c.ApplyCNOT(i%63, i%63+1)
+		}
+	})
+	if perGate := allocs / gates; perGate > 0.05 {
+		t.Errorf("%.0f allocations for %d CNOTs (%.3f per gate), want well under one per gate", allocs, gates, perGate)
 	}
 }
 

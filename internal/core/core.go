@@ -223,8 +223,9 @@ func PlaceIdeal(c *circuit.Circuit, numIons int) (native, mapped *circuit.Circui
 		return nil, nil, err
 	}
 	mapped = circuit.New(numIons)
+	var buf [2]int // native gates act on at most two qubits
 	for _, g := range native.Gates() {
-		qs := make([]int, len(g.Qubits))
+		qs := buf[:len(g.Qubits)]
 		for i, q := range g.Qubits {
 			qs[i] = m0.Phys(q)
 		}

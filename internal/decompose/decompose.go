@@ -35,7 +35,7 @@ func ToNative(c *circuit.Circuit) *circuit.Circuit {
 func ToCNOT(c *circuit.Circuit) *circuit.Circuit {
 	out := circuit.New(c.NumQubits())
 	for _, g := range c.Gates() {
-		emitCNOTLevel(out, g)
+		emitCNOTLevel(lowering{out: out}, g)
 	}
 	return out
 }
@@ -73,11 +73,7 @@ func emitNative(out *circuit.Circuit, g circuit.Gate) {
 	case circuit.CNOT:
 		emitCNOTNative(out, g.Qubits[0], g.Qubits[1])
 	case circuit.CZ, circuit.CP, circuit.SWAP, circuit.CCX:
-		tmp := circuit.New(out.NumQubits())
-		emitCNOTLevel(tmp, g)
-		for _, gg := range tmp.Gates() {
-			emitNative(out, gg)
-		}
+		emitCNOTLevel(lowering{out: out, native: true}, g)
 	case circuit.Measure:
 		out.MustAdd(circuit.Measure, 0, g.Qubits...)
 	default:
@@ -94,48 +90,64 @@ func emitCNOTNative(out *circuit.Circuit, ctl, tgt int) {
 	out.ApplyRY(-math.Pi/2, ctl)
 }
 
-func emitCNOTLevel(out *circuit.Circuit, g circuit.Gate) {
+// lowering is where emitCNOTLevel writes: straight into out, or through
+// emitNative when the CNOT-level gates are only a step on the way to the
+// native set.
+type lowering struct {
+	out    *circuit.Circuit
+	native bool
+}
+
+func (l lowering) add(k circuit.Kind, theta float64, qubits ...int) {
+	if l.native {
+		emitNative(l.out, circuit.Gate{Kind: k, Qubits: qubits, Theta: theta})
+		return
+	}
+	l.out.MustAdd(k, theta, qubits...)
+}
+
+func emitCNOTLevel(out lowering, g circuit.Gate) {
 	switch g.Kind {
 	case circuit.CZ:
 		a, b := g.Qubits[0], g.Qubits[1]
-		out.ApplyH(b)
-		out.ApplyCNOT(a, b)
-		out.ApplyH(b)
+		out.add(circuit.H, 0, b)
+		out.add(circuit.CNOT, 0, a, b)
+		out.add(circuit.H, 0, b)
 	case circuit.CP:
 		// cp(θ) a,b = rz(θ/2) a; cx a,b; rz(−θ/2) b; cx a,b; rz(θ/2) b
 		// (standard Qiskit u1-based identity, exact up to global phase).
 		a, b := g.Qubits[0], g.Qubits[1]
 		th := g.Theta
-		out.ApplyRZ(th/2, a)
-		out.ApplyCNOT(a, b)
-		out.ApplyRZ(-th/2, b)
-		out.ApplyCNOT(a, b)
-		out.ApplyRZ(th/2, b)
+		out.add(circuit.RZ, th/2, a)
+		out.add(circuit.CNOT, 0, a, b)
+		out.add(circuit.RZ, -th/2, b)
+		out.add(circuit.CNOT, 0, a, b)
+		out.add(circuit.RZ, th/2, b)
 	case circuit.SWAP:
 		a, b := g.Qubits[0], g.Qubits[1]
-		out.ApplyCNOT(a, b)
-		out.ApplyCNOT(b, a)
-		out.ApplyCNOT(a, b)
+		out.add(circuit.CNOT, 0, a, b)
+		out.add(circuit.CNOT, 0, b, a)
+		out.add(circuit.CNOT, 0, a, b)
 	case circuit.CCX:
 		// Standard 6-CNOT Toffoli (Nielsen & Chuang Fig. 4.9).
 		a, b, t := g.Qubits[0], g.Qubits[1], g.Qubits[2]
-		out.ApplyH(t)
-		out.ApplyCNOT(b, t)
-		out.ApplyTdg(t)
-		out.ApplyCNOT(a, t)
-		out.ApplyT(t)
-		out.ApplyCNOT(b, t)
-		out.ApplyTdg(t)
-		out.ApplyCNOT(a, t)
-		out.ApplyT(b)
-		out.ApplyT(t)
-		out.ApplyH(t)
-		out.ApplyCNOT(a, b)
-		out.ApplyT(a)
-		out.ApplyTdg(b)
-		out.ApplyCNOT(a, b)
+		out.add(circuit.H, 0, t)
+		out.add(circuit.CNOT, 0, b, t)
+		out.add(circuit.Tdg, 0, t)
+		out.add(circuit.CNOT, 0, a, t)
+		out.add(circuit.T, 0, t)
+		out.add(circuit.CNOT, 0, b, t)
+		out.add(circuit.Tdg, 0, t)
+		out.add(circuit.CNOT, 0, a, t)
+		out.add(circuit.T, 0, b)
+		out.add(circuit.T, 0, t)
+		out.add(circuit.H, 0, t)
+		out.add(circuit.CNOT, 0, a, b)
+		out.add(circuit.T, 0, a)
+		out.add(circuit.Tdg, 0, b)
+		out.add(circuit.CNOT, 0, a, b)
 	default:
 		// Everything else is already at (or below) the CNOT level.
-		out.MustAdd(g.Kind, g.Theta, g.Qubits...)
+		out.add(g.Kind, g.Theta, g.Qubits...)
 	}
 }

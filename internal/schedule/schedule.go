@@ -73,11 +73,13 @@ func Tape(ctx context.Context, c *circuit.Circuit, dev device.TILT) (*Schedule, 
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		pos, gates := s.bestPosition(cur)
+		pos := s.bestPosition(cur)
+		gates := s.setAt(pos)
 		if len(gates) == 0 {
 			// Cannot happen when every gate fits some window; defensive.
 			return nil, fmt.Errorf("schedule: no executable gates at any head position (%d remaining)", s.remaining)
 		}
+		gates = s.take(len(s.out), gates)
 		s.commit(gates)
 		sched.Steps = append(sched.Steps, Step{Pos: pos, Gates: gates})
 		if cur >= 0 {
@@ -93,34 +95,65 @@ func Tape(ctx context.Context, c *circuit.Circuit, dev device.TILT) (*Schedule, 
 	return sched, nil
 }
 
-// scheduler holds the frontier state: for each qubit, the index into its
-// gate list of the next unexecuted gate.
+// scheduler holds the frontier state — for each qubit, the index into its
+// gate list of the next unexecuted gate — and the per-position cache of
+// executable sets.
 type scheduler struct {
-	c         *circuit.Circuit
-	dev       device.TILT
-	lists     [][]int // per-qubit ordered gate indices
-	listPos   [][]int // per-gate, per-operand: index within each qubit list
-	ptr       []int   // per-qubit frontier
+	gates []circuit.Gate
+	dev   device.TILT
+	// lists[q] is qubit q's gate indices in program order; all lists share
+	// one backing array.
+	lists [][]int
+	// listPos[2*gi+j] is the index of gate gi within the list of its j-th
+	// operand. Both schedulers reject gates of arity above two.
+	listPos   []int
+	ptr       []int // per-qubit frontier
 	remaining int
-	scratch   []int // reusable frontier copy
+	scratch   []int // probe frontier; only the probed window is read
+	// sets[p] is the executable set at head position p, valid unless
+	// dirty[p]. Each is reused as the probe buffer for its position.
+	sets  [][]int
+	dirty []bool
+	// out backs every Step.Gates. Each gate is scheduled exactly once, so
+	// it is allocated once at its final size.
+	out []int
 }
 
 func newScheduler(c *circuit.Circuit, dev device.TILT) *scheduler {
+	positions := dev.NumPositions()
 	s := &scheduler{
-		c:         c,
+		gates:     c.Gates(),
 		dev:       dev,
 		lists:     make([][]int, dev.NumIons),
-		listPos:   make([][]int, c.Len()),
+		listPos:   make([]int, 2*c.Len()),
 		ptr:       make([]int, dev.NumIons),
 		remaining: c.Len(),
 		scratch:   make([]int, dev.NumIons),
+		sets:      make([][]int, positions),
+		dirty:     make([]bool, positions),
+		out:       make([]int, 0, c.Len()),
 	}
-	for i, g := range c.Gates() {
-		s.listPos[i] = make([]int, len(g.Qubits)) //lint:allochot-exempt per-gate operand tables are built once at construction and retained by the scheduler
+	// Count each qubit's gates (in scratch) to carve the lists out of one
+	// array, then fill them in program order.
+	total := 0
+	for _, g := range s.gates {
+		for _, q := range g.Qubits {
+			s.scratch[q]++
+		}
+		total += len(g.Qubits)
+	}
+	backing := make([]int, total)
+	for q, n := range s.scratch {
+		s.lists[q], backing = backing[:0:n], backing[n:]
+	}
+	for i, g := range s.gates {
 		for j, q := range g.Qubits {
-			s.listPos[i][j] = len(s.lists[q])
+			s.listPos[2*i+j] = len(s.lists[q])
 			s.lists[q] = append(s.lists[q], i)
 		}
+	}
+	for p := range s.dirty {
+		s.dirty[p] = true
 	}
 	return s
 }
@@ -128,12 +161,10 @@ func newScheduler(c *circuit.Circuit, dev device.TILT) *scheduler {
 // bestPosition evaluates every head position and returns the one executing
 // the most gates (Eq. 2 score), tie-breaking toward the nearest position to
 // cur and then the leftmost — both deterministic.
-func (s *scheduler) bestPosition(cur int) (int, []int) {
-	bestPos := 0
-	var bestGates []int
-	bestDist := 1 << 30
-	for p := 0; p <= s.dev.NumIons-s.dev.HeadSize; p++ {
-		gates := s.executableAt(p) //lint:allochot-exempt the winning gate set escapes into Schedule.Steps, so each probe needs its own slice
+func (s *scheduler) bestPosition(cur int) int {
+	bestPos, bestLen, bestDist := 0, 0, 1<<30
+	for p := range s.sets {
+		n := len(s.setAt(p))
 		d := 0
 		if cur >= 0 {
 			d = p - cur
@@ -141,33 +172,42 @@ func (s *scheduler) bestPosition(cur int) (int, []int) {
 				d = -d
 			}
 		}
-		if len(gates) > len(bestGates) ||
-			(len(gates) == len(bestGates) && len(gates) > 0 && d < bestDist) {
-			bestPos, bestGates, bestDist = p, gates, d
+		if n > bestLen || (n == bestLen && n > 0 && d < bestDist) {
+			bestPos, bestLen, bestDist = p, n, d
 		}
 	}
-	return bestPos, bestGates
+	return bestPos
 }
 
-// executableAt returns the maximal dependency-closed set of pending gates
+// setAt returns the executable set at head position p, re-probing it only
+// when a commit since the last probe touched a qubit under its window. The
+// slice is the cache's: it is valid until the next commit.
+func (s *scheduler) setAt(p int) []int {
+	if s.dirty[p] {
+		s.sets[p] = s.probe(p, s.sets[p][:0])
+		s.dirty[p] = false
+	}
+	return s.sets[p]
+}
+
+// probe appends to out the maximal dependency-closed set of pending gates
 // that fit under the head at position p, in a valid execution order.
-// It simulates frontier consumption on a scratch copy of the per-qubit
+// It simulates frontier consumption on a scratch copy of the window's
 // pointers, looping to a fixpoint: a gate executes when it is the next
 // pending gate on every operand and all operands lie inside the window.
-func (s *scheduler) executableAt(p int) []int {
-	local := s.scratch
-	copy(local, s.ptr)
-	var out []int
+func (s *scheduler) probe(p int, out []int) []int {
 	hi := p + s.dev.HeadSize - 1
+	local := s.scratch
+	copy(local[p:hi+1], s.ptr[p:hi+1])
 	for {
 		progressed := false
-		for q := p; q <= hi && q < s.dev.NumIons; q++ {
+		for q := p; q <= hi; q++ {
 			for local[q] < len(s.lists[q]) {
 				gi := s.lists[q][local[q]]
-				g := s.c.Gate(gi)
+				qs := s.gates[gi].Qubits
 				ready := true
-				for j, oq := range g.Qubits {
-					if oq < p || oq > hi || local[oq] != s.listPos[gi][j] {
+				for j, oq := range qs {
+					if oq < p || oq > hi || local[oq] != s.listPos[2*gi+j] {
 						ready = false
 						break
 					}
@@ -175,7 +215,7 @@ func (s *scheduler) executableAt(p int) []int {
 				if !ready {
 					break
 				}
-				for _, oq := range g.Qubits {
+				for _, oq := range qs {
 					local[oq]++
 				}
 				out = append(out, gi)
@@ -188,14 +228,32 @@ func (s *scheduler) executableAt(p int) []int {
 	}
 }
 
-// commit advances the real frontier over the chosen gate set.
+// take copies gates onto the end of the schedule's gate buffer and returns
+// the buffer from index from on, capacity-limited so that appending to one
+// step's Gates can never overwrite the next step's.
+func (s *scheduler) take(from int, gates []int) []int {
+	s.out = append(s.out, gates...)
+	return s.out[from:len(s.out):len(s.out)]
+}
+
+// commit advances the real frontier over the chosen gate set and marks
+// stale every cached position whose window holds a touched qubit. A set
+// depends only on the frontier inside its window, so every other cached
+// set stays exact.
 func (s *scheduler) commit(gates []int) {
+	lo, hi := s.dev.NumIons, -1
 	for _, gi := range gates {
-		for _, q := range s.c.Gate(gi).Qubits {
+		for _, q := range s.gates[gi].Qubits {
 			s.ptr[q]++
+			lo, hi = min(lo, q), max(hi, q)
 		}
 	}
 	s.remaining -= len(gates)
+	// Windows [p, p+HeadSize-1] meeting [lo, hi]. The gates come from one
+	// window, so hi-lo < HeadSize and each of these windows holds lo or hi.
+	for p := max(lo-s.dev.HeadSize+1, 0); p <= min(hi, len(s.dirty)-1); p++ {
+		s.dirty[p] = true
+	}
 }
 
 // Validate checks a schedule against its circuit and device: every gate

@@ -63,11 +63,9 @@ func Sweep(ctx context.Context, c *circuit.Circuit, dev device.TILT) (*Schedule,
 			}
 		}
 		p := stops[idx]
-		gates := s.executableAt(p) //lint:allochot-exempt the gate set escapes into Schedule.Steps, so each stop needs its own slice
-		if len(gates) > 0 {
-			s.commit(gates)
+		if gates := s.setAt(p); len(gates) > 0 {
 			if p != cur {
-				sched.Steps = append(sched.Steps, Step{Pos: p, Gates: gates})
+				sched.Steps = append(sched.Steps, Step{Pos: p, Gates: s.take(len(s.out), gates)})
 				if cur >= 0 {
 					d := p - cur
 					if d < 0 {
@@ -78,10 +76,12 @@ func Sweep(ctx context.Context, c *circuit.Circuit, dev device.TILT) (*Schedule,
 				cur = p
 			} else {
 				// Same stop produced more gates after a full lap
-				// unblocked dependencies; append to the last step.
+				// unblocked dependencies; append to the last step, which
+				// ends the gate buffer.
 				last := &sched.Steps[len(sched.Steps)-1]
-				last.Gates = append(last.Gates, gates...)
+				last.Gates = s.take(len(s.out)-len(last.Gates), gates)
 			}
+			s.commit(gates)
 			stalls = 0
 		} else {
 			stalls++

@@ -89,7 +89,7 @@ func refLinQInsert(c *circuit.Circuit, m0 *mapping.Mapping, dev device.TILT, opt
 		for m.GateDistance(g.Qubits[0], g.Qubits[1]) > dev.MaxGateDistance() {
 			cand := appendCandidates(nil, m, g, opt.MaxSwapLen)
 			best := refPickBest(c, m, depths, twoQ[next:], gi, cand, opt)
-			if isOpposing(c, m, twoQ[next:], best, opt.Lookahead) {
+			if refIsOpposing(c, m, twoQ[next:], best, opt.Lookahead) {
 				res.OpposingSwaps++
 			}
 			out.MustAdd(circuit.SWAP, 0, best.a, best.b)
@@ -143,4 +143,64 @@ func TestLinQMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// distAfterSwap returns D(g, M_{qi,qj}): gate g's physical distance after
+// hypothetically swapping logical qubits la (at sw.a) and lb (at sw.b).
+func distAfterSwap(m *mapping.Mapping, g circuit.Gate, la, lb int, sw swapOp) int {
+	d := physAfterSwap(m, g.Qubits[0], la, lb, sw) - physAfterSwap(m, g.Qubits[1], la, lb, sw)
+	if d < 0 {
+		d = -d
+	}
+	return d
+}
+
+// physAfterSwap returns logical qubit q's slot after hypothetically
+// swapping la (at sw.a) with lb (at sw.b).
+func physAfterSwap(m *mapping.Mapping, q, la, lb int, sw swapOp) int {
+	switch q {
+	case la:
+		return sw.b
+	case lb:
+		return sw.a
+	default:
+		return m.Phys(q)
+	}
+}
+
+// refIsOpposing is the opposing-swap classifier (Fig. 2c) computing the
+// post-swap distance through the logical qubits: the oracle for
+// isOpposing.
+func refIsOpposing(c *circuit.Circuit, m *mapping.Mapping, remaining []int, sw swapOp, lookahead int) bool {
+	a, b := sw.a, sw.b
+	if a > b {
+		a, b = b, a
+	}
+	rightMover := m.Logical(a) // moves a -> b (rightward)
+	leftMover := m.Logical(b)  // moves b -> a (leftward)
+	look := remaining
+	if len(look) > lookahead {
+		look = look[:lookahead]
+	}
+	rightHelps, leftHelps := -1, -1
+	for _, gi := range look {
+		g := c.Gate(gi)
+		before := m.GateDistance(g.Qubits[0], g.Qubits[1])
+		after := distAfterSwap(m, g, m.Logical(sw.a), m.Logical(sw.b), sw)
+		if after >= before {
+			continue
+		}
+		involvesRight := g.Qubits[0] == rightMover || g.Qubits[1] == rightMover
+		involvesLeft := g.Qubits[0] == leftMover || g.Qubits[1] == leftMover
+		if involvesRight && !involvesLeft && rightHelps == -1 {
+			rightHelps = gi
+		}
+		if involvesLeft && !involvesRight && leftHelps == -1 {
+			leftHelps = gi
+		}
+		if rightHelps != -1 && leftHelps != -1 {
+			return true
+		}
+	}
+	return false
 }

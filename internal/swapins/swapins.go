@@ -170,15 +170,20 @@ func (LinQ) Insert(ctx context.Context, c *circuit.Circuit, m0 *mapping.Mapping,
 	}
 	res := &Result{InitialMapping: m0.Clone()}
 	nextTwoQ := 0
-	var candBuf []swapOp // reused across resolutions; nothing retains it
+	// Reused across resolutions; nothing retains them.
+	var candBuf []swapOp
+	var terms []lookTerm
 
 	for gi, g := range c.Gates() {
 		if err := cc.check(); err != nil {
 			return nil, err
 		}
 		if !g.IsTwoQubit() {
-			emitMapped(out, g, m) //lint:allochot-exempt the relocated qubit slice escapes into the emitted gate
+			emitMapped(out, g, m)
 			continue
+		}
+		if m.GateDistance(g.Qubits[0], g.Qubits[1]) > dev.MaxGateDistance() {
+			terms = appendTerms(terms[:0], c, depths, twoQ[nextTwoQ:], gi, opt)
 		}
 		// Resolve until executable (Algorithm 1 main loop). Every
 		// candidate strictly shortens the current gate, so this
@@ -192,7 +197,7 @@ func (LinQ) Insert(ctx context.Context, c *circuit.Circuit, m0 *mapping.Mapping,
 			if len(cand) == 0 {
 				return nil, fmt.Errorf("swapins: no candidate swap for gate %d (%s)", gi, g)
 			}
-			best := pickBest(c, m, depths, twoQ[nextTwoQ:], gi, cand, opt)
+			best := pickBest(c, m, terms, gi, cand)
 			opposing := isOpposing(c, m, twoQ[nextTwoQ:], best, opt.Lookahead)
 			applySwap(out, m, best)
 			res.SwapCount++
@@ -200,7 +205,7 @@ func (LinQ) Insert(ctx context.Context, c *circuit.Circuit, m0 *mapping.Mapping,
 				res.OpposingSwaps++
 			}
 		}
-		emitMapped(out, g, m) //lint:allochot-exempt the relocated qubit slice escapes into the emitted gate
+		emitMapped(out, g, m)
 		nextTwoQ++
 	}
 	res.Physical = out
@@ -261,7 +266,7 @@ func (s Stochastic) Insert(ctx context.Context, c *circuit.Circuit, m0 *mapping.
 			return nil, err
 		}
 		if !g.IsTwoQubit() {
-			emitMapped(out, g, m) //lint:allochot-exempt the relocated qubit slice escapes into the emitted gate
+			emitMapped(out, g, m)
 			continue
 		}
 		if m.GateDistance(g.Qubits[0], g.Qubits[1]) > dev.MaxGateDistance() {
@@ -278,7 +283,7 @@ func (s Stochastic) Insert(ctx context.Context, c *circuit.Circuit, m0 *mapping.
 				}
 			}
 		}
-		emitMapped(out, g, m) //lint:allochot-exempt the relocated qubit slice escapes into the emitted gate
+		emitMapped(out, g, m)
 		nextTwoQ++
 	}
 	res.Physical = out
@@ -346,6 +351,27 @@ func (s Stochastic) bestTrial(rng *rand.Rand, m *mapping.Mapping, g circuit.Gate
 // swapOp is a SWAP between two physical slots.
 type swapOp struct{ a, b int }
 
+// distAfter returns D(g, M_{qi,qj}): the distance between slots p0 and p1
+// of a gate's operands once their occupants have gone through the swap.
+func (s swapOp) distAfter(p0, p1 int) int {
+	d := s.moved(p0) - s.moved(p1)
+	if d < 0 {
+		d = -d
+	}
+	return d
+}
+
+// moved returns the slot the occupant of slot p holds after the swap.
+func (s swapOp) moved(p int) int {
+	switch p {
+	case s.a:
+		return s.b
+	case s.b:
+		return s.a
+	}
+	return p
+}
+
 func (s swapOp) span() int {
 	d := s.a - s.b
 	if d < 0 {
@@ -373,9 +399,11 @@ func checkInput(c *circuit.Circuit, m0 *mapping.Mapping, dev device.TILT) error 
 	return nil
 }
 
-// emitMapped appends gate g with its qubits relocated through m.
+// emitMapped appends gate g with its qubits relocated through m. The
+// inserters reject gates of arity above two, and Add copies the operands.
 func emitMapped(out *circuit.Circuit, g circuit.Gate, m *mapping.Mapping) {
-	qs := make([]int, len(g.Qubits))
+	var buf [2]int
+	qs := buf[:len(g.Qubits)]
 	for i, q := range g.Qubits {
 		qs[i] = m.Phys(q)
 	}
@@ -410,38 +438,62 @@ func appendCandidates(buf []swapOp, m *mapping.Mapping, g circuit.Gate, maxLen i
 	return buf
 }
 
-// pickBest scores every candidate with Eq. 1 over the remaining two-qubit
-// gates and returns the minimum. Ties break toward the swap that shortens
-// the current gate most, then the shorter swap, then slot order — all
-// deterministic.
-func pickBest(c *circuit.Circuit, m *mapping.Mapping, depths []int, remaining []int, current int, cand []swapOp, opt Options) swapOp {
+// lookTerm is one summand of the Eq. 1 score: a lookahead gate, its
+// weight α^Δ(g), and the slots its operands occupy under the current
+// mapping.
+type lookTerm struct {
+	gi     int
+	w      float64
+	p0, p1 int
+}
+
+// appendTerms appends to buf the Eq. 1 terms for resolving gate current:
+// the first Lookahead of the remaining two-qubit gates, in order, each
+// weighted α^Δ(g) with Δ(g) the layer distance from current (clamped at
+// zero). Gates whose weight falls below 1e-9 contribute nothing and are
+// left out. The weights depend only on the circuit, so one call serves
+// every swap that resolves current.
+func appendTerms(buf []lookTerm, c *circuit.Circuit, depths []int, remaining []int, current int, opt Options) []lookTerm {
 	look := remaining
 	if len(look) > opt.Lookahead {
 		look = look[:opt.Lookahead]
 	}
 	curDepth := depths[current]
+	for _, gi := range look {
+		delta := depths[gi] - curDepth
+		if delta < 0 {
+			delta = 0
+		}
+		w := math.Pow(opt.Alpha, float64(delta))
+		if w < 1e-9 {
+			continue
+		}
+		buf = append(buf, lookTerm{gi: gi, w: w})
+	}
+	return buf
+}
+
+// pickBest scores every candidate with Eq. 1, Σ D(g, M)·α^Δ(g) over the
+// lookahead terms in order, and returns the minimum. Ties break toward the
+// swap that shortens the current gate most, then the shorter swap, then
+// slot order — all deterministic.
+func pickBest(c *circuit.Circuit, m *mapping.Mapping, terms []lookTerm, current int, cand []swapOp) swapOp {
+	gates := c.Gates()
+	for i := range terms {
+		qs := gates[terms[i].gi].Qubits
+		terms[i].p0, terms[i].p1 = m.Phys(qs[0]), m.Phys(qs[1])
+	}
 
 	best := cand[0]
 	bestScore := math.Inf(1)
 	bestCur := math.MaxInt32
 	for _, sw := range cand {
-		la := m.Logical(sw.a)
-		lb := m.Logical(sw.b)
 		score := 0.0
 		curAfter := 0
-		for _, gi := range look {
-			g := c.Gate(gi)
-			d := distAfterSwap(m, g, la, lb, sw)
-			delta := depths[gi] - curDepth
-			if delta < 0 {
-				delta = 0
-			}
-			w := math.Pow(opt.Alpha, float64(delta))
-			if w < 1e-9 {
-				continue
-			}
-			score += float64(d) * w
-			if gi == current {
+		for _, t := range terms {
+			d := sw.distAfter(t.p0, t.p1)
+			score += float64(d) * t.w
+			if t.gi == current {
 				curAfter = d
 			}
 		}
@@ -470,29 +522,6 @@ func betterTie(sw swapOp, cur int, oldSw swapOp, oldCur int) bool {
 	return sw.b < oldSw.b
 }
 
-// distAfterSwap returns D(g, M_{qi,qj}): gate g's physical distance after
-// hypothetically swapping logical qubits la (at sw.a) and lb (at sw.b).
-func distAfterSwap(m *mapping.Mapping, g circuit.Gate, la, lb int, sw swapOp) int {
-	d := physAfterSwap(m, g.Qubits[0], la, lb, sw) - physAfterSwap(m, g.Qubits[1], la, lb, sw)
-	if d < 0 {
-		d = -d
-	}
-	return d
-}
-
-// physAfterSwap returns logical qubit q's slot after hypothetically
-// swapping la (at sw.a) with lb (at sw.b).
-func physAfterSwap(m *mapping.Mapping, q, la, lb int, sw swapOp) int {
-	switch q {
-	case la:
-		return sw.b
-	case lb:
-		return sw.a
-	default:
-		return m.Phys(q)
-	}
-}
-
 // isOpposing classifies a swap (Fig. 2c): it must strictly shorten at least
 // one pending gate via the logical qubit moving right and at least one
 // different pending gate via the one moving left.
@@ -511,7 +540,7 @@ func isOpposing(c *circuit.Circuit, m *mapping.Mapping, remaining []int, sw swap
 	for _, gi := range look {
 		g := c.Gate(gi)
 		before := m.GateDistance(g.Qubits[0], g.Qubits[1])
-		after := distAfterSwap(m, g, m.Logical(sw.a), m.Logical(sw.b), sw)
+		after := sw.distAfter(m.Phys(g.Qubits[0]), m.Phys(g.Qubits[1]))
 		if after >= before {
 			continue
 		}
