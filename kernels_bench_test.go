@@ -22,15 +22,18 @@ import (
 
 	tilt "repro"
 	"repro/internal/core"
+	"repro/internal/decompose"
 	"repro/internal/mapping"
 	"repro/internal/mc"
+	"repro/internal/schedule"
 	"repro/internal/swapins"
 	"repro/internal/workloads"
 )
 
 // kernelsBench is the committed BENCH_kernels.json shape: ns/op and
-// allocs/op of the Monte-Carlo kernels, measured by the same command on the
-// parent commit and on the change, plus the parent÷change speedups.
+// allocs/op of the Monte-Carlo and compiler kernels, measured by the same
+// command on the parent commit and on the change, plus the parent÷change
+// speedups.
 type kernelsBench struct {
 	Bench       string                 `json:"bench"`
 	GeneratedBy string                 `json:"generated_by"`
@@ -70,6 +73,19 @@ var kernelDescriptions = map[string]string{
 	"mc_crosscheck_mix": "the mc-crosscheck job mix: QFT-8 with a seeded RY prep, random 10-qubit 20-gate, " +
 		"QAOA-10 depth 1, each compiled on TILT at head 8; one op builds the engine and runs " +
 		"CleanProbability and StateFidelity at 256 shots on one worker for all three",
+	"linq_insert_qft": "BenchmarkLinQInsertQFT: LinQ swap insertion (Algorithm 1) on native QFT-64, 64 ions, head 16, program-order placement",
+	"tape_qft":        "BenchmarkTapeQFT: tape scheduling (Algorithm 2) of the LinQ-routed native QFT-64, 64 ions, head 16",
+	"compile_cold":    "BenchmarkCompileCold: 100 compiles of BV-64 on a cache-less TILT backend at head 16, the full decompose, place, insert-swaps and schedule pipeline",
+}
+
+// kernelSetups builds each kernel's benchmark function, keyed as in
+// kernelDescriptions.
+var kernelSetups = map[string]func(testing.TB) func(*testing.B){
+	"mc_serial":         mcSerialKernel,
+	"mc_crosscheck_mix": mcCrosscheckKernel,
+	"linq_insert_qft":   linqInsertQFTKernel,
+	"tape_qft":          tapeQFTKernel,
+	"compile_cold":      compileColdKernel,
 }
 
 // mcSerialKernel is BenchmarkMCSerial's workload (internal/mc/bench_test.go).
@@ -144,12 +160,68 @@ func mcCrosscheckKernel(tb testing.TB) func(b *testing.B) {
 	}
 }
 
+// routedQFT is the input of the compiler kernels: QFT-64 lowered to the
+// native gate set and placed in program order on 64 ions under a 16-ion
+// head — the paper's heaviest Table II workload.
+func routedQFT() (*tilt.Circuit, *mapping.Mapping, tilt.Device, error) {
+	nat := decompose.ToNative(workloads.QFT().Circuit)
+	dev := tilt.Device{NumIons: 64, HeadSize: 16}
+	m0, err := mapping.Initial(nat, dev.NumIons, mapping.ProgramOrderPlacement)
+	return nat, m0, dev, err
+}
+
+// linqInsertQFTKernel is BenchmarkLinQInsertQFT (internal/swapins).
+func linqInsertQFTKernel(tb testing.TB) func(b *testing.B) {
+	nat, m0, dev, err := routedQFT()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := (swapins.LinQ{}).Insert(context.Background(), nat, m0, dev, swapins.Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// tapeQFTKernel is BenchmarkTapeQFT (internal/schedule).
+func tapeQFTKernel(tb testing.TB) func(b *testing.B) {
+	nat, m0, dev, err := routedQFT()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r, err := (swapins.LinQ{}).Insert(context.Background(), nat, m0, dev, swapins.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := schedule.Tape(context.Background(), r.Physical, dev); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// compileColdKernel is BenchmarkCompileCold (bench_test.go).
+func compileColdKernel(testing.TB) func(b *testing.B) {
+	c := tilt.BenchmarkBV().Circuit
+	be := tilt.NewTILT(tilt.WithDevice(0, 16))
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		compileSweep(b, be, c, 100)
+	}
+}
+
 // kernelSpeedup is parent ÷ change ns/op, rounded to two decimals.
 func kernelSpeedup(parent, change kernelRow) float64 {
 	return math.Round(100*float64(parent.NsPerOp)/float64(change.NsPerOp)) / 100
 }
 
-// TestGenerateKernelsBench measures the Monte-Carlo kernels and writes this
+// TestGenerateKernelsBench measures the kernels and writes this
 // commit's side of BENCH_kernels.json, keeping the other side. Gated behind
 // LINQ_BENCH_KERNELS=<side> because it measures wall-clock time —
 // meaningless under -race or a loaded CI box. To compare a change against
@@ -189,10 +261,7 @@ func TestGenerateKernelsBench(t *testing.T) {
 		Command: kernelsEnv + "=" + side + " " + kernelsCommand,
 		Results: map[string]kernelRow{},
 	}
-	for name, kernel := range map[string]func(testing.TB) func(*testing.B){
-		"mc_serial":         mcSerialKernel,
-		"mc_crosscheck_mix": mcCrosscheckKernel,
-	} {
+	for name, kernel := range kernelSetups {
 		run := kernel(t)
 		var reps []testing.BenchmarkResult
 		for r := 0; r < kernelsReps; r++ {
@@ -210,7 +279,10 @@ func TestGenerateKernelsBench(t *testing.T) {
 		if c, ok := out.Sides["change"]; ok {
 			out.Speedup = map[string]float64{}
 			for name := range kernelDescriptions {
-				out.Speedup[name] = kernelSpeedup(p.Results[name], c.Results[name])
+				// A side recorded before a kernel existed has no row for it.
+				if pr, cr := p.Results[name], c.Results[name]; pr.NsPerOp > 0 && cr.NsPerOp > 0 {
+					out.Speedup[name] = kernelSpeedup(pr, cr)
+				}
 			}
 		}
 	}
@@ -278,10 +350,21 @@ func TestKernelsBenchArtifact(t *testing.T) {
 			t.Errorf("speedup[%s] = %v, want %v from the recorded ns/op", name, bench.Speedup[name], want)
 		}
 	}
-	// The claim the file backs: checkpoint resume makes the serial
-	// StateFidelity kernel at least 10× faster than the full replay.
-	if s := bench.Speedup["mc_serial"]; s < 10 {
-		t.Errorf("mc_serial speedup %v, want ≥ 10", s)
+	// The claims the file backs: the allocation-light compile path makes
+	// cold compiles at least 2× faster at no more than 60% of the
+	// allocations, swap insertion at least 2× faster, and tape scheduling
+	// at least 1.5× faster at under 1000 allocations per schedule.
+	for name, want := range map[string]float64{"compile_cold": 2, "linq_insert_qft": 2, "tape_qft": 1.5} {
+		if s := bench.Speedup[name]; s < want {
+			t.Errorf("%s speedup %v, want ≥ %v", name, s, want)
+		}
+	}
+	parent, change := bench.Sides["parent"].Results, bench.Sides["change"].Results
+	if p, c := parent["compile_cold"].AllocsPerOp, change["compile_cold"].AllocsPerOp; 10*c > 6*p {
+		t.Errorf("compile_cold allocs/op %d, want ≤ 60%% of the parent's %d", c, p)
+	}
+	if a := change["tape_qft"].AllocsPerOp; a >= 1000 {
+		t.Errorf("tape_qft allocs/op %d, want < 1000", a)
 	}
 
 	// The named command must run a generator that exists in this package.
