@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -205,6 +206,10 @@ func New(n int) *Circuit {
 	}
 	return &Circuit{numQubits: n}
 }
+
+// Grow reserves room for n more gates, so that a caller that knows roughly
+// how many gates it will add avoids growing the gate list step by step.
+func (c *Circuit) Grow(n int) { c.gates = slices.Grow(c.gates, n) }
 
 // NumQubits returns the register width.
 func (c *Circuit) NumQubits() int { return c.numQubits }

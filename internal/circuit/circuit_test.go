@@ -116,6 +116,21 @@ func TestAddCopiesQubits(t *testing.T) {
 	}
 }
 
+// TestGrowReservesGates checks that after Grow(n) the next n gates never
+// move the gate list.
+func TestGrowReservesGates(t *testing.T) {
+	c := New(2)
+	c.ApplyH(0)
+	c.Grow(100)
+	first := &c.gates[0]
+	for i := 0; i < 100; i++ {
+		c.ApplyCNOT(i%2, 1-i%2)
+	}
+	if &c.gates[0] != first {
+		t.Error("gate list reallocated within the reserved room")
+	}
+}
+
 // TestApplyAllocationsAmortized checks that building a circuit costs far
 // less than one allocation per gate: the variadic operands stay on the
 // stack and the qubit arena is allocated in chunks.

@@ -223,6 +223,7 @@ func PlaceIdeal(c *circuit.Circuit, numIons int) (native, mapped *circuit.Circui
 		return nil, nil, err
 	}
 	mapped = circuit.New(numIons)
+	mapped.Grow(native.Len())
 	var buf [2]int // native gates act on at most two qubits
 	for _, g := range native.Gates() {
 		qs := buf[:len(g.Qubits)]

@@ -160,6 +160,7 @@ func (LinQ) Insert(ctx context.Context, c *circuit.Circuit, m0 *mapping.Mapping,
 
 	m := m0.Clone()
 	out := circuit.New(dev.NumIons)
+	out.Grow(c.Len())
 	depths := c.GateDepths()
 	// Remaining two-qubit gate indices, consumed front to back.
 	var twoQ []int
@@ -252,6 +253,7 @@ func (s Stochastic) Insert(ctx context.Context, c *circuit.Circuit, m0 *mapping.
 
 	m := m0.Clone()
 	out := circuit.New(dev.NumIons)
+	out.Grow(c.Len())
 	var twoQ []int
 	for i, g := range c.Gates() {
 		if g.IsTwoQubit() {
