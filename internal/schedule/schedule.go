@@ -3,6 +3,15 @@
 // execute the most pending gates, execute that maximal dependency-closed
 // set, and move on, until every gate has run. Minimizing head placements
 // minimizes shuttle-induced heating, the dominant error source of Eq. 4.
+//
+// The scheduler caches the executable set of every head position. The set
+// at position p depends only on the frontier of the qubits inside its
+// window [p, p+HeadSize-1]: the probe reads no other pointer. A step
+// advances the frontier only on the qubits of the gates it executes, so
+// after it only the positions whose window holds one of those qubits are
+// stale, and every other cached set is still exact. Each step therefore
+// re-probes at most 2·HeadSize−1 positions instead of all of them, and the
+// schedule is identical to a full rescan.
 package schedule
 
 //lint:deterministic-package
