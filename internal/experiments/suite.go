@@ -103,6 +103,8 @@ type Advantage struct {
 	MaxApp  string
 	GeoMean float64
 	PerApp  map[string]float64
+	// Apps lists PerApp's keys in row order (for Fig. 8, Table II order).
+	Apps []string
 }
 
 // AdvantageSummary computes TILT(head)/QCCD success ratios over the Fig. 8
@@ -120,6 +122,7 @@ func AdvantageSummary(rows []Fig8Row, head int) Advantage {
 		ratioLog := tiltLog - r.QCCDLog
 		ratio := math.Exp(ratioLog)
 		adv.PerApp[r.Bench] = ratio
+		adv.Apps = append(adv.Apps, r.Bench)
 		if ratio > adv.Max {
 			adv.Max = ratio
 			adv.MaxApp = r.Bench
@@ -139,8 +142,8 @@ func FormatAdvantage(a Advantage, head int) string {
 	fmt.Fprintf(&b, "TILT-%d advantage over QCCD (paper: up to 4.35x, 1.95x average)\n", head)
 	fmt.Fprintf(&b, "  max     %.2fx (%s)\n", a.Max, a.MaxApp)
 	fmt.Fprintf(&b, "  geomean %.2fx\n", a.GeoMean)
-	for app, r := range a.PerApp {
-		fmt.Fprintf(&b, "  %-6s %10.3gx\n", app, r)
+	for _, app := range a.Apps {
+		fmt.Fprintf(&b, "  %-6s %10.3gx\n", app, a.PerApp[app])
 	}
 	return b.String()
 }

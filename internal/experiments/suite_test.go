@@ -69,6 +69,29 @@ func TestAdvantageSummary(t *testing.T) {
 	}
 }
 
+// TestFormatAdvantageRowOrder pins the per-app lines to the input row
+// order (Fig. 8's, which is Table II's). Map iteration order varies from
+// call to call, so formatting repeatedly catches a map-ordered renderer.
+func TestFormatAdvantageRowOrder(t *testing.T) {
+	apps := []string{"ADDER", "BV", "QAOA", "RCS", "QFT", "SQRT"}
+	rows := make([]Fig8Row, len(apps))
+	for i, app := range apps {
+		rows[i] = Fig8Row{Bench: app, TILT16Log: -float64(i), QCCDLog: -1}
+	}
+	a := AdvantageSummary(rows, 16)
+	for try := 0; try < 20; try++ {
+		var got []string
+		for _, line := range strings.Split(FormatAdvantage(a, 16), "\n") {
+			if f := strings.Fields(line); len(f) == 2 && f[0] != "geomean" {
+				got = append(got, f[0])
+			}
+		}
+		if strings.Join(got, ",") != strings.Join(apps, ",") {
+			t.Fatalf("per-app lines in order %v, want %v", got, apps)
+		}
+	}
+}
+
 func TestAdvantageOnRealFig8(t *testing.T) {
 	rows, err := Fig8(context.Background())
 	if err != nil {
