@@ -2,9 +2,37 @@ package main
 
 import (
 	"context"
+	"os"
 	"strings"
 	"testing"
 )
+
+// TestRunMatchesGolden pins every deterministic artifact byte for byte.
+// -table3 is left out because it prints wall-clock compile times. After a
+// deliberate change to the printed numbers, regenerate the file from the
+// repository root with
+//
+//	go run ./cmd/experiments -table2 -fig6 -fig7 -fig8 -mc -mc-shots 200 -extensions > cmd/experiments/testdata/experiments.golden
+func TestRunMatchesGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/experiments.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	args := []string{"-table2", "-fig6", "-fig7", "-fig8", "-mc", "-mc-shots", "200", "-extensions"}
+	if err := run(context.Background(), args, &out); err != nil {
+		t.Fatal(err)
+	}
+	if got := out.String(); got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("output differs from testdata/experiments.golden at line %d:\n got: %q\nwant: %q", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("output has %d lines, testdata/experiments.golden has %d", len(gl), len(wl))
+	}
+}
 
 func TestRunTable2Smoke(t *testing.T) {
 	var out strings.Builder
