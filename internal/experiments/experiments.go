@@ -9,6 +9,8 @@
 // order, where crossovers fall.
 package experiments
 
+//lint:deterministic-package
+
 import (
 	"context"
 	"fmt"
@@ -16,25 +18,11 @@ import (
 	"strings"
 
 	tilt "repro"
-	"repro/internal/core"
 	"repro/internal/decompose"
-	"repro/internal/device"
-	"repro/internal/mapping"
 	"repro/internal/pipeline"
-	"repro/internal/swapins"
 	"repro/internal/workloads"
 	"repro/runner"
 )
-
-// StandardConfig returns the compiler configuration used throughout the
-// evaluation: program-order placement, the LinQ inserter, default noise.
-func StandardConfig(numIons, head int) core.Config {
-	return core.Config{
-		Device:    device.TILT{NumIons: numIons, HeadSize: head},
-		Placement: mapping.ProgramOrderPlacement,
-		Inserter:  swapins.LinQ{},
-	}
-}
 
 // Table2Row is one line of Table II.
 type Table2Row struct {
@@ -254,26 +242,21 @@ func Fig8(ctx context.Context) ([]Fig8Row, error) {
 			})
 	}
 	results := runner.Run(ctx, jobs)
+	for _, jr := range results {
+		if jr.Err != nil {
+			return nil, fmt.Errorf("fig8 %s: %w", jr.Name, jr.Err)
+		}
+	}
 	rows := make([]Fig8Row, len(all))
 	for i, bm := range all {
-		rows[i].Bench = bm.Name
-		for _, jr := range results[i*perBench : (i+1)*perBench] {
-			if jr.Err != nil {
-				return nil, fmt.Errorf("fig8 %s: %w", jr.Name, jr.Err)
-			}
-			switch jr.Backend {
-			case "TILT":
-				if jr.Result.TILT.Device.HeadSize == 16 {
-					rows[i].TILT16Log = jr.Result.LogSuccess
-				} else {
-					rows[i].TILT32Log = jr.Result.LogSuccess
-				}
-			case "IdealTI":
-				rows[i].IdealLog = jr.Result.LogSuccess
-			case "QCCD":
-				rows[i].QCCDLog = jr.Result.LogSuccess
-				rows[i].QCCDCapacity = jr.Result.QCCD.Capacity
-			}
+		r := results[i*perBench : (i+1)*perBench] // TILT-16, TILT-32, IdealTI, QCCD
+		rows[i] = Fig8Row{
+			Bench:        bm.Name,
+			TILT16Log:    r[0].Result.LogSuccess,
+			TILT32Log:    r[1].Result.LogSuccess,
+			IdealLog:     r[2].Result.LogSuccess,
+			QCCDLog:      r[3].Result.LogSuccess,
+			QCCDCapacity: r[3].Result.QCCD.Capacity,
 		}
 	}
 	return rows, nil
@@ -313,18 +296,7 @@ type Table3Row struct {
 // running the compiles concurrently would inflate them with scheduler
 // contention.
 func Table3(ctx context.Context) ([]Table3Row, error) {
-	var jobs []runner.Job
-	var meta []Table3Row
-	for _, bm := range workloads.All() {
-		for _, head := range []int{16, 32} {
-			jobs = append(jobs, runner.Job{
-				Name:    fmt.Sprintf("%s/head-%d", bm.Name, head),
-				Backend: tilt.NewTILT(tilt.WithDevice(bm.Qubits(), head)),
-				Circuit: bm.Circuit,
-			})
-			meta = append(meta, Table3Row{Bench: bm.Name, Head: head})
-		}
-	}
+	jobs, meta := table3Jobs()
 	results := runner.Run(ctx, jobs, runner.WithWorkers(1))
 	rows := make([]Table3Row, len(jobs))
 	for i, jr := range results {
@@ -344,6 +316,22 @@ func Table3(ctx context.Context) ([]Table3Row, error) {
 		rows[i] = row
 	}
 	return rows, nil
+}
+
+// table3Jobs lists the Table III compiles, every benchmark at head 16 and
+// 32, with each one's row label.
+func table3Jobs() (jobs []runner.Job, meta []Table3Row) {
+	for _, bm := range workloads.All() {
+		for _, head := range []int{16, 32} {
+			jobs = append(jobs, runner.Job{
+				Name:    fmt.Sprintf("%s/head-%d", bm.Name, head),
+				Backend: tilt.NewTILT(tilt.WithDevice(bm.Qubits(), head)),
+				Circuit: bm.Circuit,
+			})
+			meta = append(meta, Table3Row{Bench: bm.Name, Head: head})
+		}
+	}
+	return jobs, meta
 }
 
 // FormatTable3 renders the compilation-results table.

@@ -229,13 +229,3 @@ func TestTable3Shapes(t *testing.T) {
 		t.Error("FormatTable3 output malformed")
 	}
 }
-
-func TestStandardConfigIsValid(t *testing.T) {
-	cfg := StandardConfig(64, 16)
-	if err := cfg.Device.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Inserter == nil || cfg.Inserter.Name() != "linq" {
-		t.Error("standard config should use the LinQ inserter")
-	}
-}

@@ -10,13 +10,11 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
+	tilt "repro"
 	"repro/internal/decompose"
-	"repro/internal/mapping"
 	"repro/internal/musiqc"
 	"repro/internal/noise"
 	"repro/internal/schedule"
-	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
@@ -43,13 +41,12 @@ func CoolingAblation(ctx context.Context, head int, intervals []int) ([]CoolingR
 	for _, iv := range intervals {
 		p := noise.Default()
 		p.CoolingInterval = iv
-		cfg := StandardConfig(bm.Qubits(), head)
-		cfg.Noise = &p
-		cr, sr, err := core.Run(ctx, bm.Circuit, cfg)
+		be := tilt.NewTILT(tilt.WithDevice(bm.Qubits(), head), tilt.WithNoise(p))
+		res, err := tilt.Execute(ctx, be, bm.Circuit)
 		if err != nil {
 			return nil, fmt.Errorf("cooling ablation interval %d: %w", iv, err)
 		}
-		rows = append(rows, CoolingRow{Interval: iv, Moves: cr.Moves(), LogSuccess: sr.LogSuccess})
+		rows = append(rows, CoolingRow{Interval: iv, Moves: res.TILT.Moves, LogSuccess: res.LogSuccess})
 	}
 	return rows, nil
 }
@@ -82,12 +79,11 @@ func ScalingStudy(ctx context.Context, head, rounds int, sizes []int) ([]Scaling
 	var rows []ScalingRow
 	for _, n := range sizes {
 		bm := workloads.QAOAN(n, rounds, 2021)
-		cfg := StandardConfig(n, head)
-		cr, sr, err := core.Run(ctx, bm.Circuit, cfg)
+		res, err := tilt.Execute(ctx, tilt.NewTILT(tilt.WithDevice(n, head)), bm.Circuit)
 		if err != nil {
 			return nil, fmt.Errorf("scaling study n=%d: %w", n, err)
 		}
-		rows = append(rows, ScalingRow{Ions: n, Moves: cr.Moves(), LogSuccess: sr.LogSuccess})
+		rows = append(rows, ScalingRow{Ions: n, Moves: res.TILT.Moves, LogSuccess: res.LogSuccess})
 	}
 	return rows, nil
 }
@@ -194,12 +190,11 @@ func HeadSizeStudy(ctx context.Context, benchName string, heads []int) ([]HeadRo
 		if h > bm.Qubits() {
 			continue
 		}
-		cfg := StandardConfig(bm.Qubits(), h)
-		cr, sr, err := core.Run(ctx, bm.Circuit, cfg)
+		res, err := tilt.Execute(ctx, tilt.NewTILT(tilt.WithDevice(bm.Qubits(), h)), bm.Circuit)
 		if err != nil {
 			return nil, fmt.Errorf("head study %s h=%d: %w", benchName, h, err)
 		}
-		rows = append(rows, HeadRow{Head: h, Swaps: cr.SwapCount, Moves: cr.Moves(), LogSuccess: sr.LogSuccess})
+		rows = append(rows, HeadRow{Head: h, Swaps: res.TILT.SwapCount, Moves: res.TILT.Moves, LogSuccess: res.LogSuccess})
 	}
 	return rows, nil
 }
@@ -234,22 +229,21 @@ func PlacementAblation(ctx context.Context, head int) ([]PlacementRow, error) {
 			return nil, err
 		}
 		row := PlacementRow{Bench: name}
-		for _, s := range []mapping.Strategy{
-			mapping.IdentityPlacement, mapping.GreedyPlacement, mapping.ProgramOrderPlacement,
+		for _, s := range []tilt.Placement{
+			tilt.IdentityPlacement, tilt.GreedyPlacement, tilt.ProgramOrderPlacement,
 		} {
-			cfg := StandardConfig(bm.Qubits(), head)
-			cfg.Placement = s
-			_, sr, err := core.Run(ctx, bm.Circuit, cfg)
+			be := tilt.NewTILT(tilt.WithDevice(bm.Qubits(), head), tilt.WithPlacement(s))
+			res, err := tilt.Execute(ctx, be, bm.Circuit)
 			if err != nil {
 				return nil, fmt.Errorf("placement ablation %s/%v: %w", name, s, err)
 			}
 			switch s {
-			case mapping.IdentityPlacement:
-				row.IdentityLog = sr.LogSuccess
-			case mapping.GreedyPlacement:
-				row.GreedyLog = sr.LogSuccess
-			case mapping.ProgramOrderPlacement:
-				row.ProgOrderLog = sr.LogSuccess
+			case tilt.IdentityPlacement:
+				row.IdentityLog = res.LogSuccess
+			case tilt.GreedyPlacement:
+				row.GreedyLog = res.LogSuccess
+			case tilt.ProgramOrderPlacement:
+				row.ProgOrderLog = res.LogSuccess
 			}
 		}
 		rows = append(rows, row)
@@ -290,17 +284,16 @@ func AlphaAblation(ctx context.Context, head int, alphas []float64) ([]AlphaRow,
 	}
 	var rows []AlphaRow
 	for _, a := range alphas {
-		cfg := StandardConfig(bm.Qubits(), head)
-		cfg.Swap.Alpha = a
-		cr, sr, err := core.Run(ctx, bm.Circuit, cfg)
+		be := tilt.NewTILT(tilt.WithDevice(bm.Qubits(), head), tilt.WithSwapOptions(tilt.SwapOptions{Alpha: a}))
+		res, err := tilt.Execute(ctx, be, bm.Circuit)
 		if err != nil {
 			return nil, fmt.Errorf("alpha ablation α=%g: %w", a, err)
 		}
 		rows = append(rows, AlphaRow{
 			Alpha:      a,
-			Swaps:      cr.SwapCount,
-			Opposing:   cr.OpposingRatio(),
-			LogSuccess: sr.LogSuccess,
+			Swaps:      res.TILT.SwapCount,
+			Opposing:   res.TILT.OpposingRatio(),
+			LogSuccess: res.LogSuccess,
 		})
 	}
 	return rows, nil
@@ -326,27 +319,36 @@ type OptimizeRow struct {
 	OptLog      float64
 }
 
+// compileAndSimulate is Execute for studies that also read the compiled
+// artifact.
+func compileAndSimulate(ctx context.Context, be tilt.Backend, c *tilt.Circuit) (*tilt.Artifact, *tilt.Result, error) {
+	a, err := be.Compile(ctx, c)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := be.Simulate(ctx, a)
+	return a, res, err
+}
+
 // OptimizeAblation measures what the peephole optimizer buys on each
 // benchmark: eliminated gates and the success-rate change.
 func OptimizeAblation(ctx context.Context, head int) ([]OptimizeRow, error) {
 	var rows []OptimizeRow
 	for _, bm := range workloads.All() {
-		cfg := StandardConfig(bm.Qubits(), head)
-		plainCr, plainSr, err := core.Run(ctx, bm.Circuit, cfg)
+		plain, plainRes, err := compileAndSimulate(ctx, tilt.NewTILT(tilt.WithDevice(bm.Qubits(), head)), bm.Circuit)
 		if err != nil {
 			return nil, fmt.Errorf("optimize ablation %s: %w", bm.Name, err)
 		}
-		cfg.Optimize = true
-		optCr, optSr, err := core.Run(ctx, bm.Circuit, cfg)
+		opt, optRes, err := compileAndSimulate(ctx, tilt.NewTILT(tilt.WithDevice(bm.Qubits(), head), tilt.WithOptimize()), bm.Circuit)
 		if err != nil {
 			return nil, fmt.Errorf("optimize ablation %s (opt): %w", bm.Name, err)
 		}
 		rows = append(rows, OptimizeRow{
 			Bench:       bm.Name,
-			GatesBefore: plainCr.Native.Len(),
-			GatesAfter:  optCr.Native.Len(),
-			PlainLog:    plainSr.LogSuccess,
-			OptLog:      optSr.LogSuccess,
+			GatesBefore: plain.Native.Len(),
+			GatesAfter:  opt.Native.Len(),
+			PlainLog:    plainRes.LogSuccess,
+			OptLog:      optRes.LogSuccess,
 		})
 	}
 	return rows, nil
@@ -374,31 +376,34 @@ type SchedulerRow struct {
 	SweepLog    float64
 }
 
-// SchedulerAblation re-schedules each compiled benchmark with the naive
-// sweep scheduler and compares moves and success against Algorithm 2 — the
-// ablation for the paper's second core heuristic.
+// SchedulerAblation compiles each benchmark a second time with the stock
+// schedule pass replaced by the naive sweep scheduler and compares moves and
+// success against Algorithm 2 — the ablation for the paper's second core
+// heuristic.
 func SchedulerAblation(ctx context.Context, head int) ([]SchedulerRow, error) {
+	passes := tilt.StockPasses()
+	passes[len(passes)-1] = tilt.NewPass("sweep-schedule", func(ctx context.Context, s *tilt.PassState) error {
+		sched, err := schedule.Sweep(ctx, s.Physical, s.Device)
+		s.Schedule = sched
+		return err
+	})
 	var rows []SchedulerRow
 	for _, bm := range workloads.All() {
-		cfg := StandardConfig(bm.Qubits(), head)
-		cr, sr, err := core.Run(ctx, bm.Circuit, cfg)
+		greedy, err := tilt.Execute(ctx, tilt.NewTILT(tilt.WithDevice(bm.Qubits(), head)), bm.Circuit)
 		if err != nil {
 			return nil, fmt.Errorf("scheduler ablation %s: %w", bm.Name, err)
 		}
-		sweepSched, err := schedule.Sweep(ctx, cr.Physical, cfg.Device)
+		be := tilt.NewTILT(tilt.WithDevice(bm.Qubits(), head), tilt.WithPasses(passes...))
+		sweep, err := tilt.Execute(ctx, be, bm.Circuit)
 		if err != nil {
 			return nil, fmt.Errorf("scheduler ablation %s sweep: %w", bm.Name, err)
 		}
-		sweepRes, err := sim.Simulate(ctx, cr.Physical, sweepSched, cfg.Device, cfg.NoiseParams())
-		if err != nil {
-			return nil, fmt.Errorf("scheduler ablation %s sweep sim: %w", bm.Name, err)
-		}
 		rows = append(rows, SchedulerRow{
 			Bench:       bm.Name,
-			GreedyMoves: cr.Moves(),
-			SweepMoves:  sweepSched.Moves,
-			GreedyLog:   sr.LogSuccess,
-			SweepLog:    sweepRes.LogSuccess,
+			GreedyMoves: greedy.TILT.Moves,
+			SweepMoves:  sweep.TILT.Moves,
+			GreedyLog:   greedy.LogSuccess,
+			SweepLog:    sweep.LogSuccess,
 		})
 	}
 	return rows, nil

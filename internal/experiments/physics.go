@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"strings"
 
+	tilt "repro"
 	"repro/internal/chain"
-	"repro/internal/core"
 	"repro/internal/noise"
 	"repro/internal/workloads"
 )
@@ -101,15 +101,11 @@ func GateModeAblation(ctx context.Context, head int) ([]GateModeRow, error) {
 		fm.GateTimeOffset = fm.GateTimeSlope*float64(bm.Qubits()) + fm.GateTimeOffset
 		fm.GateTimeSlope = 0
 
-		cfgAM := StandardConfig(bm.Qubits(), head)
-		cfgAM.Noise = &am
-		_, amRes, err := core.Run(ctx, bm.Circuit, cfgAM)
+		amRes, err := tilt.Execute(ctx, tilt.NewTILT(tilt.WithDevice(bm.Qubits(), head), tilt.WithNoise(am)), bm.Circuit)
 		if err != nil {
 			return nil, fmt.Errorf("gate mode %s AM: %w", bm.Name, err)
 		}
-		cfgFM := StandardConfig(bm.Qubits(), head)
-		cfgFM.Noise = &fm
-		_, fmRes, err := core.Run(ctx, bm.Circuit, cfgFM)
+		fmRes, err := tilt.Execute(ctx, tilt.NewTILT(tilt.WithDevice(bm.Qubits(), head), tilt.WithNoise(fm)), bm.Circuit)
 		if err != nil {
 			return nil, fmt.Errorf("gate mode %s FM: %w", bm.Name, err)
 		}

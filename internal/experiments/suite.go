@@ -7,10 +7,8 @@ import (
 	"strings"
 
 	tilt "repro"
-	"repro/internal/core"
 	"repro/internal/decompose"
 	"repro/internal/noise"
-	"repro/internal/qccd"
 	"repro/internal/workloads"
 	"repro/runner"
 )
@@ -57,25 +55,21 @@ func ShortDistanceSuite(ctx context.Context) ([]SuiteRow, error) {
 			})
 	}
 	results := runner.Run(ctx, jobs)
+	for _, jr := range results {
+		if jr.Err != nil {
+			return nil, fmt.Errorf("suite %s: %w", jr.Name, jr.Err)
+		}
+	}
 	rows := make([]SuiteRow, len(suite))
 	for i, bm := range suite {
+		r := results[i*perBench : (i+1)*perBench] // TILT-16, TILT-32, QCCD
 		rows[i] = SuiteRow{
-			Bench:  bm.Name,
-			Qubits: bm.Qubits(),
-			TwoQ:   decompose.TwoQubitGateCount(bm.Circuit),
-		}
-		for _, jr := range results[i*perBench : (i+1)*perBench] {
-			if jr.Err != nil {
-				return nil, fmt.Errorf("suite %s: %w", jr.Name, jr.Err)
-			}
-			switch {
-			case jr.Backend == "QCCD":
-				rows[i].QCCDLog = jr.Result.LogSuccess
-			case jr.Result.TILT.Device.HeadSize == 16:
-				rows[i].TILT16Log = jr.Result.LogSuccess
-			default:
-				rows[i].TILT32Log = jr.Result.LogSuccess
-			}
+			Bench:     bm.Name,
+			Qubits:    bm.Qubits(),
+			TwoQ:      decompose.TwoQubitGateCount(bm.Circuit),
+			TILT16Log: r[0].Result.LogSuccess,
+			TILT32Log: r[1].Result.LogSuccess,
+			QCCDLog:   r[2].Result.LogSuccess,
 		}
 	}
 	return rows, nil
@@ -186,24 +180,22 @@ func Robustness(ctx context.Context) ([]RobustnessRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			cfg := StandardConfig(bm.Qubits(), 16)
-			cfg.Noise = &p
-			_, sr, err := core.Run(ctx, bm.Circuit, cfg)
+			opts := []tilt.Option{tilt.WithDevice(bm.Qubits(), 16), tilt.WithNoise(p)}
+			tiltRes, err := tilt.Execute(ctx, tilt.NewTILT(opts...), bm.Circuit)
 			if err != nil {
 				return nil, fmt.Errorf("robustness %s %s: %w", v.label, name, err)
 			}
-			native := decompose.ToNative(bm.Circuit)
-			best, err := qccd.RunBestCapacity(ctx, native, bm.Qubits(), nil, p)
+			qccdRes, err := tilt.Execute(ctx, tilt.NewQCCD(opts...), bm.Circuit)
 			if err != nil {
 				return nil, fmt.Errorf("robustness %s %s qccd: %w", v.label, name, err)
 			}
 			switch name {
 			case "QAOA":
-				row.QAOAHolds = sr.LogSuccess > best.LogSuccess
+				row.QAOAHolds = tiltRes.LogSuccess > qccdRes.LogSuccess
 			case "RCS":
-				row.RCSHolds = sr.LogSuccess > best.LogSuccess
+				row.RCSHolds = tiltRes.LogSuccess > qccdRes.LogSuccess
 			case "QFT":
-				row.QFTHolds = best.LogSuccess > sr.LogSuccess
+				row.QFTHolds = qccdRes.LogSuccess > tiltRes.LogSuccess
 			}
 		}
 		rows = append(rows, row)

@@ -4,7 +4,7 @@
 //
 // Qubits are partitioned into contiguous blocks, one per module; each module
 // is an independent TILT tape with its own laser head (compiled and scored
-// by the standard LinQ pipeline). A two-qubit gate across modules consumes a
+// by the TILT backend's stock LinQ pipeline). A two-qubit gate across modules consumes a
 // heralded EPR pair between the modules' communication ports and executes as
 // a teleported CNOT: two local port interactions plus the EPR pair's
 // infidelity. Pair generation is probabilistic, so its expected latency is
@@ -15,17 +15,16 @@
 // links — is answered by experiments.ModularStudy.
 package musiqc
 
+//lint:deterministic-package
+
 import (
 	"context"
 	"fmt"
 	"math"
 
+	tilt "repro"
 	"repro/internal/circuit"
-	"repro/internal/core"
-	"repro/internal/device"
-	"repro/internal/mapping"
 	"repro/internal/noise"
-	"repro/internal/swapins"
 )
 
 // Link parameterizes the photonic interconnect.
@@ -143,6 +142,11 @@ func Run(ctx context.Context, c *circuit.Circuit, spec Spec, p noise.Params) (*R
 	}
 	res := &Result{}
 	for i, g := range c.Gates() {
+		if i%64 == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
 		switch {
 		case g.Kind == circuit.Measure:
 			locals[moduleOf(g.Qubits[0])].ApplyMeasure(localOf(g.Qubits[0]))
@@ -174,22 +178,17 @@ func Run(ctx context.Context, c *circuit.Circuit, spec Spec, p noise.Params) (*R
 	logF := 0.0
 	var slowest float64
 	res.PerModuleLog = make([]float64, spec.Modules)
+	be := tilt.NewTILT(tilt.WithDevice(spec.IonsPerModule, spec.HeadSize), tilt.WithNoise(p))
 	for m, lc := range locals {
-		cfg := core.Config{
-			Device:    device.TILT{NumIons: spec.IonsPerModule, HeadSize: spec.HeadSize},
-			Noise:     &p,
-			Placement: mapping.ProgramOrderPlacement,
-			Inserter:  swapins.LinQ{},
-		}
-		cr, sr, err := core.Run(ctx, lc, cfg)
+		mr, err := tilt.Execute(ctx, be, lc)
 		if err != nil {
 			return nil, fmt.Errorf("musiqc: module %d: %w", m, err)
 		}
-		logF += sr.LogSuccess
-		res.PerModuleLog[m] = sr.LogSuccess
-		res.LocalMoves += cr.Moves()
-		if sr.ExecTimeUs > slowest {
-			slowest = sr.ExecTimeUs
+		logF += mr.LogSuccess
+		res.PerModuleLog[m] = mr.LogSuccess
+		res.LocalMoves += mr.TILT.Moves
+		if mr.ExecTimeUs > slowest {
+			slowest = mr.ExecTimeUs
 		}
 	}
 	// Every cross gate pays the EPR pair's infidelity once.
@@ -206,15 +205,9 @@ func Run(ctx context.Context, c *circuit.Circuit, spec Spec, p noise.Params) (*R
 // comparison point for the §VII modular-vs-monolithic study. It returns the
 // log success rate.
 func Monolithic(ctx context.Context, c *circuit.Circuit, ions, head int, p noise.Params) (float64, error) {
-	cfg := core.Config{
-		Device:    device.TILT{NumIons: ions, HeadSize: head},
-		Noise:     &p,
-		Placement: mapping.ProgramOrderPlacement,
-		Inserter:  swapins.LinQ{},
-	}
-	_, sr, err := core.Run(ctx, c, cfg)
+	res, err := tilt.Execute(ctx, tilt.NewTILT(tilt.WithDevice(ions, head), tilt.WithNoise(p)), c)
 	if err != nil {
 		return 0, err
 	}
-	return sr.LogSuccess, nil
+	return res.LogSuccess, nil
 }
