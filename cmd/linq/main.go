@@ -28,7 +28,7 @@ import (
 
 	tilt "repro"
 	"repro/internal/noise"
-	"repro/internal/trace"
+	"repro/internal/render"
 )
 
 func main() {
@@ -133,12 +133,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 		dev := res.TILT.Device
 		fmt.Fprintln(out)
-		fmt.Fprintln(out, trace.Summary(cr.Physical, cr.Schedule, dev))
+		fmt.Fprintln(out, render.Summary(cr.Physical, cr.Schedule, dev))
 		fmt.Fprintln(out)
-		fmt.Fprint(out, trace.Timeline(cr.Schedule, dev))
+		fmt.Fprint(out, render.Timeline(cr.Schedule, dev))
 		fmt.Fprintln(out)
-		prof := trace.Profile(cr.Physical, cr.Schedule, dev, noise.Default())
-		fmt.Fprint(out, trace.FormatProfile(prof))
+		prof := render.Profile(cr.Physical, cr.Schedule, dev, noise.Default())
+		fmt.Fprint(out, render.FormatProfile(prof))
 	}
 	return nil
 }

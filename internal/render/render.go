@@ -1,8 +1,8 @@
-// Package trace renders compiled TILT programs for humans: an ASCII
+// Package render renders compiled TILT programs for humans: an ASCII
 // timeline of head positions over the tape, a per-move fidelity-decay
 // profile, and a compact program summary. cmd/linq uses it for -v output;
 // it is also handy in tests and notebooks for eyeballing schedules.
-package trace
+package render
 
 import (
 	"fmt"

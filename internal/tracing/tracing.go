@@ -5,7 +5,7 @@
 // for serving GET /v1/traces/{id}; and a structured-JSON exporter for
 // shipping finished spans to logs or files.
 //
-// It is distinct from internal/trace, which renders tape schedules — this
+// It is distinct from internal/render, which renders tape schedules — this
 // package answers "where did job X spend its 800ms" across the client, the
 // HTTP layer, the queue, and every compiler pass.
 //
