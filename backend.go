@@ -12,6 +12,7 @@ import (
 	"repro/internal/lru"
 	"repro/internal/mc"
 	"repro/internal/optimize"
+	"repro/internal/pipeline"
 	"repro/internal/qccd"
 	"repro/internal/sim"
 	"repro/internal/tracing"
@@ -167,7 +168,7 @@ type TILTStats struct {
 	// insertion and tape-scheduling phases.
 	//
 	// Deprecated: aliases for the insert-swaps and schedule entries of
-	// Passes.
+	// Passes, kept because they are part of the result JSON.
 	TSwap time.Duration
 	TMove time.Duration
 	// OptStats reports peephole-optimizer eliminations (zero unless the
@@ -339,8 +340,8 @@ func (b *TILTBackend) Simulate(ctx context.Context, a *Artifact) (*Result, error
 		DistSpacings:  a.Compile.DistSpacings(),
 		DistUm:        float64(a.Compile.DistSpacings()) * a.cfg.core.NoiseParams().IonSpacingUm,
 		Passes:        a.Compile.Timings,
-		TSwap:         a.Compile.TSwap,
-		TMove:         a.Compile.TMove,
+		TSwap:         a.Compile.PassTime(pipeline.NameInsertSwaps),
+		TMove:         a.Compile.PassTime(pipeline.NameSchedule),
 		OptStats:      a.Compile.OptStats,
 	}
 	if b.cache != nil {
@@ -410,12 +411,50 @@ func (b *TILTBackend) CacheStats() (CacheStats, bool) {
 	return CacheStats{Hits: hits, Misses: misses, Entries: b.cache.Len()}, true
 }
 
-// AutoTune compiles the circuit at each candidate MaxSwapLen (default:
-// HeadSize−1 down to HeadSize/2) and returns the trials plus the index of
-// the best by success rate — the paper's §IV-C parameter search.
+// TuneResult records one MaxSwapLen trial of the Fig. 7 sweep.
+type TuneResult struct {
+	MaxSwapLen int
+	SwapCount  int
+	Moves      int
+	LogSuccess float64
+}
+
+// AutoTune implements the paper's "iterate the LinQ procedure to find the
+// best choice" (§IV-C): it compiles the circuit with the stock passes at
+// every candidate MaxSwapLen and returns the trials plus the index of the
+// best one by success rate. An empty candidate list sweeps HeadSize−1 down
+// to HeadSize/2.
 func (b *TILTBackend) AutoTune(ctx context.Context, c *Circuit, candidates []int) ([]TuneResult, int, error) {
-	cfg := b.cfg.resolved(c)
-	return core.AutoTune(ctx, c, cfg.core, candidates)
+	cfg := b.cfg.resolved(c).core
+	if len(candidates) == 0 {
+		for l := cfg.Device.HeadSize - 1; l >= cfg.Device.HeadSize/2 && l >= 1; l-- {
+			candidates = append(candidates, l)
+		}
+	}
+	results := make([]TuneResult, 0, len(candidates))
+	best := -1
+	for _, l := range candidates {
+		trial := cfg
+		trial.Swap.MaxSwapLen = l
+		cr, err := core.CompileWith(ctx, c, trial, nil, nil)
+		if err != nil {
+			return nil, -1, fmt.Errorf("tilt: AutoTune at MaxSwapLen=%d: %w", l, err)
+		}
+		sr, err := cr.Simulate(ctx, trial)
+		if err != nil {
+			return nil, -1, fmt.Errorf("tilt: AutoTune at MaxSwapLen=%d: %w", l, err)
+		}
+		results = append(results, TuneResult{
+			MaxSwapLen: l,
+			SwapCount:  cr.SwapCount,
+			Moves:      cr.Moves(),
+			LogSuccess: sr.LogSuccess,
+		})
+		if best == -1 || sr.LogSuccess > results[best].LogSuccess {
+			best = len(results) - 1
+		}
+	}
+	return results, best, nil
 }
 
 // QCCDBackend simulates circuits on the linear-topology QCCD trapped-ion

@@ -10,18 +10,43 @@ import (
 	"time"
 
 	tilt "repro"
+	"repro/internal/core"
+	"repro/internal/decompose"
+	"repro/internal/device"
+	"repro/internal/mapping"
+	"repro/internal/noise"
+	"repro/internal/qccd"
+	"repro/internal/sim"
+	"repro/internal/swapins"
+	"repro/internal/workloads"
 	"repro/runner"
 )
 
-// TestTILTBackendParity pins the Backend redesign to the legacy facade: on
-// all six Table II benchmarks, the new TILT backend must produce identical
-// CompileResult statistics and an equal LogSuccess to tilt.Run. (The TSwap/
-// TMove wall-clock timings are the only fields allowed to differ.)
+// standardConfig is the compiler configuration the TILT backend's defaults
+// must reproduce: program-order placement, the LinQ inserter, default noise.
+func standardConfig(numIons, head int) core.Config {
+	return core.Config{
+		Device:    device.TILT{NumIons: numIons, HeadSize: head},
+		Placement: mapping.ProgramOrderPlacement,
+		Inserter:  swapins.LinQ{},
+	}
+}
+
+// TestTILTBackendParity pins the TILT backend to the compiler it wraps: on
+// all six Table II benchmarks, it must produce identical CompileResult
+// statistics and an equal LogSuccess to core.CompileWith plus Simulate under
+// the standard configuration. (Wall-clock pass timings are the only fields
+// allowed to differ.)
 func TestTILTBackendParity(t *testing.T) {
 	ctx := context.Background()
 	for _, bm := range tilt.Benchmarks() {
 		t.Run(bm.Name, func(t *testing.T) {
-			legacyCr, legacySr, err := tilt.Run(bm.Circuit, tilt.DefaultOptions(bm.Qubits(), 16))
+			cfg := standardConfig(bm.Qubits(), 16)
+			refCr, err := core.CompileWith(ctx, bm.Circuit, cfg, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refSr, err := refCr.Simulate(ctx, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -37,33 +62,33 @@ func TestTILTBackendParity(t *testing.T) {
 			}
 
 			cr := art.Compile
-			if cr.SwapCount != legacyCr.SwapCount {
-				t.Errorf("SwapCount %d != legacy %d", cr.SwapCount, legacyCr.SwapCount)
+			if cr.SwapCount != refCr.SwapCount {
+				t.Errorf("SwapCount %d != ref %d", cr.SwapCount, refCr.SwapCount)
 			}
-			if cr.OpposingSwaps != legacyCr.OpposingSwaps {
-				t.Errorf("OpposingSwaps %d != legacy %d", cr.OpposingSwaps, legacyCr.OpposingSwaps)
+			if cr.OpposingSwaps != refCr.OpposingSwaps {
+				t.Errorf("OpposingSwaps %d != ref %d", cr.OpposingSwaps, refCr.OpposingSwaps)
 			}
-			if cr.Moves() != legacyCr.Moves() {
-				t.Errorf("Moves %d != legacy %d", cr.Moves(), legacyCr.Moves())
+			if cr.Moves() != refCr.Moves() {
+				t.Errorf("Moves %d != ref %d", cr.Moves(), refCr.Moves())
 			}
-			if cr.DistSpacings() != legacyCr.DistSpacings() {
-				t.Errorf("DistSpacings %d != legacy %d", cr.DistSpacings(), legacyCr.DistSpacings())
+			if cr.DistSpacings() != refCr.DistSpacings() {
+				t.Errorf("DistSpacings %d != ref %d", cr.DistSpacings(), refCr.DistSpacings())
 			}
-			if cr.Native.Len() != legacyCr.Native.Len() {
-				t.Errorf("Native.Len %d != legacy %d", cr.Native.Len(), legacyCr.Native.Len())
+			if cr.Native.Len() != refCr.Native.Len() {
+				t.Errorf("Native.Len %d != ref %d", cr.Native.Len(), refCr.Native.Len())
 			}
-			if cr.Physical.Len() != legacyCr.Physical.Len() {
-				t.Errorf("Physical.Len %d != legacy %d", cr.Physical.Len(), legacyCr.Physical.Len())
+			if cr.Physical.Len() != refCr.Physical.Len() {
+				t.Errorf("Physical.Len %d != ref %d", cr.Physical.Len(), refCr.Physical.Len())
 			}
-			if res.LogSuccess != legacySr.LogSuccess {
-				t.Errorf("LogSuccess %g != legacy %g", res.LogSuccess, legacySr.LogSuccess)
+			if res.LogSuccess != refSr.LogSuccess {
+				t.Errorf("LogSuccess %g != ref %g", res.LogSuccess, refSr.LogSuccess)
 			}
-			if res.OneQubitGates != legacySr.OneQubitGates ||
-				res.TwoQubitGates != legacySr.TwoQubitGates ||
-				res.SwapGates != legacySr.SwapGates {
-				t.Errorf("gate census (%d,%d,%d) != legacy (%d,%d,%d)",
+			if res.OneQubitGates != refSr.OneQubitGates ||
+				res.TwoQubitGates != refSr.TwoQubitGates ||
+				res.SwapGates != refSr.SwapGates {
+				t.Errorf("gate census (%d,%d,%d) != ref (%d,%d,%d)",
 					res.OneQubitGates, res.TwoQubitGates, res.SwapGates,
-					legacySr.OneQubitGates, legacySr.TwoQubitGates, legacySr.SwapGates)
+					refSr.OneQubitGates, refSr.TwoQubitGates, refSr.SwapGates)
 			}
 			// The unified Result must echo the compile stats it wraps.
 			if res.TILT == nil || res.TILT.SwapCount != cr.SwapCount ||
@@ -74,66 +99,131 @@ func TestTILTBackendParity(t *testing.T) {
 	}
 }
 
-// TestIdealBackendParity checks the IdealTI backend against legacy RunIdeal.
+// TestIdealBackendParity checks the IdealTI backend against the greedy
+// placement plus the ideal-device simulator it wraps.
 func TestIdealBackendParity(t *testing.T) {
+	ctx := context.Background()
 	bm := tilt.BenchmarkBV()
-	legacy, err := tilt.RunIdeal(bm.Circuit, tilt.DefaultOptions(bm.Qubits(), 16))
+	_, mapped, err := core.PlaceIdeal(bm.Circuit, bm.Qubits())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := tilt.Execute(context.Background(),
+	ref, err := sim.SimulateIdeal(ctx, mapped, device.IdealTI{NumIons: bm.Qubits()}, noise.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := tilt.Execute(ctx,
 		tilt.NewIdealTI(tilt.WithDevice(bm.Qubits(), 16)), bm.Circuit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.LogSuccess != legacy.LogSuccess {
-		t.Errorf("LogSuccess %g != legacy %g", res.LogSuccess, legacy.LogSuccess)
+	if res.LogSuccess != ref.LogSuccess {
+		t.Errorf("LogSuccess %g != ref %g", res.LogSuccess, ref.LogSuccess)
 	}
 	if res.TILT != nil || res.QCCD != nil {
 		t.Errorf("IdealTI result carries backend-specific stats")
 	}
 }
 
-// TestQCCDBackendParity checks the QCCD backend against legacy RunQCCD on an
-// explicit capacity list.
+// TestQCCDBackendParity checks the QCCD backend against the capacity sweep
+// it wraps, on an explicit capacity list.
 func TestQCCDBackendParity(t *testing.T) {
+	ctx := context.Background()
 	bm := tilt.BenchmarkBV()
-	legacy, err := tilt.RunQCCD(bm.Circuit, tilt.DefaultOptions(bm.Qubits(), 16), 17, 33)
+	ref, err := qccd.RunBestCapacity(ctx, decompose.ToNative(bm.Circuit), bm.Qubits(),
+		[]int{17, 33}, noise.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := tilt.Execute(context.Background(),
+	res, err := tilt.Execute(ctx,
 		tilt.NewQCCD(tilt.WithDevice(bm.Qubits(), 16), tilt.WithCapacities(17, 33)), bm.Circuit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.LogSuccess != legacy.LogSuccess {
-		t.Errorf("LogSuccess %g != legacy %g", res.LogSuccess, legacy.LogSuccess)
+	if res.LogSuccess != ref.LogSuccess {
+		t.Errorf("LogSuccess %g != ref %g", res.LogSuccess, ref.LogSuccess)
 	}
-	if res.QCCD == nil || res.QCCD.Capacity != legacy.Capacity {
-		t.Errorf("capacity mismatch: got %+v, legacy %d", res.QCCD, legacy.Capacity)
+	if res.QCCD == nil || res.QCCD.Capacity != ref.Capacity {
+		t.Errorf("capacity mismatch: got %+v, ref %d", res.QCCD, ref.Capacity)
 	}
 }
 
-// TestAutoTuneParity checks the backend AutoTune against the legacy facade.
+// TestAutoTuneParity checks the backend AutoTune against one stock compile
+// and simulation per candidate MaxSwapLen.
 func TestAutoTuneParity(t *testing.T) {
+	ctx := context.Background()
 	bm := tilt.GHZ(12)
-	legacyTrials, legacyBest, err := tilt.AutoTune(bm.Circuit, tilt.DefaultOptions(12, 6), []int{5, 4})
-	if err != nil {
-		t.Fatal(err)
+	var refTrials []tilt.TuneResult
+	refBest := -1
+	for _, l := range []int{5, 4} {
+		cfg := standardConfig(12, 6)
+		cfg.Swap.MaxSwapLen = l
+		cr, err := core.CompileWith(ctx, bm.Circuit, cfg, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sr, err := cr.Simulate(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refTrials = append(refTrials, tilt.TuneResult{
+			MaxSwapLen: l, SwapCount: cr.SwapCount, Moves: cr.Moves(), LogSuccess: sr.LogSuccess,
+		})
+		if refBest == -1 || sr.LogSuccess > refTrials[refBest].LogSuccess {
+			refBest = len(refTrials) - 1
+		}
 	}
 	trials, best, err := tilt.NewTILT(tilt.WithDevice(12, 6)).
-		AutoTune(context.Background(), bm.Circuit, []int{5, 4})
+		AutoTune(ctx, bm.Circuit, []int{5, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if best != legacyBest || len(trials) != len(legacyTrials) {
-		t.Fatalf("best=%d/%d trials=%d/%d", best, legacyBest, len(trials), len(legacyTrials))
+	if best != refBest || len(trials) != len(refTrials) {
+		t.Fatalf("best=%d/%d trials=%d/%d", best, refBest, len(trials), len(refTrials))
 	}
 	for i := range trials {
-		if trials[i] != legacyTrials[i] {
-			t.Errorf("trial %d: %+v != legacy %+v", i, trials[i], legacyTrials[i])
+		if trials[i] != refTrials[i] {
+			t.Errorf("trial %d: %+v != ref %+v", i, trials[i], refTrials[i])
 		}
+	}
+}
+
+func TestAutoTuneFindsASweetSpot(t *testing.T) {
+	bm := workloads.QFTN(12)
+	be := tilt.NewTILT(tilt.WithDevice(12, 6), tilt.WithPlacement(tilt.GreedyPlacement))
+	trials, best, err := be.AutoTune(context.Background(), bm.Circuit, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(trials) == 0 || best < 0 || best >= len(trials) {
+		t.Fatalf("trials=%d best=%d", len(trials), best)
+	}
+	for _, tr := range trials {
+		if tr.LogSuccess > trials[best].LogSuccess {
+			t.Errorf("AutoTune best %d not optimal: %v beats it", best, tr)
+		}
+	}
+	// Candidates default to HeadSize-1 .. HeadSize/2.
+	if trials[0].MaxSwapLen != 5 || trials[len(trials)-1].MaxSwapLen != 3 {
+		t.Errorf("default candidate range wrong: %v", trials)
+	}
+}
+
+func TestAutoTuneExplicitCandidates(t *testing.T) {
+	bm := workloads.QFTN(10)
+	be := tilt.NewTILT(tilt.WithDevice(10, 5), tilt.WithPlacement(tilt.GreedyPlacement))
+	trials, best, err := be.AutoTune(context.Background(), bm.Circuit, []int{4, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(trials) != 2 {
+		t.Fatalf("want 2 trials, got %d", len(trials))
+	}
+	if best != 0 && best != 1 {
+		t.Fatalf("best index %d", best)
+	}
+	if _, _, err := be.AutoTune(context.Background(), bm.Circuit, []int{99}); err == nil {
+		t.Error("out-of-range candidate should fail")
 	}
 }
 
@@ -182,8 +272,7 @@ func TestBackendCancellation(t *testing.T) {
 	}
 }
 
-// TestWithNoiseOption mirrors the legacy custom-noise test on the new API:
-// zeroed error rates must give certainty.
+// TestWithNoiseOption checks that zeroed error rates give certainty.
 func TestWithNoiseOption(t *testing.T) {
 	p := tilt.DefaultNoise()
 	p.Gamma = 0

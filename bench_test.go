@@ -315,8 +315,8 @@ func BenchmarkCompileCached(b *testing.B) {
 }
 
 // BenchmarkRunnerSerial is the baseline for BenchmarkRunnerParallel: the
-// same batch forced through one worker — equivalent to looping over the
-// legacy serial Run.
+// same batch forced through one worker — equivalent to looping over
+// Execute.
 func BenchmarkRunnerSerial(b *testing.B) {
 	ctx := context.Background()
 	jobs := runnerBatch()

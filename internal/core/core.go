@@ -76,15 +76,8 @@ type CompileResult struct {
 	FinalMapping   *mapping.Mapping
 	// Timings records every executed pass in order: wall-clock time plus
 	// gate counts before and after (Table III's t_swap and t_move are the
-	// insert-swaps and schedule records).
+	// insert-swaps and schedule records; see PassTime).
 	Timings []pipeline.PassTiming
-	// TSwap and TMove are the wall-clock compile times of the swap
-	// insertion and tape-scheduling phases.
-	//
-	// Deprecated: aliases for the insert-swaps and schedule entries of
-	// Timings, kept for Table III compatibility; use PassTime or Timings.
-	TSwap time.Duration
-	TMove time.Duration
 	// OptStats reports peephole-optimizer eliminations (zero unless
 	// Config.Optimize was set).
 	OptStats optimize.Stats
@@ -126,19 +119,14 @@ func DefaultPasses(cfg Config) []pipeline.Pass {
 	)
 }
 
-// Compile runs the stock LinQ pipeline on a logical circuit: decompose →
-// place → insert swaps → schedule. The input circuit may contain any gate
-// kind the decomposer understands (including Toffolis). Cancellation of ctx
-// is observed between passes and inside the swap-insertion and scheduling
-// inner loops.
-func Compile(ctx context.Context, c *circuit.Circuit, cfg Config) (*CompileResult, error) {
-	return CompileWith(ctx, c, cfg, nil, nil)
-}
-
-// CompileWith runs a custom pass list over the circuit (nil passes means
-// DefaultPasses(cfg)), reporting pass lifecycle events to obs when non-nil.
-// The pass list must produce a complete compilation — a physical circuit and
-// a schedule — or an error naming the missing phase is returned.
+// CompileWith runs a pass list over a logical circuit (nil passes means
+// DefaultPasses(cfg), the stock decompose → place → insert swaps → schedule
+// pipeline), reporting pass lifecycle events to obs when non-nil. The input
+// circuit may contain any gate kind the decomposer understands (including
+// Toffolis). Cancellation of ctx is observed between passes and inside the
+// swap-insertion and scheduling inner loops. The pass list must produce a
+// complete compilation — a physical circuit and a schedule — or an error
+// naming the missing phase is returned.
 func CompileWith(ctx context.Context, c *circuit.Circuit, cfg Config, passes []pipeline.Pass, obs pipeline.Observer) (*CompileResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -162,7 +150,7 @@ func CompileWith(ctx context.Context, c *circuit.Circuit, cfg Config, passes []p
 	if st.Physical == nil || st.Schedule == nil {
 		return nil, st.Validate()
 	}
-	cr := &CompileResult{
+	return &CompileResult{
 		Native:         st.Native,
 		Physical:       st.Physical,
 		Schedule:       st.Schedule,
@@ -172,10 +160,7 @@ func CompileWith(ctx context.Context, c *circuit.Circuit, cfg Config, passes []p
 		FinalMapping:   st.FinalMapping,
 		Timings:        timings,
 		OptStats:       st.OptStats,
-	}
-	cr.TSwap = cr.PassTime(pipeline.NameInsertSwaps)
-	cr.TMove = cr.PassTime(pipeline.NameSchedule)
-	return cr, nil
+	}, nil
 }
 
 // Simulate evaluates a compiled program under the config's noise model.
@@ -183,39 +168,16 @@ func (r *CompileResult) Simulate(ctx context.Context, cfg Config) (*sim.Result, 
 	return sim.Simulate(ctx, r.Physical, r.Schedule, cfg.Device, cfg.NoiseParams())
 }
 
-// Run compiles and simulates in one call.
-func Run(ctx context.Context, c *circuit.Circuit, cfg Config) (*CompileResult, *sim.Result, error) {
-	cr, err := Compile(ctx, c, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	sr, err := cr.Simulate(ctx, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return cr, sr, nil
-}
-
-// RunIdeal evaluates the circuit on an ideal fully connected trapped-ion
-// device of the same chain length (the Fig. 8 upper bound): decomposition
-// and initial placement only, no swaps or moves. The placement matters even
-// without routing because the Eq. 3 gate time — and hence the Γτ error term
-// — grows with the ion separation on the chain.
-func RunIdeal(ctx context.Context, c *circuit.Circuit, cfg Config) (*sim.Result, error) {
-	_, mapped, err := PlaceIdeal(c, cfg.Device.NumIons)
-	if err != nil {
-		return nil, err
-	}
-	return sim.SimulateIdeal(ctx, mapped, device.IdealTI{NumIons: cfg.Device.NumIons}, cfg.NoiseParams())
-}
-
 // PlaceIdeal lowers the circuit to the native gate set and applies the
-// greedy initial placement over a numIons-long chain — the "compile" half of
-// RunIdeal. It returns both the native circuit (logical qubits) and its
-// placed counterpart (chain positions). With no routing, the placement
-// objective is exactly the weighted distance sum the greedy heuristic
-// minimizes; program order (built for sweep-style routing) has no advantage
-// here.
+// greedy initial placement over a numIons-long chain — the compile step of
+// the ideal fully connected trapped-ion device (the Fig. 8 upper bound):
+// no swaps or moves. It returns both the native circuit (logical qubits) and
+// its placed counterpart (chain positions). The placement matters even
+// without routing because the Eq. 3 gate time — and hence the Γτ error term
+// — grows with the ion separation on the chain. With no routing, the
+// placement objective is exactly the weighted distance sum the greedy
+// heuristic minimizes; program order (built for sweep-style routing) has no
+// advantage here.
 func PlaceIdeal(c *circuit.Circuit, numIons int) (native, mapped *circuit.Circuit, err error) {
 	native = decompose.ToNative(c)
 	m0, err := mapping.Initial(native, numIons, mapping.GreedyPlacement)
@@ -233,45 +195,4 @@ func PlaceIdeal(c *circuit.Circuit, numIons int) (native, mapped *circuit.Circui
 		mapped.MustAdd(g.Kind, g.Theta, qs...)
 	}
 	return native, mapped, nil
-}
-
-// TuneResult records one MaxSwapLen trial of the Fig. 7 sweep.
-type TuneResult struct {
-	MaxSwapLen int
-	SwapCount  int
-	Moves      int
-	LogSuccess float64
-}
-
-// AutoTune implements the paper's "iterate the LinQ procedure to find the
-// best choice" (§IV-C): it compiles the circuit at every candidate
-// MaxSwapLen and returns the trials plus the index of the best one by
-// success rate. An empty candidate list sweeps HeadSize−1 down to
-// HeadSize/2.
-func AutoTune(ctx context.Context, c *circuit.Circuit, cfg Config, candidates []int) ([]TuneResult, int, error) {
-	if len(candidates) == 0 {
-		for l := cfg.Device.HeadSize - 1; l >= cfg.Device.HeadSize/2 && l >= 1; l-- {
-			candidates = append(candidates, l)
-		}
-	}
-	results := make([]TuneResult, 0, len(candidates))
-	best := -1
-	for _, l := range candidates {
-		trial := cfg
-		trial.Swap.MaxSwapLen = l
-		cr, sr, err := Run(ctx, c, trial)
-		if err != nil {
-			return nil, -1, fmt.Errorf("core: AutoTune at MaxSwapLen=%d: %w", l, err)
-		}
-		results = append(results, TuneResult{
-			MaxSwapLen: l,
-			SwapCount:  cr.SwapCount,
-			Moves:      cr.Moves(),
-			LogSuccess: sr.LogSuccess,
-		})
-		if best == -1 || sr.LogSuccess > results[best].LogSuccess {
-			best = len(results) - 1
-		}
-	}
-	return results, best, nil
 }

@@ -10,7 +10,9 @@ import (
 	"repro/internal/device"
 	"repro/internal/mapping"
 	"repro/internal/noise"
+	"repro/internal/pipeline"
 	"repro/internal/qsim"
+	"repro/internal/sim"
 	"repro/internal/swapins"
 	"repro/internal/workloads"
 )
@@ -22,10 +24,20 @@ func smallCfg(n, head int) Config {
 	}
 }
 
+// compileAndSimulate compiles with the stock passes and scores the result.
+func compileAndSimulate(ctx context.Context, c *circuit.Circuit, cfg Config) (*CompileResult, *sim.Result, error) {
+	cr, err := CompileWith(ctx, c, cfg, nil, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	sr, err := cr.Simulate(ctx, cfg)
+	return cr, sr, err
+}
+
 func TestCompileProducesValidProgram(t *testing.T) {
 	bm := workloads.QFTN(12)
 	cfg := smallCfg(12, 4)
-	cr, err := Compile(context.Background(), bm.Circuit, cfg)
+	cr, err := CompileWith(context.Background(), bm.Circuit, cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +55,7 @@ func TestCompileProducesValidProgram(t *testing.T) {
 	if cr.Moves() < 1 || cr.DistSpacings() < 0 {
 		t.Errorf("moves=%d dist=%d", cr.Moves(), cr.DistSpacings())
 	}
-	if cr.TSwap < 0 || cr.TMove < 0 {
+	if cr.PassTime(pipeline.NameInsertSwaps) < 0 || cr.PassTime(pipeline.NameSchedule) < 0 {
 		t.Error("negative compile timings")
 	}
 }
@@ -53,7 +65,7 @@ func TestCompiledSemanticsPreserved(t *testing.T) {
 	// unitarily equivalent to the native circuit under the initial mapping.
 	bm := workloads.Random(7, 8, 3)
 	cfg := smallCfg(7, 3)
-	cr, err := Compile(context.Background(), bm.Circuit, cfg)
+	cr, err := CompileWith(context.Background(), bm.Circuit, cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +88,7 @@ func TestCompiledSemanticsPreserved(t *testing.T) {
 func TestRunProducesFiniteMetrics(t *testing.T) {
 	bm := workloads.QAOAN(16, 2, 1)
 	cfg := smallCfg(16, 8)
-	cr, sr, err := Run(context.Background(), bm.Circuit, cfg)
+	cr, sr, err := compileAndSimulate(context.Background(), bm.Circuit, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +106,16 @@ func TestRunProducesFiniteMetrics(t *testing.T) {
 func TestRunIdealBeatsTILT(t *testing.T) {
 	bm := workloads.QFTN(16)
 	cfg := smallCfg(16, 4)
-	_, tiltRes, err := Run(context.Background(), bm.Circuit, cfg)
+	_, tiltRes, err := compileAndSimulate(context.Background(), bm.Circuit, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	idealRes, err := RunIdeal(context.Background(), bm.Circuit, cfg)
+	_, mapped, err := PlaceIdeal(bm.Circuit, cfg.Device.NumIons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idealRes, err := sim.SimulateIdeal(context.Background(), mapped,
+		device.IdealTI{NumIons: cfg.Device.NumIons}, cfg.NoiseParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +128,11 @@ func TestLargerHeadImprovesSuccess(t *testing.T) {
 	// Fig. 8: a wider execution zone reduces swaps and moves, so success
 	// must not degrade.
 	bm := workloads.QFTN(16)
-	_, small, err := Run(context.Background(), bm.Circuit, smallCfg(16, 4))
+	_, small, err := compileAndSimulate(context.Background(), bm.Circuit, smallCfg(16, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, large, err := Run(context.Background(), bm.Circuit, smallCfg(16, 8))
+	_, large, err := compileAndSimulate(context.Background(), bm.Circuit, smallCfg(16, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +146,7 @@ func TestStochasticBaselinePluggable(t *testing.T) {
 	bm := workloads.QFTN(10)
 	cfg := smallCfg(10, 4)
 	cfg.Inserter = swapins.Stochastic{Trials: 4, Seed: 1}
-	cr, sr, err := Run(context.Background(), bm.Circuit, cfg)
+	cr, sr, err := compileAndSimulate(context.Background(), bm.Circuit, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +167,7 @@ func TestCustomNoiseParamsHonored(t *testing.T) {
 	noiseless.K0 = 0
 	noiseless.OneQubitError = 0
 	cfg.Noise = &noiseless
-	_, sr, err := Run(context.Background(), bm.Circuit, cfg)
+	_, sr, err := compileAndSimulate(context.Background(), bm.Circuit, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,60 +178,21 @@ func TestCustomNoiseParamsHonored(t *testing.T) {
 
 func TestCompileRejectsWideCircuit(t *testing.T) {
 	bm := workloads.GHZ(16)
-	if _, err := Compile(context.Background(), bm.Circuit, smallCfg(8, 4)); err == nil {
+	if _, err := CompileWith(context.Background(), bm.Circuit, smallCfg(8, 4), nil, nil); err == nil {
 		t.Error("circuit wider than device should fail")
 	}
 }
 
 func TestCompileRejectsInvalidDevice(t *testing.T) {
 	bm := workloads.GHZ(4)
-	if _, err := Compile(context.Background(), bm.Circuit, Config{Device: device.TILT{NumIons: 4, HeadSize: 1}}); err == nil {
+	if _, err := CompileWith(context.Background(), bm.Circuit, Config{Device: device.TILT{NumIons: 4, HeadSize: 1}}, nil, nil); err == nil {
 		t.Error("invalid device should fail")
-	}
-}
-
-func TestAutoTuneFindsASweetSpot(t *testing.T) {
-	bm := workloads.QFTN(12)
-	cfg := smallCfg(12, 6)
-	trials, best, err := AutoTune(context.Background(), bm.Circuit, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trials) == 0 || best < 0 || best >= len(trials) {
-		t.Fatalf("trials=%d best=%d", len(trials), best)
-	}
-	for _, tr := range trials {
-		if tr.LogSuccess > trials[best].LogSuccess {
-			t.Errorf("AutoTune best %d not optimal: %v beats it", best, tr)
-		}
-	}
-	// Candidates default to HeadSize-1 .. HeadSize/2.
-	if trials[0].MaxSwapLen != 5 || trials[len(trials)-1].MaxSwapLen != 3 {
-		t.Errorf("default candidate range wrong: %v", trials)
-	}
-}
-
-func TestAutoTuneExplicitCandidates(t *testing.T) {
-	bm := workloads.QFTN(10)
-	cfg := smallCfg(10, 5)
-	trials, best, err := AutoTune(context.Background(), bm.Circuit, cfg, []int{4, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trials) != 2 {
-		t.Fatalf("want 2 trials, got %d", len(trials))
-	}
-	if best != 0 && best != 1 {
-		t.Fatalf("best index %d", best)
-	}
-	if _, _, err := AutoTune(context.Background(), bm.Circuit, cfg, []int{99}); err == nil {
-		t.Error("out-of-range candidate should fail")
 	}
 }
 
 func TestOpposingRatioZeroSafe(t *testing.T) {
 	bm := workloads.GHZ(8)
-	cr, err := Compile(context.Background(), bm.Circuit, smallCfg(8, 8))
+	cr, err := CompileWith(context.Background(), bm.Circuit, smallCfg(8, 8), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +208,7 @@ func TestPropertyPipelineSoundOnRandomCircuits(t *testing.T) {
 		head := 3 + int(headRaw)%6
 		bm := workloads.Random(n, 12, seed)
 		cfg := smallCfg(n, head)
-		cr, sr, err := Run(context.Background(), bm.Circuit, cfg)
+		cr, sr, err := compileAndSimulate(context.Background(), bm.Circuit, cfg)
 		if err != nil {
 			return false
 		}

@@ -19,7 +19,7 @@ func deviceFor(n, head int) device.TILT { return device.TILT{NumIons: n, HeadSiz
 
 // monolithicCompile replicates the pre-pipeline Compile exactly: straight-line
 // decompose → (optimize) → place → insert swaps → schedule with no pass
-// framework. The parity test pins the pipeline-backed Compile to it
+// framework. The parity test pins the pipeline-backed CompileWith to it
 // byte-for-byte.
 func monolithicCompile(t *testing.T, c *circuit.Circuit, cfg Config) *CompileResult {
 	t.Helper()
@@ -81,7 +81,7 @@ func assertCompileParity(t *testing.T, label string, got, want *CompileResult) {
 	}
 }
 
-// TestPipelineParityAllBenchmarks pins the pipeline-backed Compile to the
+// TestPipelineParityAllBenchmarks pins the pipeline-backed CompileWith to the
 // pre-refactor monolithic compiler on every Table II benchmark: identical
 // swaps, moves, schedules, and mappings.
 func TestPipelineParityAllBenchmarks(t *testing.T) {
@@ -91,14 +91,11 @@ func TestPipelineParityAllBenchmarks(t *testing.T) {
 			Placement: mapping.ProgramOrderPlacement,
 			Inserter:  swapins.LinQ{},
 		}
-		got, err := Compile(context.Background(), bm.Circuit, cfg)
+		got, err := CompileWith(context.Background(), bm.Circuit, cfg, nil, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", bm.Name, err)
 		}
 		assertCompileParity(t, bm.Name, got, monolithicCompile(t, bm.Circuit, cfg))
-		if got.TSwap != got.PassTime("insert-swaps") || got.TMove != got.PassTime("schedule") {
-			t.Errorf("%s: deprecated TSwap/TMove do not alias the pass timings", bm.Name)
-		}
 		if len(got.Timings) != 4 {
 			t.Errorf("%s: %d pass timings, want 4", bm.Name, len(got.Timings))
 		}
@@ -121,7 +118,7 @@ func TestPipelineParityVariants(t *testing.T) {
 		{"greedy", Config{Device: deviceFor(bm.Qubits(), 16), Placement: mapping.GreedyPlacement}},
 	}
 	for _, tc := range cases {
-		got, err := Compile(context.Background(), bm.Circuit, tc.cfg)
+		got, err := CompileWith(context.Background(), bm.Circuit, tc.cfg, nil, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -146,7 +143,7 @@ func TestCompilePreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	bm := workloads.GHZ(8)
-	if _, err := Compile(ctx, bm.Circuit, Config{Device: deviceFor(8, 4)}); err != context.Canceled {
+	if _, err := CompileWith(ctx, bm.Circuit, Config{Device: deviceFor(8, 4)}, nil, nil); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

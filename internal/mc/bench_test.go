@@ -20,7 +20,7 @@ func benchEngine(b *testing.B, workers int) *Engine {
 		Placement: mapping.ProgramOrderPlacement,
 		Inserter:  swapins.LinQ{},
 	}
-	cr, err := core.Compile(context.Background(), workloads.QFTN(10).Circuit, cfg)
+	cr, err := core.CompileWith(context.Background(), workloads.QFTN(10).Circuit, cfg, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func compileSmall(t *testing.T, n, head int, bm workloads.Benchmark) (*core.Comp
 		Placement: mapping.ProgramOrderPlacement,
 		Inserter:  swapins.LinQ{},
 	}
-	cr, err := core.Compile(context.Background(), bm.Circuit, cfg)
+	cr, err := core.CompileWith(context.Background(), bm.Circuit, cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,9 +230,9 @@ func TestInputValidation(t *testing.T) {
 		t.Error("zero shots should fail")
 	}
 	wide := device.TILT{NumIons: 32, HeadSize: 8}
-	crWide, err := core.Compile(ctx, workloads.GHZ(32).Circuit, core.Config{
+	crWide, err := core.CompileWith(ctx, workloads.GHZ(32).Circuit, core.Config{
 		Device: wide, Placement: mapping.ProgramOrderPlacement,
-	})
+	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,7 +96,7 @@ func mcSerialKernel(tb testing.TB) func(b *testing.B) {
 		Placement: mapping.ProgramOrderPlacement,
 		Inserter:  swapins.LinQ{},
 	}
-	cr, err := core.Compile(ctx, workloads.QFTN(10).Circuit, cfg)
+	cr, err := core.CompileWith(ctx, workloads.QFTN(10).Circuit, cfg, nil, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}

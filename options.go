@@ -242,12 +242,6 @@ func WithMCWorkers(n int) Option {
 	return func(c *config) { c.mcWorkers = n }
 }
 
-// WithConfig replaces the whole compiler configuration — the escape hatch
-// for callers migrating from the legacy Options struct.
-func WithConfig(cfg Options) Option {
-	return func(c *config) { c.core = cfg }
-}
-
 // WithPasses replaces the TILT compiler's stock pass list with an explicit
 // one, so callers can reorder or drop phases (for ablations) or assemble a
 // pipeline from scratch. The list must still produce a complete compilation

@@ -19,10 +19,9 @@
 // For TILT, Compile lowers the circuit to the trapped-ion native gate set
 // {RX, RY, RZ, XX}, places qubits, inserts SWAPs (Algorithm 1, with opposing
 // swaps), and schedules tape movements (Algorithm 2); Simulate applies the
-// Eq. 3–5 noise and timing models.
-//
-// The pre-Backend entry points (Run, RunIdeal, RunQCCD, the Options struct)
-// remain as deprecated wrappers.
+// Eq. 3–5 noise and timing models. Every study in internal/experiments, and
+// every job linqd serves, runs through these backends; there is no second
+// execution path.
 package tilt
 
 import (
@@ -32,13 +31,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/decompose"
 	"repro/internal/device"
-	"repro/internal/mapping"
 	"repro/internal/metrics"
 	"repro/internal/noise"
 	"repro/internal/optimize"
 	"repro/internal/pipeline"
-	"repro/internal/qccd"
-	"repro/internal/sim"
 	"repro/internal/swapins"
 	"repro/internal/workloads"
 )
@@ -156,23 +152,6 @@ type MetricsRegistry = metrics.Registry
 // NewMetricsRegistry returns an empty telemetry registry for WithMetrics.
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 
-// Metrics reports simulated success rate, execution time, and gate census.
-//
-// Deprecated: the Backend API returns the unified Result type instead.
-type Metrics = sim.Result
-
-// QCCDResult reports the QCCD baseline's simulated metrics.
-//
-// Deprecated: the Backend API returns the unified Result type instead.
-type QCCDResult = qccd.Result
-
-// Options configures compilation and simulation.
-//
-// Deprecated: construct backends with NewTILT/NewQCCD/NewIdealTI and the
-// With* functional options; use WithConfig to carry over an existing
-// Options value.
-type Options = core.Config
-
 // SwapOptions tunes swap insertion: MaxSwapLen, Alpha (the Eq. 1 lookahead
 // discount), and the lookahead window.
 type SwapOptions = swapins.Options
@@ -182,82 +161,12 @@ type SwapOptions = swapins.Options
 // pairs, and dropped identities.
 type OptimizeStats = optimize.Stats
 
-// TuneResult is one MaxSwapLen trial from AutoTune (Fig. 7).
-type TuneResult = core.TuneResult
-
 // NewCircuit returns an empty circuit over n qubits.
 func NewCircuit(n int) *Circuit { return circuit.New(n) }
 
 // DefaultNoise returns the calibrated noise parameters (README,
 // "Calibration and substitutions").
 func DefaultNoise() NoiseParams { return noise.Default() }
-
-// DefaultOptions returns the standard configuration used throughout the
-// paper reproduction: a TILT device with the given chain length and head
-// size, program-order placement, the LinQ inserter, and default noise.
-//
-// Deprecated: use NewTILT(WithDevice(numIons, headSize)).
-func DefaultOptions(numIons, headSize int) Options {
-	return Options{
-		Device:    Device{NumIons: numIons, HeadSize: headSize},
-		Placement: mapping.ProgramOrderPlacement,
-		Inserter:  swapins.LinQ{},
-	}
-}
-
-// BaselineOptions is DefaultOptions with the paper's §VI-A baseline swap
-// inserter (Qiskit-StochasticSwap-style randomized routing).
-//
-// Deprecated: use NewTILT(WithDevice(numIons, headSize),
-// WithInserter(StochasticInserter(8, seed))).
-func BaselineOptions(numIons, headSize int, seed int64) Options {
-	o := DefaultOptions(numIons, headSize)
-	o.Inserter = swapins.Stochastic{Trials: 8, Seed: seed}
-	return o
-}
-
-// Compile runs the LinQ pipeline: decompose → place → insert swaps →
-// schedule tape moves.
-//
-// Deprecated: use NewTILT(WithConfig(opts)).Compile(ctx, c).
-func Compile(c *Circuit, opts Options) (*CompileResult, error) {
-	return core.Compile(context.Background(), c, opts)
-}
-
-// Run compiles and simulates in one call.
-//
-// Deprecated: use Execute(ctx, NewTILT(WithConfig(opts)), c).
-func Run(c *Circuit, opts Options) (*CompileResult, *Metrics, error) {
-	return core.Run(context.Background(), c, opts)
-}
-
-// RunIdeal simulates the circuit on an ideal fully connected trapped-ion
-// device of the same chain length (no swaps, no tape moves).
-//
-// Deprecated: use Execute(ctx, NewIdealTI(WithConfig(opts)), c).
-func RunIdeal(c *Circuit, opts Options) (*Metrics, error) {
-	return core.RunIdeal(context.Background(), c, opts)
-}
-
-// RunQCCD simulates the circuit on the QCCD baseline, sweeping trap
-// capacities over the paper's 15–35 range and returning the best result.
-// Pass an explicit capacity list to override the sweep.
-//
-// Deprecated: use Execute(ctx, NewQCCD(WithConfig(opts),
-// WithCapacities(capacities...)), c).
-func RunQCCD(c *Circuit, opts Options, capacities ...int) (*QCCDResult, error) {
-	native := decompose.ToNative(c)
-	return qccd.RunBestCapacity(context.Background(), native, opts.Device.NumIons, capacities, opts.NoiseParams())
-}
-
-// AutoTune compiles the circuit at each candidate MaxSwapLen (default:
-// HeadSize−1 down to HeadSize/2) and returns the trials plus the index of
-// the best by success rate — the paper's §IV-C parameter search.
-//
-// Deprecated: use NewTILT(WithConfig(opts)).AutoTune(ctx, c, candidates).
-func AutoTune(c *Circuit, opts Options, candidates []int) ([]TuneResult, int, error) {
-	return core.AutoTune(context.Background(), c, opts, candidates)
-}
 
 // TwoQubitGateCount returns the circuit's two-qubit gate count at the CNOT
 // level — Table II's counting convention.

@@ -1,6 +1,7 @@
 package tilt_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -9,16 +10,15 @@ import (
 
 func TestQuickstartFlow(t *testing.T) {
 	bench := tilt.GHZ(16)
-	opts := tilt.DefaultOptions(16, 8)
-	compiled, metrics, err := tilt.Run(bench.Circuit, opts)
+	metrics, err := tilt.Execute(context.Background(), tilt.NewTILT(tilt.WithDevice(16, 8)), bench.Circuit)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if metrics.SuccessRate <= 0 || metrics.SuccessRate > 1 {
 		t.Errorf("success = %g", metrics.SuccessRate)
 	}
-	if compiled.Moves() < 1 {
-		t.Errorf("moves = %d", compiled.Moves())
+	if metrics.TILT.Moves < 1 {
+		t.Errorf("moves = %d", metrics.TILT.Moves)
 	}
 }
 
@@ -27,7 +27,7 @@ func TestHandBuiltCircuit(t *testing.T) {
 	c.ApplyH(0)
 	c.ApplyCNOT(0, 7)
 	c.ApplyCCX(0, 3, 7) // the pipeline lowers Toffolis
-	_, metrics, err := tilt.Run(c, tilt.DefaultOptions(8, 4))
+	metrics, err := tilt.Execute(context.Background(), tilt.NewTILT(tilt.WithDevice(8, 4)), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,12 +72,14 @@ func TestTwoQubitGateCountConvention(t *testing.T) {
 }
 
 func TestBaselineVsLinQOnFacade(t *testing.T) {
+	ctx := context.Background()
 	bench := tilt.BenchmarkBV()
-	_, linq, err := tilt.Run(bench.Circuit, tilt.DefaultOptions(64, 16))
+	linq, err := tilt.Execute(ctx, tilt.NewTILT(tilt.WithDevice(64, 16)), bench.Circuit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, base, err := tilt.Run(bench.Circuit, tilt.BaselineOptions(64, 16, 7))
+	base, err := tilt.Execute(ctx, tilt.NewTILT(tilt.WithDevice(64, 16),
+		tilt.WithInserter(tilt.StochasticInserter(8, 7))), bench.Circuit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,27 +89,27 @@ func TestBaselineVsLinQOnFacade(t *testing.T) {
 }
 
 func TestRunIdealAndQCCDFacade(t *testing.T) {
+	ctx := context.Background()
 	bench := tilt.BenchmarkBV()
-	opts := tilt.DefaultOptions(64, 16)
-	ideal, err := tilt.RunIdeal(bench.Circuit, opts)
+	ideal, err := tilt.Execute(ctx, tilt.NewIdealTI(tilt.WithDevice(64, 16)), bench.Circuit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qr, err := tilt.RunQCCD(bench.Circuit, opts, 17, 33)
+	qr, err := tilt.Execute(ctx, tilt.NewQCCD(tilt.WithDevice(64, 16), tilt.WithCapacities(17, 33)), bench.Circuit)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ideal.SuccessRate <= 0 || qr.SuccessRate <= 0 {
 		t.Errorf("ideal=%g qccd=%g", ideal.SuccessRate, qr.SuccessRate)
 	}
-	if qr.Capacity != 17 && qr.Capacity != 33 {
-		t.Errorf("QCCD capacity %d not from explicit list", qr.Capacity)
+	if qr.QCCD.Capacity != 17 && qr.QCCD.Capacity != 33 {
+		t.Errorf("QCCD capacity %d not from explicit list", qr.QCCD.Capacity)
 	}
 }
 
 func TestAutoTuneFacade(t *testing.T) {
 	bench := tilt.GHZ(12)
-	trials, best, err := tilt.AutoTune(bench.Circuit, tilt.DefaultOptions(12, 6), []int{5, 4})
+	trials, best, err := tilt.NewTILT(tilt.WithDevice(12, 6)).AutoTune(context.Background(), bench.Circuit, []int{5, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,9 +124,8 @@ func TestCustomNoiseThroughFacade(t *testing.T) {
 	p.Epsilon = 0
 	p.K0 = 0
 	p.OneQubitError = 0
-	opts := tilt.DefaultOptions(8, 4)
-	opts.Noise = &p
-	_, metrics, err := tilt.Run(tilt.GHZ(8).Circuit, opts)
+	be := tilt.NewTILT(tilt.WithDevice(8, 4), tilt.WithNoise(p))
+	metrics, err := tilt.Execute(context.Background(), be, tilt.GHZ(8).Circuit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestExtendedBenchmarkFacades(t *testing.T) {
 	}
 	// All three run end to end on TILT.
 	for _, bm := range []tilt.Benchmark{vqe, ising, sc} {
-		_, m, err := tilt.Run(bm.Circuit, tilt.DefaultOptions(bm.Qubits(), 8))
+		m, err := tilt.Execute(context.Background(), tilt.NewTILT(tilt.WithDevice(bm.Qubits(), 8)), bm.Circuit)
 		if err != nil {
 			t.Fatalf("%s: %v", bm.Name, err)
 		}
