@@ -20,7 +20,8 @@ import (
 //     seeded local generators via rand.New(rand.NewSource(seed)) stay legal
 //   - select statements with two or more ready communication cases
 //   - ranging over a map while accumulating into order-sensitive state
-//     (slice appends, float or string accumulation, channel sends)
+//     (slice appends, float or string accumulation, channel sends, writes
+//     to an outer writer)
 //
 // A finding that is genuinely harmless (e.g. wall-clock fed only to a
 // metrics observer) is silenced with //lint:deterministic-exempt <reason>.
@@ -92,7 +93,8 @@ func checkSelect(pass *analysis.Pass, sel *ast.SelectStmt) {
 // checkMapRange flags ranging over a map when the loop body feeds
 // order-sensitive state: appends to an outer slice, float or string
 // compound accumulation into an outer variable (float addition is not
-// associative; string append is ordered), or channel sends.
+// associative; string append is ordered), channel sends, or writes to an
+// outer writer (the printed lines come out in map order).
 func checkMapRange(pass *analysis.Pass, rng *ast.RangeStmt) {
 	tv, ok := pass.TypesInfo.Types[rng.X]
 	if !ok {
@@ -112,6 +114,10 @@ func checkMapRange(pass *analysis.Pass, rng *ast.RangeStmt) {
 			return false
 		case *ast.SendStmt:
 			why = "a channel send"
+		case *ast.CallExpr:
+			if w := outerWrite(pass, n, body); w != "" {
+				why = "a write to " + w
+			}
 		case *ast.AssignStmt:
 			switch n.Tok {
 			case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
@@ -139,6 +145,40 @@ func checkMapRange(pass *analysis.Pass, rng *ast.RangeStmt) {
 	if why != "" {
 		pass.Reportf(rng.Pos(), "map iteration order is randomized but the loop body performs %s: iterate sorted keys instead", why)
 	}
+}
+
+// writerTypes are the writer types whose Write* methods outerWrite tracks.
+var writerTypes = map[string]bool{
+	"io.Writer":       true,
+	"strings.Builder": true, "*strings.Builder": true,
+	"bytes.Buffer": true, "*bytes.Buffer": true,
+}
+
+// outerWrite returns the writer a call writes into — fmt.Fprint, Fprintf or
+// Fprintln, or Write, WriteString or WriteByte on an io.Writer,
+// strings.Builder or bytes.Buffer — when that writer is declared outside
+// body, and "" otherwise.
+func outerWrite(pass *analysis.Pass, call *ast.CallExpr, body *ast.BlockStmt) string {
+	var w ast.Expr
+	if name, ok := analysis.IsPkgFunc(pass.TypesInfo, call, "fmt"); ok {
+		if (name == "Fprint" || name == "Fprintf" || name == "Fprintln") && len(call.Args) > 0 {
+			w = call.Args[0]
+		}
+	} else if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+		switch sel.Sel.Name {
+		case "Write", "WriteString", "WriteByte":
+			if t := pass.TypesInfo.TypeOf(sel.X); t != nil && writerTypes[types.TypeString(t, nil)] {
+				w = sel.X
+			}
+		}
+	}
+	if u, ok := ast.Unparen(w).(*ast.UnaryExpr); ok && u.Op == token.AND {
+		w = u.X
+	}
+	if w == nil || !declaredOutside(pass, w, body) {
+		return ""
+	}
+	return types.ExprString(w)
 }
 
 // isOrderSensitiveAccum reports whether lhs is an outer-declared variable

@@ -1,13 +1,16 @@
 // Package clean holds deterministic-package code that must produce no
 // diagnostics: seeded local RNG, integer accumulation over maps, keyed map
-// writes, single-case selects, and reasoned exemptions.
+// writes, writers local to the loop body, single-case selects, and reasoned
+// exemptions.
 package clean
 
 //lint:deterministic-package
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -43,6 +46,29 @@ func sortedIteration(m map[string]float64) []float64 {
 		out = append(out, m[k])
 	}
 	return out
+}
+
+func perKeyWriters(m map[string]float64) map[string]string {
+	out := make(map[string]string, len(m))
+	for k, v := range m {
+		var b strings.Builder
+		fmt.Fprintf(&b, "%s %g", k, v) // b lives inside one iteration
+		out[k] = b.String()
+	}
+	return out
+}
+
+func sortedWrites(m map[string]float64) string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var b strings.Builder
+	for _, k := range keys {
+		fmt.Fprintf(&b, "%s %g\n", k, m[k])
+	}
+	return b.String()
 }
 
 func singleCaseSelect(done chan struct{}) bool {

@@ -4,7 +4,11 @@ package flagged
 //lint:deterministic-package
 
 import (
+	"bytes"
+	"fmt"
+	"io"
 	"math/rand"
+	"strings"
 	"time"
 )
 
@@ -60,6 +64,34 @@ func mapOrderStringConcat(m map[string]string) string {
 func mapOrderSend(m map[string]int, ch chan int) {
 	for _, v := range m { // want `a channel send`
 		ch <- v
+	}
+}
+
+func mapOrderFprintf(m map[string]float64) string {
+	var b strings.Builder
+	for k, v := range m { // want `a write to b`
+		fmt.Fprintf(&b, "%s %g\n", k, v)
+	}
+	return b.String()
+}
+
+func mapOrderWriterParam(m map[string]string, w io.Writer) {
+	for _, v := range m { // want `a write to w`
+		w.Write([]byte(v))
+	}
+}
+
+func mapOrderBuilder(m map[string]string) string {
+	b := new(strings.Builder)
+	for _, v := range m { // want `a write to b`
+		b.WriteString(v)
+	}
+	return b.String()
+}
+
+func mapOrderBuffer(m map[byte]bool, buf *bytes.Buffer) {
+	for k := range m { // want `a write to buf`
+		buf.WriteByte(k)
 	}
 }
 
