@@ -256,16 +256,12 @@ func (b *TILTBackend) Compile(ctx context.Context, c *Circuit) (*Artifact, error
 	if b.cache != nil {
 		key = c.Fingerprint()
 		if a, ok := b.cache.Get(key); ok {
-			if mx != nil {
-				mx.cacheHits.With(b.Name()).Inc()
-			}
+			mx.cacheHits.With(b.Name()).Inc()
 			span.SetAttr("cache", "hit")
 			span.End()
 			return a, nil
 		}
-		if mx != nil {
-			mx.cacheMisses.With(b.Name()).Inc()
-		}
+		mx.cacheMisses.With(b.Name()).Inc()
 		span.SetAttr("cache", "miss")
 	}
 	start := time.Now()
@@ -285,12 +281,10 @@ func (b *TILTBackend) Compile(ctx context.Context, c *Circuit) (*Artifact, error
 		return nil, err
 	}
 	defer span.End()
-	if mx != nil {
-		mx.compiles.With(b.Name()).Inc()
-		mx.compileSec.With(b.Name()).Observe(time.Since(start).Seconds())
-		for _, pt := range cr.Timings {
-			mx.passSec.With(pt.Pass).Observe(pt.Wall.Seconds())
-		}
+	mx.compiles.With(b.Name()).Inc()
+	mx.compileSec.With(b.Name()).Observe(time.Since(start).Seconds())
+	for _, pt := range cr.Timings {
+		mx.passSec.With(pt.Pass).Observe(pt.Wall.Seconds())
 	}
 	a := &Artifact{
 		Backend: b.Name(),
@@ -348,9 +342,7 @@ func (b *TILTBackend) Simulate(ctx context.Context, a *Artifact) (*Result, error
 		hits, misses := b.cache.Stats()
 		res.Cache = &CacheStats{Hits: hits, Misses: misses, Entries: b.cache.Len()}
 	}
-	if mx := b.cfg.mx; mx != nil {
-		mx.simulateSec.With(b.Name()).Observe(time.Since(start).Seconds())
-	}
+	b.cfg.mx.simulateSec.With(b.Name()).Observe(time.Since(start).Seconds())
 	return res, nil
 }
 
@@ -366,15 +358,13 @@ func runMC(ctx context.Context, a *Artifact) (*MCStats, error) {
 		return &out, nil
 	}
 
-	mcOpts := []mc.EngineOption{mc.WithWorkers(a.cfg.mcWorkers)}
-	if mx := a.cfg.mx; mx != nil {
-		mcOpts = append(mcOpts, mc.WithShardObserver(func(shots int, elapsed time.Duration) {
-			mx.mcShots.Add(int64(shots))
-			mx.mcShardSec.Observe(elapsed.Seconds())
-		}))
-	}
 	eng, err := mc.NewEngine(a.Compile.Physical, a.Compile.Schedule,
-		a.cfg.core.Device, a.cfg.core.NoiseParams(), mcOpts...)
+		a.cfg.core.Device, a.cfg.core.NoiseParams(),
+		mc.WithWorkers(a.cfg.mcWorkers),
+		mc.WithShardObserver(func(shots int, elapsed time.Duration) {
+			a.cfg.mx.mcShots.Add(int64(shots))
+			a.cfg.mx.mcShardSec.Observe(elapsed.Seconds())
+		}))
 	if err != nil {
 		return nil, err
 	}
@@ -490,10 +480,8 @@ func (b *QCCDBackend) Compile(ctx context.Context, c *Circuit) (*Artifact, error
 		Native:  decompose.ToNative(c),
 		cfg:     cfg,
 	}
-	if mx := b.cfg.mx; mx != nil {
-		mx.compiles.With(b.Name()).Inc()
-		mx.compileSec.With(b.Name()).Observe(time.Since(start).Seconds())
-	}
+	b.cfg.mx.compiles.With(b.Name()).Inc()
+	b.cfg.mx.compileSec.With(b.Name()).Observe(time.Since(start).Seconds())
 	return a, nil
 }
 
@@ -512,9 +500,7 @@ func (b *QCCDBackend) Simulate(ctx context.Context, a *Artifact) (*Result, error
 		return nil, err
 	}
 	defer span.End()
-	if mx := b.cfg.mx; mx != nil {
-		mx.simulateSec.With(b.Name()).Observe(time.Since(start).Seconds())
-	}
+	b.cfg.mx.simulateSec.With(b.Name()).Observe(time.Since(start).Seconds())
 	return &Result{
 		Backend:              b.Name(),
 		SuccessRate:          best.SuccessRate,
@@ -564,10 +550,8 @@ func (b *IdealTIBackend) Compile(ctx context.Context, c *Circuit) (*Artifact, er
 		return nil, err
 	}
 	defer span.End()
-	if mx := b.cfg.mx; mx != nil {
-		mx.compiles.With(b.Name()).Inc()
-		mx.compileSec.With(b.Name()).Observe(time.Since(start).Seconds())
-	}
+	b.cfg.mx.compiles.With(b.Name()).Inc()
+	b.cfg.mx.compileSec.With(b.Name()).Observe(time.Since(start).Seconds())
 	return &Artifact{
 		Backend: b.Name(),
 		Circuit: c,
@@ -591,9 +575,7 @@ func (b *IdealTIBackend) Simulate(ctx context.Context, a *Artifact) (*Result, er
 		return nil, err
 	}
 	defer span.End()
-	if mx := b.cfg.mx; mx != nil {
-		mx.simulateSec.With(b.Name()).Observe(time.Since(start).Seconds())
-	}
+	b.cfg.mx.simulateSec.With(b.Name()).Observe(time.Since(start).Seconds())
 	return resultFromSim(b.Name(), sr), nil
 }
 

@@ -27,6 +27,12 @@ import (
 // to their jobs/journal/pool siblings instead of minting ad-hoc prefixes
 // that dashboards then have to chase.
 //
+// Every instrumented component books into a registry (a private one when
+// the caller passes none), so there is no telemetry-off path: comparing a
+// pointer to an instrument holder — a struct whose fields are all metrics
+// handles — with nil is rejected. Nil checks on a *metrics.Registry stay
+// legal; that is where a constructor picks its private registry.
+//
 // Silence a deliberate deviation with //lint:metriclint-exempt <reason>.
 var MetricLint = &analysis.Analyzer{
 	Name: "metriclint",
@@ -88,6 +94,10 @@ func runMetricLint(pass *analysis.Pass) error {
 	seen := map[string]registration{}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
+			if bin, ok := n.(*ast.BinaryExpr); ok && (bin.Op == token.EQL || bin.Op == token.NEQ) {
+				checkHolderNil(pass, bin)
+				return true
+			}
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
@@ -118,7 +128,19 @@ func metricsMethod(pass *analysis.Pass, call *ast.CallExpr, recvTypes ...string)
 	if sig.Recv() == nil {
 		return "", false
 	}
-	t := sig.Recv().Type()
+	if recv, ok := metricsType(sig.Recv().Type()); ok {
+		for _, want := range recvTypes {
+			if recv == want {
+				return fn.Name(), true
+			}
+		}
+	}
+	return "", false
+}
+
+// metricsType returns the name of t, or of what t points to, when that is
+// a named type of a package called "metrics".
+func metricsType(t types.Type) (string, bool) {
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
@@ -126,12 +148,33 @@ func metricsMethod(pass *analysis.Pass, call *ast.CallExpr, recvTypes ...string)
 	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Name() != "metrics" {
 		return "", false
 	}
-	for _, want := range recvTypes {
-		if named.Obj().Name() == want {
-			return fn.Name(), true
+	return named.Obj().Name(), true
+}
+
+// checkHolderNil reports x == nil and x != nil when x points to an
+// instrument holder: a struct whose fields are all metrics handles (any
+// metrics type but the Registry).
+func checkHolderNil(pass *analysis.Pass, bin *ast.BinaryExpr) {
+	x := bin.X
+	if isNil(x) {
+		x = bin.Y
+	} else if !isNil(bin.Y) {
+		return
+	}
+	ptr, ok := pass.TypesInfo.TypeOf(x).(*types.Pointer)
+	if !ok {
+		return
+	}
+	st, ok := ptr.Elem().Underlying().(*types.Struct)
+	if !ok || st.NumFields() == 0 {
+		return
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		if name, ok := metricsType(st.Field(i).Type()); !ok || name == "Registry" {
+			return
 		}
 	}
-	return "", false
+	pass.Reportf(bin.Pos(), "nil check on instrument holder %s: a component given no registry books into a private one, so its instruments are never nil", types.ExprString(x))
 }
 
 // constString returns the compile-time string value of expr, if any.

@@ -38,3 +38,30 @@ func statusLabel(class int) string {
 		return "5xx"
 	}
 }
+
+// instruments is an instrument holder; server is not (it has a non-handle
+// field), and a *metrics.Registry is not a holder either.
+type instruments struct {
+	hits *metrics.Counter
+}
+
+type server struct {
+	name string
+	hits *metrics.Counter
+}
+
+// newInstruments resolves a nil registry to a private one: nil checks on
+// the registry are how constructors pick it.
+func newInstruments(r *metrics.Registry) *instruments {
+	if r == nil {
+		r = metrics.NewRegistry()
+	}
+	return &instruments{hits: r.Counter("linq_jobs_hits_total", "hits")}
+}
+
+func serve(s *server, mx *instruments) {
+	if s != nil {
+		s.hits.Inc()
+	}
+	mx.hits.Inc()
+}

@@ -26,3 +26,19 @@ func register(r *metrics.Registry, dynamic string, id int) {
 	v.With(fmt.Sprintf("shard-%d", id)).Inc() // want `label value built with fmt\.Sprintf: unbounded label cardinality`
 	v.With(strconv.Itoa(id)).Inc()            // want `label value built with strconv\.Itoa: unbounded label cardinality`
 }
+
+// instruments is an instrument holder: every field is a metrics handle.
+type instruments struct {
+	hits    *metrics.CounterVec
+	latency *metrics.Histogram
+}
+
+func guarded(inst *instruments) {
+	if inst != nil { // want `nil check on instrument holder inst`
+		inst.hits.With("TILT").Inc()
+	}
+	if inst == nil { // want `nil check on instrument holder inst`
+		return
+	}
+	inst.latency.Observe(0.5)
+}

@@ -71,7 +71,8 @@ type Config struct {
 	// Journal gives every member slot a persistent journal directory under
 	// Dir, so a crashed member's accepted jobs replay on restart.
 	Journal bool
-	// Metrics instruments the supervisor (nil = no telemetry).
+	// Metrics instruments the supervisor (nil = books into a private
+	// registry).
 	Metrics *metrics.Registry
 	// Logger receives lifecycle records (nil = discard).
 	Logger *slog.Logger
@@ -218,14 +219,13 @@ func New(cfg Config) (*Supervisor, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = metrics.NewRegistry()
+	}
 	if cfg.MemberOutput == nil {
 		cfg.MemberOutput = io.Discard
 	}
-	s := &Supervisor{cfg: cfg, retryAt: map[int]time.Time{}}
-	if cfg.Metrics != nil {
-		s.mx = newInstruments(cfg.Metrics)
-	}
-	return s, nil
+	return &Supervisor{cfg: cfg, retryAt: map[int]time.Time{}, mx: newInstruments(cfg.Metrics)}, nil
 }
 
 // Run spawns the minimum fleet and drives the control loop — reap and
@@ -370,9 +370,7 @@ func (s *Supervisor) reap() {
 		s.restarts++
 		spawned := s.members[len(s.members)-1]
 		spawned.restarts = m.restarts + 1
-		if s.mx != nil {
-			s.mx.restarts.Inc()
-		}
+		s.mx.restarts.Inc()
 	}
 	s.gaugeMembersLocked()
 }
@@ -422,9 +420,7 @@ func (s *Supervisor) sampleAll(ctx context.Context) {
 	for i, m := range targets {
 		if out[i].err != nil {
 			m.sampleErr = out[i].err.Error()
-			if s.mx != nil {
-				s.mx.pollErrs.Inc()
-			}
+			s.mx.pollErrs.Inc()
 			continue
 		}
 		m.queued, m.running = out[i].queued, out[i].running
@@ -453,9 +449,7 @@ func (s *Supervisor) decide() {
 			total += m.queued
 		}
 	}
-	if s.mx != nil {
-		s.mx.queued.Set(float64(total))
-	}
+	s.mx.queued.Set(float64(total))
 	if len(serving) == 0 {
 		s.highStreak, s.lowStreak = 0, 0
 		return
@@ -479,9 +473,7 @@ func (s *Supervisor) decide() {
 			return
 		}
 		s.scaleUps++
-		if s.mx != nil {
-			s.mx.scaleUps.Inc()
-		}
+		s.mx.scaleUps.Inc()
 		s.cfg.Logger.Info("scaled up", "members", active+1, "queued", total)
 		return
 	}
@@ -498,9 +490,7 @@ func (s *Supervisor) decide() {
 		}
 		s.drainLocked(victim)
 		s.scaleDowns++
-		if s.mx != nil {
-			s.mx.scaleDowns.Inc()
-		}
+		s.mx.scaleDowns.Inc()
 		s.cfg.Logger.Info("scaled down", "slot", victim.slot, "members", active-1, "queued", total)
 	}
 }
@@ -557,9 +547,7 @@ func (s *Supervisor) finishShutdown(members []*member) {
 }
 
 func (s *Supervisor) gaugeMembersLocked() {
-	if s.mx != nil {
-		s.mx.members.Set(float64(len(s.members)))
-	}
+	s.mx.members.Set(float64(len(s.members)))
 }
 
 // MemberStatus is one member's row in the /v1/fleet payload.

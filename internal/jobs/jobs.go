@@ -462,17 +462,6 @@ func newInstruments(r *metrics.Registry) *instruments {
 	}
 }
 
-// tenantLabel maps a tenant ID onto its metric label value: the ID itself,
-// or "anonymous" for unauthenticated submissions, so the label is never
-// empty. Tenant IDs come from the bounded -tenants config file, keeping
-// the label's cardinality bounded too.
-func tenantLabel(t string) string {
-	if t == "" {
-		return "anonymous"
-	}
-	return t
-}
-
 // New starts a manager serving the given pools and their workers.
 func New(pools []Pool, opts ...Option) (*Manager, error) {
 	cfg := managerConfig{storeSize: 1024}
@@ -750,7 +739,7 @@ func (m *Manager) Submit(req Request) (string, error) {
 	if m.treg != nil && req.Tenant != "" {
 		if t, known := m.treg.Lookup(req.Tenant); known && t.MaxQueued > 0 {
 			if ts := m.tenants[req.Tenant]; ts != nil && ts.queued >= t.MaxQueued {
-				m.mx.rejected.With(tenantLabel(req.Tenant), "queued_quota").Inc()
+				m.mx.rejected.With(tenant.Label(req.Tenant), "queued_quota").Inc()
 				return "", fmt.Errorf("%w: tenant %q has %d jobs queued (max %d)",
 					ErrQuotaExceeded, req.Tenant, ts.queued, t.MaxQueued)
 			}
@@ -777,7 +766,7 @@ func (m *Manager) Submit(req Request) (string, error) {
 		j.span = m.tracer.StartRemote("job", req.Parent)
 		j.span.SetAttr("job_id", j.id)
 		j.span.SetAttr("backend", j.backend)
-		j.span.SetAttr("tenant", tenantLabel(j.tenant))
+		j.span.SetAttr("tenant", tenant.Label(j.tenant))
 		j.traceID = j.span.Context().TraceID
 		j.queueSpan = j.span.StartChild("queue-wait")
 	}
@@ -850,7 +839,7 @@ func (m *Manager) gaugeQueueDepthLocked(p *pool) {
 
 // gaugeInflightLocked re-samples the tenant's in-flight executions gauge.
 func (m *Manager) gaugeInflightLocked(tenantID string) {
-	m.mx.inflight.With(tenantLabel(tenantID)).Set(float64(m.tstateLocked(tenantID).runningExecs))
+	m.mx.inflight.With(tenant.Label(tenantID)).Set(float64(m.tstateLocked(tenantID).runningExecs))
 }
 
 // tstateLocked returns the tenant's runtime state, creating it lazily.
@@ -1197,7 +1186,7 @@ func (m *Manager) moveLocked(j *jobState, to State, at time.Time, res *tilt.Resu
 	}
 
 	ts := m.tstateLocked(j.tenant)
-	tl := tenantLabel(j.tenant)
+	tl := tenant.Label(j.tenant)
 	switch from {
 	case stateNew:
 		m.stats.Submitted++
@@ -1260,7 +1249,7 @@ func (m *Manager) finishLocked(j *jobState, from State, at time.Time, res *tilt.
 		case StateCancelled:
 			m.stats.Cancelled++
 		}
-		tl := tenantLabel(j.tenant)
+		tl := tenant.Label(j.tenant)
 		m.mx.finished.With(j.backend, string(j.state), tl).Inc()
 		if from == StateQueued && j.state == StateFailed {
 			// A queued job fails only by outliving its TTL.

@@ -144,6 +144,8 @@ func WithoutSync() Option {
 
 // WithMetrics instruments the journal against the registry: append, fsync,
 // and replay counters, torn-tail truncations, and segment/byte gauges.
+// Without it (or with a nil registry) the journal books into a private
+// registry.
 func WithMetrics(r *metrics.Registry) Option {
 	return func(j *Journal) { j.mx = newInstruments(r) }
 }
@@ -160,7 +162,12 @@ type instruments struct {
 	bytes     *metrics.Gauge      // linq_journal_active_segment_bytes
 }
 
+// newInstruments resolves the journal's families in r; a nil registry
+// means a private one.
 func newInstruments(r *metrics.Registry) *instruments {
+	if r == nil {
+		r = metrics.NewRegistry()
+	}
 	return &instruments{
 		appends: r.CounterVec("linq_journal_appends_total",
 			"Records appended to the write-ahead job journal, by record op.", "op"),
@@ -220,6 +227,7 @@ func Open(dir string, opts ...Option) (*Journal, error) {
 	j := &Journal{
 		dir:      dir,
 		segBytes: 4 << 20,
+		mx:       newInstruments(nil),
 		spans:    make(map[string]*jobSpan),
 		segIDs:   make(map[int]map[string]bool),
 	}
@@ -252,10 +260,8 @@ func Open(dir string, opts ...Option) (*Journal, error) {
 	}
 	j.f = f
 	j.segIDs[j.seq] = make(map[string]bool)
-	if j.mx != nil {
-		j.mx.segments.Set(float64(len(seqs) + 1))
-		j.mx.bytes.Set(0)
-	}
+	j.mx.segments.Set(float64(len(seqs) + 1))
+	j.mx.bytes.Set(0)
 	return j, nil
 }
 
@@ -277,9 +283,7 @@ func (j *Journal) Replay(fn func(Record) error) error {
 	j.replayable = nil
 	j.mu.Unlock()
 	for _, rec := range recs {
-		if j.mx != nil {
-			j.mx.replayed.With(string(rec.Op)).Inc()
-		}
+		j.mx.replayed.With(string(rec.Op)).Inc()
 		if err := fn(rec); err != nil {
 			return err
 		}
@@ -319,15 +323,11 @@ func (j *Journal) Append(rec Record) error {
 		if err := j.f.Sync(); err != nil {
 			return fmt.Errorf("journal: fsync: %w", err)
 		}
-		if j.mx != nil {
-			j.mx.fsyncs.Inc()
-		}
+		j.mx.fsyncs.Inc()
 	}
 	j.trackLocked(j.seq, rec)
-	if j.mx != nil {
-		j.mx.appends.With(string(rec.Op)).Inc() //lint:lockorder-exempt Journal.mu is the outer lock; metrics family.mu is a leaf never held across journal calls
-		j.mx.bytes.Set(float64(j.size))
-	}
+	j.mx.appends.With(string(rec.Op)).Inc() //lint:lockorder-exempt Journal.mu is the outer lock; metrics family.mu is a leaf never held across journal calls
+	j.mx.bytes.Set(float64(j.size))
 	if j.size >= j.segBytes {
 		if err := j.rotateLocked(); err != nil {
 			return err
@@ -347,9 +347,7 @@ func (j *Journal) Sync() error {
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("journal: fsync: %w", err)
 	}
-	if j.mx != nil {
-		j.mx.fsyncs.Inc()
-	}
+	j.mx.fsyncs.Inc()
 	return nil
 }
 
@@ -390,9 +388,7 @@ func (j *Journal) Checkpoint(recs []Record) error {
 		if err := j.f.Sync(); err != nil {
 			return fmt.Errorf("journal: fsync: %w", err)
 		}
-		if j.mx != nil {
-			j.mx.fsyncs.Inc()
-		}
+		j.mx.fsyncs.Inc()
 	}
 	// The checkpoint supersedes all history: reset the tracking state to
 	// the checkpointed records alone, then drop the old segments.
@@ -400,9 +396,7 @@ func (j *Journal) Checkpoint(recs []Record) error {
 	j.segIDs = map[int]map[string]bool{j.seq: make(map[string]bool)}
 	for _, rec := range recs {
 		j.trackLocked(j.seq, rec)
-		if j.mx != nil {
-			j.mx.appends.With(string(rec.Op)).Inc()
-		}
+		j.mx.appends.With(string(rec.Op)).Inc()
 	}
 	removed := 0
 	for seq := 1; seq < j.seq; seq++ {
@@ -413,13 +407,9 @@ func (j *Journal) Checkpoint(recs []Record) error {
 			return fmt.Errorf("journal: checkpoint: %w", err)
 		}
 	}
-	if j.mx != nil {
-		if removed > 0 {
-			j.mx.compacted.Add(int64(removed))
-		}
-		j.mx.segments.Set(1)
-		j.mx.bytes.Set(float64(j.size))
-	}
+	j.mx.compacted.Add(int64(removed))
+	j.mx.segments.Set(1)
+	j.mx.bytes.Set(float64(j.size))
 	return nil
 }
 
@@ -478,9 +468,7 @@ func (j *Journal) rotateLocked() error {
 		if err := j.f.Sync(); err != nil {
 			return fmt.Errorf("journal: fsync: %w", err)
 		}
-		if j.mx != nil {
-			j.mx.fsyncs.Inc()
-		}
+		j.mx.fsyncs.Inc()
 	}
 	if err := j.f.Close(); err != nil {
 		return fmt.Errorf("journal: rotate: %w", err)
@@ -494,14 +482,8 @@ func (j *Journal) rotateLocked() error {
 	j.size = 0
 	j.segIDs[j.seq] = make(map[string]bool)
 	j.compactLocked()
-	if j.mx != nil {
-		segs := 0
-		for range j.segIDs {
-			segs++
-		}
-		j.mx.segments.Set(float64(segs))
-		j.mx.bytes.Set(0)
-	}
+	j.mx.segments.Set(float64(len(j.segIDs)))
+	j.mx.bytes.Set(0)
 	return nil
 }
 
@@ -559,9 +541,7 @@ func (j *Journal) compactLocked() {
 			}
 		}
 		delete(j.segIDs, seq)
-		if j.mx != nil {
-			j.mx.compacted.Inc()
-		}
+		j.mx.compacted.Inc()
 	}
 }
 
@@ -601,13 +581,9 @@ func (j *Journal) scanSegment(seq int) ([]Record, error) {
 		if err := os.Truncate(path, good); err != nil {
 			return nil, fmt.Errorf("journal: truncate torn tail of %s: %w", path, err)
 		}
-		if j.mx != nil {
-			j.mx.truncated.Inc()
-		}
+		j.mx.truncated.Inc()
 	}
-	if skipped > 0 && j.mx != nil {
-		j.mx.skipped.Add(int64(skipped))
-	}
+	j.mx.skipped.Add(int64(skipped))
 	return recs, nil
 }
 

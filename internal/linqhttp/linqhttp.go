@@ -22,6 +22,7 @@ import (
 
 	tilt "repro"
 	"repro/internal/jobs"
+	"repro/internal/metrics"
 	"repro/internal/qasm"
 	"repro/internal/tenant"
 	"repro/internal/tracing"
@@ -77,23 +78,21 @@ var Version = sync.OnceValue(func() string {
 // Server wires the job manager and the metrics registry into HTTP
 // handlers. Create one with NewServer and mount Routes.
 type Server struct {
-	mgr      *jobs.Manager
-	reg      *tilt.MetricsRegistry
-	tenants  *tenant.Registry // nil = open deployment, no auth
-	tracer   *tracing.Tracer  // nil = tracing off
-	logger   *slog.Logger     // nil = no access log
-	start    time.Time
-	httpReqs httpCounter
-	authFail counter1 // linq_tenant_auth_failures_total{reason}
-	throttle counter1 // linq_tenant_throttled_total{tenant}
+	mgr     *jobs.Manager
+	reg     *tilt.MetricsRegistry
+	tenants *tenant.Registry // nil = open deployment, no auth
+	tracer  *tracing.Tracer  // nil = tracing off
+	logger  *slog.Logger     // nil = no access log
+	start   time.Time
+	mx      instruments
 }
 
-// httpCounter abstracts the request counter so handlers don't care about
-// the metrics package's concrete vec type.
-type httpCounter func(route string, code int, tenantID string)
-
-// counter1 is a one-label counter increment.
-type counter1 func(label string)
+// instruments holds the server's pre-resolved metric handles.
+type instruments struct {
+	requests *metrics.CounterVec // linq_http_requests_total{route,code,tenant}
+	authFail *metrics.CounterVec // linq_tenant_auth_failures_total{reason}
+	throttle *metrics.CounterVec // linq_tenant_throttled_total{tenant}
+}
 
 // ServerOption configures a Server.
 type ServerOption func(*Server)
@@ -127,21 +126,18 @@ func WithLogger(l *slog.Logger) ServerOption {
 // NewServer returns the HTTP layer over the manager, instrumenting every
 // request into the registry.
 func NewServer(mgr *jobs.Manager, reg *tilt.MetricsRegistry, opts ...ServerOption) *Server {
-	vec := reg.CounterVec("linq_http_requests_total",
-		"HTTP requests served, by route, status code, and tenant.", "route", "code", "tenant")
-	authVec := reg.CounterVec("linq_tenant_auth_failures_total",
-		"Requests refused by tenant authentication, by reason.", "reason")
-	throttleVec := reg.CounterVec("linq_tenant_throttled_total",
-		"Submissions deferred by a tenant's rate limit.", "tenant")
 	s := &Server{
 		mgr:   mgr,
 		reg:   reg,
 		start: time.Now(),
-		httpReqs: func(route string, code int, tenantID string) {
-			vec.With(route, statusLabel(code), tenantLabel(tenantID)).Inc()
+		mx: instruments{
+			requests: reg.CounterVec("linq_http_requests_total",
+				"HTTP requests served, by route, status code, and tenant.", "route", "code", "tenant"),
+			authFail: reg.CounterVec("linq_tenant_auth_failures_total",
+				"Requests refused by tenant authentication, by reason.", "reason"),
+			throttle: reg.CounterVec("linq_tenant_throttled_total",
+				"Submissions deferred by a tenant's rate limit.", "tenant"),
 		},
-		authFail: func(reason string) { authVec.With(reason).Inc() },
-		throttle: func(id string) { throttleVec.With(id).Inc() },
 	}
 	for _, o := range opts {
 		o(s)
@@ -149,13 +145,9 @@ func NewServer(mgr *jobs.Manager, reg *tilt.MetricsRegistry, opts ...ServerOptio
 	return s
 }
 
-// tenantLabel mirrors the jobs package's label mapping: tenant IDs come
-// from the bounded -tenants file, the empty ID reads "anonymous".
-func tenantLabel(id string) string {
-	if id == "" {
-		return "anonymous"
-	}
-	return id
+// countRequest books one served request into linq_http_requests_total.
+func (s *Server) countRequest(r *http.Request, route string, code int) {
+	s.mx.requests.With(route, statusLabel(code), tenant.Label(tenantID(r))).Inc()
 }
 
 // statusLabel maps an HTTP status onto a fixed label vocabulary: the exact
@@ -281,7 +273,7 @@ func (s *Server) observe(route string, next http.HandlerFunc) http.HandlerFunc {
 		}
 		if span != nil {
 			span.SetAttr("status", statusLabel(sw.status))
-			span.SetAttr("tenant", tenantLabel(sw.tenant))
+			span.SetAttr("tenant", tenant.Label(sw.tenant))
 			span.End()
 		}
 		if s.logger != nil {
@@ -290,7 +282,7 @@ func (s *Server) observe(route string, next http.HandlerFunc) http.HandlerFunc {
 				slog.String("method", r.Method),
 				slog.String("path", r.URL.Path),
 				slog.Int("status", sw.status),
-				slog.String("tenant", tenantLabel(sw.tenant)),
+				slog.String("tenant", tenant.Label(sw.tenant)),
 				slog.String("trace_id", traceID),
 				slog.Duration("duration", time.Since(start)),
 			)
@@ -334,7 +326,7 @@ func (s *Server) auth(route string, rateLimit bool, next http.HandlerFunc) http.
 		}
 		key := apiKey(r)
 		if key == "" {
-			s.authFail("missing_key")
+			s.mx.authFail.With("missing_key").Inc()
 			w.Header().Set("WWW-Authenticate", `Bearer realm="linqd"`)
 			s.writeError(w, r, route, http.StatusUnauthorized, CodeUnauthorized,
 				"missing API key: pass Authorization: Bearer <key> (or X-API-Key)", nil)
@@ -343,11 +335,11 @@ func (s *Server) auth(route string, rateLimit bool, next http.HandlerFunc) http.
 		t, err := s.tenants.Authenticate(key)
 		switch {
 		case errors.Is(err, tenant.ErrForbidden):
-			s.authFail("disabled")
+			s.mx.authFail.With("disabled").Inc()
 			s.writeError(w, r, route, http.StatusForbidden, CodeForbidden, err.Error(), nil)
 			return
 		case err != nil:
-			s.authFail("unknown_key")
+			s.mx.authFail.With("unknown_key").Inc()
 			w.Header().Set("WWW-Authenticate", `Bearer realm="linqd"`)
 			s.writeError(w, r, route, http.StatusUnauthorized, CodeUnauthorized, err.Error(), nil)
 			return
@@ -355,7 +347,7 @@ func (s *Server) auth(route string, rateLimit bool, next http.HandlerFunc) http.
 		// An asserted tenant identity must match the key's owner — catches
 		// a client wired with one tenant's URI and another tenant's key.
 		if want := r.Header.Get("X-Linq-Tenant"); want != "" && want != t.ID {
-			s.authFail("tenant_mismatch")
+			s.mx.authFail.With("tenant_mismatch").Inc()
 			s.writeError(w, r, route, http.StatusForbidden, CodeForbidden,
 				fmt.Sprintf("API key does not belong to tenant %q", want), nil)
 			return
@@ -366,7 +358,7 @@ func (s *Server) auth(route string, rateLimit bool, next http.HandlerFunc) http.
 		}
 		if rateLimit {
 			if ok, retry := s.tenants.Allow(t.ID, time.Now()); !ok {
-				s.throttle(t.ID)
+				s.mx.throttle.With(t.ID).Inc()
 				secs := int64(retry / time.Second)
 				if secs < 1 {
 					secs = 1
@@ -561,7 +553,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.logger.Info("job accepted",
 			slog.String("job", id),
 			slog.String("backend", req.Backend),
-			slog.String("tenant", tenantLabel(tenantID(r))),
+			slog.String("tenant", tenant.Label(tenantID(r))),
 			slog.String("trace_id", tracing.FromContext(r.Context()).Context().TraceID),
 		)
 	}
@@ -743,7 +735,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// before the first event exists.
 	fmt.Fprint(w, ": stream open\n\n")
 	fl.Flush()
-	s.httpReqs(route, http.StatusOK, tenantID(r))
+	s.countRequest(r, route, http.StatusOK)
 
 	heartbeat := time.NewTicker(eventsHeartbeat)
 	defer heartbeat.Stop()
@@ -772,7 +764,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	_ = s.reg.WritePrometheus(w)
-	s.httpReqs("metrics", http.StatusOK, tenantID(r))
+	s.countRequest(r, "metrics", http.StatusOK)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -793,7 +785,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, route string,
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
-	s.httpReqs(route, code, tenantID(r))
+	s.countRequest(r, route, code)
 }
 
 func (s *Server) writeError(w http.ResponseWriter, r *http.Request, route string, status int, code, msg string, extra map[string]any) {

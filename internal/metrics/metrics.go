@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -100,20 +99,29 @@ func (r *Registry) get(name, help, typ string, labels []string, buckets []float6
 }
 
 // child returns the family's child for the label values, creating it with
-// make on first use.
-func (f *family) child(values []string, make func() metric) metric {
+// make on first use. A hit allocates nothing: the key is built in a stack
+// buffer, and make gets a copy of values, so the variadic slice of a
+// Vec.With call never escapes.
+func (f *family) child(values []string, make func(vals []string) metric) metric {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("metrics: %s expects %d label values, got %d", f.name, len(f.labels), len(values)))
 	}
-	key := strings.Join(values, "\x00")
+	var buf [128]byte
+	key := buf[:0]
+	for i, v := range values {
+		if i > 0 {
+			key = append(key, 0)
+		}
+		key = append(key, v...)
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if m, ok := f.children[key]; ok {
+	if m, ok := f.children[string(key)]; ok {
 		return m
 	}
-	m := make()
-	f.children[key] = m
-	f.order = append(f.order, key)
+	k, m := string(key), make(append([]string(nil), values...))
+	f.children[k] = m
+	f.order = append(f.order, k)
 	return m
 }
 
@@ -143,7 +151,7 @@ func (c *Counter) Value() int64 { return c.n.Load() }
 // use.
 func (r *Registry) Counter(name, help string) *Counter {
 	f := r.get(name, help, "counter", nil, nil)
-	return f.child(nil, func() metric { return &Counter{} }).(*Counter)
+	return f.child(nil, func([]string) metric { return &Counter{} }).(*Counter)
 }
 
 // CounterVec is a counter family with labeled children.
@@ -158,7 +166,7 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 // With returns the child counter for the label values, creating it on first
 // use.
 func (v *CounterVec) With(values ...string) *Counter {
-	return v.f.child(values, func() metric { return &Counter{vals: values} }).(*Counter)
+	return v.f.child(values, func(vals []string) metric { return &Counter{vals: vals} }).(*Counter)
 }
 
 // Gauge is a value that can go up and down, stored as a float64.
@@ -195,7 +203,7 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // Gauge returns the unlabeled gauge named name, creating it on first use.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	f := r.get(name, help, "gauge", nil, nil)
-	return f.child(nil, func() metric { return &Gauge{} }).(*Gauge)
+	return f.child(nil, func([]string) metric { return &Gauge{} }).(*Gauge)
 }
 
 // GaugeVec is a gauge family with labeled children.
@@ -210,7 +218,7 @@ func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 // With returns the child gauge for the label values, creating it on first
 // use.
 func (v *GaugeVec) With(values ...string) *Gauge {
-	return v.f.child(values, func() metric { return &Gauge{vals: values} }).(*Gauge)
+	return v.f.child(values, func(vals []string) metric { return &Gauge{vals: vals} }).(*Gauge)
 }
 
 // DefBuckets are the default histogram bucket upper bounds, in seconds —
@@ -272,7 +280,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 		buckets = DefBuckets
 	}
 	f := r.get(name, help, "histogram", nil, buckets)
-	return f.child(nil, func() metric { return newHistogram(nil, f.buckets) }).(*Histogram)
+	return f.child(nil, func([]string) metric { return newHistogram(nil, f.buckets) }).(*Histogram)
 }
 
 // HistogramVec is a histogram family with labeled children sharing one
@@ -291,5 +299,5 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...
 // With returns the child histogram for the label values, creating it on
 // first use.
 func (v *HistogramVec) With(values ...string) *Histogram {
-	return v.f.child(values, func() metric { return newHistogram(values, v.f.buckets) }).(*Histogram)
+	return v.f.child(values, func(vals []string) metric { return newHistogram(vals, v.f.buckets) }).(*Histogram)
 }

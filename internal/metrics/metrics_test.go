@@ -171,3 +171,24 @@ func TestConcurrentInstruments(t *testing.T) {
 		t.Errorf("vec child = %d, want %d", got, total)
 	}
 }
+
+// TestWithHitAllocsNothing pins the hot-path contract: looking up an
+// existing labeled child allocates nothing, for every Vec kind.
+func TestWithHitAllocsNothing(t *testing.T) {
+	r := NewRegistry()
+	cv := r.CounterVec("hits_total", "hits", "backend", "status")
+	gv := r.GaugeVec("inflight", "in flight", "tenant")
+	hv := r.HistogramVec("lat_seconds", "latency", nil, "backend")
+	cv.With("TILT", "ok")
+	gv.With("acme")
+	hv.With("QCCD")
+	for name, f := range map[string]func(){
+		"CounterVec":   func() { cv.With("TILT", "ok").Inc() },
+		"GaugeVec":     func() { gv.With("acme").Inc() },
+		"HistogramVec": func() { hv.With("QCCD").Observe(0.01) },
+	} {
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("%s.With hit: %v allocs, want 0", name, n)
+		}
+	}
+}

@@ -181,6 +181,17 @@ func (r *Registry) Authenticate(key string) (Tenant, error) {
 	return t, nil
 }
 
+// Label maps a tenant ID onto its metric label value: the ID itself, or
+// "anonymous" for unauthenticated submissions, so the label is never
+// empty. Tenant IDs come from the bounded -tenants config file, keeping
+// the label's cardinality bounded too.
+func Label(id string) string {
+	if id == "" {
+		return "anonymous"
+	}
+	return id
+}
+
 // Lookup returns the tenant declaration by ID.
 func (r *Registry) Lookup(id string) (Tenant, bool) {
 	if s, ok := r.byID[id]; ok {

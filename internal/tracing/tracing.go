@@ -296,19 +296,27 @@ func WithExporter(e Exporter) Option {
 
 // WithMetrics instruments the tracer against the registry: finished-span
 // and dropped-span counters and the stored-trace gauge, under the
-// linq_trace_* families.
+// linq_trace_* families. Without it (or with a nil registry) the tracer
+// books into a private registry.
 func WithMetrics(r *metrics.Registry) Option {
-	return func(t *Tracer) {
-		t.mx = &instruments{
-			finished: r.CounterVec("linq_trace_spans_finished_total",
-				"Spans finished, by emitting service.", "service"),
-			dropped: r.Counter("linq_trace_spans_dropped_total",
-				"Finished spans dropped because their trace hit the per-trace span bound."),
-			evicted: r.Counter("linq_trace_evicted_total",
-				"Traces evicted from the bounded in-memory store."),
-			stored: r.Gauge("linq_trace_stored_traces",
-				"Traces currently retained in the in-memory store."),
-		}
+	return func(t *Tracer) { t.mx = newInstruments(r) }
+}
+
+// newInstruments resolves the tracer's families in r; a nil registry means
+// a private one.
+func newInstruments(r *metrics.Registry) *instruments {
+	if r == nil {
+		r = metrics.NewRegistry()
+	}
+	return &instruments{
+		finished: r.CounterVec("linq_trace_spans_finished_total",
+			"Spans finished, by emitting service.", "service"),
+		dropped: r.Counter("linq_trace_spans_dropped_total",
+			"Finished spans dropped because their trace hit the per-trace span bound."),
+		evicted: r.Counter("linq_trace_evicted_total",
+			"Traces evicted from the bounded in-memory store."),
+		stored: r.Gauge("linq_trace_stored_traces",
+			"Traces currently retained in the in-memory store."),
 	}
 }
 
@@ -319,6 +327,7 @@ func New(service string, opts ...Option) *Tracer {
 		maxTraces: 512,
 		maxSpans:  1024,
 		traces:    make(map[string]*storedTrace),
+		mx:        newInstruments(nil),
 	}
 	for _, o := range opts {
 		o(t)
@@ -381,27 +390,19 @@ func (t *Tracer) finish(d SpanData) {
 			evict := t.order[0]
 			t.order = t.order[1:]
 			delete(t.traces, evict)
-			if t.mx != nil {
-				t.mx.evicted.Inc()
-			}
+			t.mx.evicted.Inc()
 		}
-		if t.mx != nil {
-			t.mx.stored.Set(float64(len(t.order)))
-		}
+		t.mx.stored.Set(float64(len(t.order)))
 	}
 	if len(tr.spans) >= t.maxSpans {
 		tr.dropped++
 		t.mu.Unlock()
-		if t.mx != nil {
-			t.mx.dropped.Inc()
-		}
+		t.mx.dropped.Inc()
 		return
 	}
 	tr.spans = append(tr.spans, d)
 	t.mu.Unlock()
-	if t.mx != nil {
-		t.mx.finished.With(t.service).Inc()
-	}
+	t.mx.finished.With(t.service).Inc()
 	if t.exporter != nil {
 		t.exporter.ExportSpan(d)
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -396,4 +397,61 @@ func nextEventAny(t *testing.T, events <-chan sseEvent) sseEvent {
 		t.Fatal("no SSE frame within deadline")
 	}
 	return sseEvent{}
+}
+
+// TestTelemetryNeverChangesResults runs every backend kind with and without
+// a metrics registry: booking telemetry must not move a single result
+// field apart from the wall-clock pass timings.
+func TestTelemetryNeverChangesResults(t *testing.T) {
+	c := tilt.GHZ(8).Circuit
+	device := tilt.WithDevice(8, 4)
+	cases := map[string]func(opts []tilt.Option, popts []tilt.PoolOption) (tilt.Backend, error){
+		"TILT+shots": func(opts []tilt.Option, _ []tilt.PoolOption) (tilt.Backend, error) {
+			return tilt.NewTILT(append(opts, device, tilt.WithShots(200), tilt.WithSeed(7))...), nil
+		},
+		"QCCD": func(opts []tilt.Option, _ []tilt.PoolOption) (tilt.Backend, error) {
+			return tilt.NewQCCD(opts...), nil
+		},
+		"IdealTI": func(opts []tilt.Option, _ []tilt.PoolOption) (tilt.Backend, error) {
+			return tilt.NewIdealTI(opts...), nil
+		},
+		"Pool": func(opts []tilt.Option, popts []tilt.PoolOption) (tilt.Backend, error) {
+			opts = append(opts, device)
+			return tilt.Pool([]tilt.Backend{tilt.NewTILT(opts...), tilt.NewTILT(opts...)}, popts...)
+		},
+	}
+	for name, build := range cases {
+		t.Run(name, func(t *testing.T) {
+			run := func(opts []tilt.Option, popts []tilt.PoolOption) *tilt.Result {
+				b, err := build(opts, popts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := tilt.Execute(context.Background(), b, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.TILT != nil {
+					res.TILT.TSwap, res.TILT.TMove = 0, 0
+					for i := range res.TILT.Passes {
+						res.TILT.Passes[i].Wall = 0
+					}
+				}
+				return res
+			}
+			reg := tilt.NewMetricsRegistry()
+			with := run([]tilt.Option{tilt.WithMetrics(reg)}, []tilt.PoolOption{tilt.PoolWithMetrics(reg)})
+			without := run(nil, nil)
+			if !reflect.DeepEqual(with, without) {
+				t.Fatalf("telemetry changed the result:\nwith    %+v\nwithout %+v", with, without)
+			}
+			var buf bytes.Buffer
+			if err := reg.WritePrometheus(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(buf.String(), "linq_compiles_total{") {
+				t.Fatalf("registry recorded no compiles:\n%s", buf.String())
+			}
+		})
+	}
 }

@@ -56,10 +56,9 @@ type config struct {
 	observer pipeline.Observer
 	// cacheSize bounds the compile cache (WithCompileCache; 0 = disabled).
 	cacheSize int
-	// metrics is the telemetry registry (WithMetrics; nil = no telemetry).
-	metrics *metrics.Registry
-	// mx caches the resolved instrument handles for the hot paths; built
-	// once in newConfig so Compile/Simulate never take the registry lock.
+	// mx holds the resolved instrument handles for the hot paths, so
+	// Compile/Simulate never take the registry lock. They book into the
+	// WithMetrics registry, or else into a private one.
 	mx *backendInstruments
 }
 
@@ -78,8 +77,11 @@ type backendInstruments struct {
 }
 
 // newBackendInstruments resolves (get-or-create) every backend family in
-// the registry.
+// the registry; a nil registry means a private one.
 func newBackendInstruments(r *metrics.Registry) *backendInstruments {
+	if r == nil {
+		r = metrics.NewRegistry()
+	}
 	return &backendInstruments{
 		compiles: r.CounterVec("linq_compiles_total",
 			"Compilations executed (cache misses and uncached compiles).", "backend"),
@@ -150,12 +152,10 @@ func newConfig(opts []Option) config {
 			Placement: mapping.ProgramOrderPlacement,
 			Inserter:  swapins.LinQ{},
 		},
+		mx: newBackendInstruments(nil),
 	}
 	for _, o := range opts {
 		o(&cfg)
-	}
-	if cfg.metrics != nil {
-		cfg.mx = newBackendInstruments(cfg.metrics)
 	}
 	return cfg
 }
@@ -291,9 +291,10 @@ func WithPassObserver(obs PassObserver) Option {
 // throughput all record into shared linq_* metric families. One registry can
 // be shared by any number of backends (series carry a backend label) and by
 // the runner and jobs layers; expose it with MetricsRegistry.WritePrometheus.
-// A nil registry disables telemetry (the default).
+// Without it (or with a nil registry) the backend books into a private
+// registry.
 func WithMetrics(r *MetricsRegistry) Option {
-	return func(c *config) { c.metrics = r }
+	return func(c *config) { c.mx = newBackendInstruments(r) }
 }
 
 // WithCompileCache bounds a per-backend content-addressed compile cache to n

@@ -162,7 +162,8 @@ func PoolWithName(name string) PoolOption {
 // endpoint-failure and breaker-trip counters, open-breaker/in-flight
 // gauges, and the linq_fleet_* live-routing families (sampled queue depth,
 // hedges fired and won, admission refusals), all labeled by member backend
-// name.
+// name. Without it (or with a nil registry) the pool books into a private
+// registry.
 func PoolWithMetrics(r *MetricsRegistry) PoolOption {
 	return func(p *PoolBackend) { p.mx = newPoolInstruments(r) }
 }
@@ -181,7 +182,12 @@ type poolInstruments struct {
 	saturated *metrics.Counter    // linq_fleet_saturated_total
 }
 
+// newPoolInstruments resolves the pool's families in r; a nil registry means
+// a private one.
 func newPoolInstruments(r *metrics.Registry) *poolInstruments {
+	if r == nil {
+		r = metrics.NewRegistry()
+	}
 	return &poolInstruments{
 		picks: r.CounterVec("linq_pool_picks_total",
 			"Pool routing decisions, by member endpoint.", "endpoint"),
@@ -229,6 +235,7 @@ func Pool(members []Backend, opts ...PoolOption) (*PoolBackend, error) {
 		cooldown:      15 * time.Second,
 		sampleEvery:   500 * time.Millisecond,
 		healthTimeout: 2 * time.Second,
+		mx:            newPoolInstruments(nil),
 	}
 	for i, b := range members {
 		if b == nil {
@@ -409,9 +416,7 @@ func (p *PoolBackend) sampleOnce() {
 			defer cancel()
 			rh, err := hr.Health(ctx)
 			if err != nil {
-				if p.mx != nil {
-					p.mx.sampleErr.With(m.b.Name()).Inc()
-				}
+				p.mx.sampleErr.With(m.b.Name()).Inc()
 				return
 			}
 			target := ""
@@ -423,9 +428,7 @@ func (p *PoolBackend) sampleOnce() {
 			m.mu.Lock()
 			m.sample = s
 			m.mu.Unlock()
-			if p.mx != nil {
-				p.mx.depth.With(m.b.Name()).Set(float64(s.queued))
-			}
+			p.mx.depth.With(m.b.Name()).Set(float64(s.queued))
 		}(m, hr)
 	}
 	wg.Wait()
@@ -482,9 +485,7 @@ func (p *PoolBackend) admit() error {
 			return nil
 		}
 	}
-	if p.mx != nil {
-		p.mx.saturated.Inc()
-	}
+	p.mx.saturated.Inc()
 	return ErrFleetSaturated
 }
 
@@ -500,9 +501,7 @@ func (p *PoolBackend) Compile(ctx context.Context, c *Circuit) (*Artifact, error
 		return nil, err
 	}
 	primary := p.pick(nil)
-	if p.mx != nil {
-		p.mx.picks.With(primary.b.Name()).Inc()
-	}
+	p.mx.picks.With(primary.b.Name()).Inc()
 	var (
 		a   *Artifact
 		m   *poolMember
@@ -733,9 +732,7 @@ func hedgedCall[T any](ctx context.Context, p *PoolBackend, primary, backup *poo
 	hedged := false
 	launchHedge := func() {
 		hedged = true
-		if p.mx != nil {
-			p.mx.hedges.With(backup.b.Name()).Inc()
-		}
+		p.mx.hedges.With(backup.b.Name()).Inc()
 		go attempt(bctx, backup)
 	}
 
@@ -761,7 +758,7 @@ func hedgedCall[T any](ctx context.Context, p *PoolBackend, primary, backup *poo
 				// First success wins; cancel the other attempt promptly.
 				cancelPrimary()
 				cancelBackup()
-				if hedged && r.m == backup && p.mx != nil {
+				if hedged && r.m == backup {
 					p.mx.hedgeWins.With(backup.b.Name()).Inc()
 				}
 				return r.out, r.m, nil
@@ -790,16 +787,12 @@ func hedgedCall[T any](ctx context.Context, p *PoolBackend, primary, backup *poo
 // parameters.)
 func poolCall[T any](p *PoolBackend, m *poolMember, fn func() (T, error)) (T, error) {
 	m.inflight.Add(1)
-	if p.mx != nil {
-		p.mx.inflight.With(m.b.Name()).Inc()
-	}
+	p.mx.inflight.With(m.b.Name()).Inc()
 	// Deferred so a panicking member (recovered upstream by the runner)
 	// cannot leave phantom in-flight load that skews least-loaded picks.
 	defer func() {
 		m.inflight.Add(-1)
-		if p.mx != nil {
-			p.mx.inflight.With(m.b.Name()).Dec()
-		}
+		p.mx.inflight.With(m.b.Name()).Dec()
 	}()
 	out, err := fn()
 	p.observe(m, err)
@@ -814,7 +807,7 @@ func (p *PoolBackend) observe(m *poolMember, err error) {
 		m.fails = 0
 		m.openUntil = time.Time{}
 		m.mu.Unlock()
-		if wasOpen && p.mx != nil {
+		if wasOpen {
 			p.mx.open.With(m.b.Name()).Set(0)
 		}
 		return
@@ -823,7 +816,7 @@ func (p *PoolBackend) observe(m *poolMember, err error) {
 	if !drain && !fault {
 		return // circuit-level or caller-cancelled: not the endpoint's fault
 	}
-	if p.mx != nil && fault {
+	if fault {
 		p.mx.failures.With(m.b.Name()).Inc()
 	}
 	m.mu.Lock()
@@ -840,7 +833,7 @@ func (p *PoolBackend) observe(m *poolMember, err error) {
 		m.openUntil = time.Now().Add(p.cooldown)
 	}
 	m.mu.Unlock()
-	if trip && p.mx != nil {
+	if trip {
 		p.mx.trips.With(m.b.Name()).Inc()
 		p.mx.open.With(m.b.Name()).Set(1)
 	}

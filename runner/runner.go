@@ -60,7 +60,7 @@ type JobResult struct {
 // options carries the Run knobs.
 type options struct {
 	workers int
-	mx      *instruments
+	reg     *metrics.Registry
 }
 
 // Option configures a batch run.
@@ -76,8 +76,10 @@ func WithWorkers(n int) Option {
 // counters by backend and outcome (linq_runner_jobs_total) and a per-backend job
 // latency histogram (linq_runner_job_seconds). Share the registry with the
 // backends' tilt.WithMetrics to expose the whole stack through one scrape.
+// Without it (or with a nil registry) the batch books into a private
+// registry.
 func WithMetrics(r *tilt.MetricsRegistry) Option {
-	return func(o *options) { o.mx = newInstruments(r) }
+	return func(o *options) { o.reg = r }
 }
 
 // instruments holds the pre-resolved runner metric handles.
@@ -133,6 +135,10 @@ func Run(ctx context.Context, jobs []Job, opts ...Option) []JobResult {
 	if o.workers > len(jobs) {
 		o.workers = len(jobs)
 	}
+	if o.reg == nil {
+		o.reg = metrics.NewRegistry()
+	}
+	mx := newInstruments(o.reg)
 
 	results := make([]JobResult, len(jobs))
 	// Buffered and filled up front: every send completes immediately, so
@@ -150,7 +156,7 @@ func Run(ctx context.Context, jobs []Job, opts ...Option) []JobResult {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i] = runOne(ctx, i, jobs[i], o.mx)
+				results[i] = runOne(ctx, i, jobs[i], mx)
 			}
 		}()
 	}
@@ -172,9 +178,7 @@ func runOne(ctx context.Context, i int, j Job, mx *instruments) (res JobResult) 
 			res.Err = fmt.Errorf("runner: job %d (%q) panicked: %v\n%s", i, j.Name, r, debug.Stack())
 			res.Elapsed = time.Since(start)
 		}
-		if mx != nil {
-			mx.record(res)
-		}
+		mx.record(res)
 	}()
 	res.Backend = j.Backend.Name()
 	if err := ctx.Err(); err != nil {
