@@ -348,7 +348,7 @@ func (b *TILTBackend) Simulate(ctx context.Context, a *Artifact) (*Result, error
 
 // runMC runs the Monte-Carlo cross-check over a compiled TILT artifact: the
 // clean-trajectory probability always, and the statevector fidelity estimate
-// when the chain fits the dense simulator.
+// when the chain fits the dense simulator, both in one pool of MC workers.
 func runMC(ctx context.Context, a *Artifact) (*MCStats, error) {
 	a.mcMu.Lock()
 	cached := a.mcStats
@@ -368,18 +368,15 @@ func runMC(ctx context.Context, a *Artifact) (*MCStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	stats := &MCStats{Shots: a.cfg.shots, Seed: a.cfg.seed}
-	stats.CleanProbability, stats.CleanStderr, err = eng.CleanProbability(ctx, a.cfg.shots, a.cfg.seed)
+	withState := a.cfg.core.Device.NumIons <= mc.MaxStateFidelityIons
+	est, err := eng.Estimate(ctx, a.cfg.shots, a.cfg.seed, withState)
 	if err != nil {
 		return nil, err
 	}
-	if a.cfg.core.Device.NumIons <= mc.MaxStateFidelityIons {
-		stats.StateFidelity, stats.StateFidelityStderr, err = eng.StateFidelity(ctx, a.cfg.shots, a.cfg.seed)
-		if err != nil {
-			return nil, err
-		}
-		stats.HasStateFidelity = true
-	}
+	stats := &MCStats{Shots: a.cfg.shots, Seed: a.cfg.seed,
+		CleanProbability: est.Clean, CleanStderr: est.CleanStderr,
+		StateFidelity: est.State, StateFidelityStderr: est.StateStderr,
+		HasStateFidelity: withState}
 	// Concurrent first calls may both compute; estimates are bit-identical,
 	// so last-write-wins is safe. Errors (cancellation) are never cached.
 	a.mcMu.Lock()

@@ -17,12 +17,13 @@
 //     the Eq. 4 error as a depolarizing channel, the standard reading of a
 //     gate infidelity, and gives a physical (not just combinatorial) check.
 //
-// Both estimators run on a bounded worker pool: shots are split into
+// Both estimators run on one bounded worker pool: shots are split into
 // fixed-size shards, each shard draws from its own RNG stream derived from
 // (seed, shard index), and shard statistics are merged in shard order — so
 // estimates are bit-identical for any worker count and any interleaving.
-// Build an Engine once to amortize schedule compilation across sweeps over
-// shots and seeds.
+// Estimate runs both over one pool, so the clean-probability shards
+// overlap the statevector work. Build an Engine once to amortize schedule
+// compilation across sweeps over shots and seeds.
 //
 // StateFidelity costs about one ideal pass plus the suffixes of the shots
 // that err, not shots × gates. A shot's error draws never depend on the
@@ -41,6 +42,21 @@
 // follow. The checkpoints of one call are held in a single buffer capped
 // at checkpointBytes (16 MiB): when ⌈√N⌉ of them would not fit, the stride
 // widens until they do.
+//
+// Because the draws never touch a statevector, StateFidelity runs in three
+// phases per wave of shards, one shard per worker (see run):
+//
+//  1. Each shard of the wave draws its shots' errors from its own stream.
+//     In the first wave the ideal pass (with its checkpoints) and any
+//     clean-probability shards run alongside.
+//  2. The wave's errored shots replay in parallel across the workers, each
+//     writing its fidelity into that shot's slot.
+//  3. The slots are merged with Welford in shot order within each shard,
+//     and the shards in shard order.
+//
+// A single errored shard therefore still spreads its replays over every
+// core, and a call's draw and fidelity buffers stay O(workers × shardSize)
+// whatever the shot count.
 package mc
 
 //lint:deterministic-package
@@ -50,9 +66,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/circuit"
@@ -70,7 +83,8 @@ const MaxStateFidelityIons = 16
 // it every estimate, is identical no matter how many workers run the pool.
 const shardSize = 256
 
-// cancelStride is how many shots run between context checks inside a shard.
+// cancelStride is how many shots a clean-probability shard or an error draw
+// runs between context checks. A replay checks once before it starts.
 const cancelStride = 64
 
 // gateEvent is one scheduled gate with its error probability.
@@ -88,8 +102,8 @@ type Engine struct {
 	evs     []gateEvent
 	ions    int
 	workers int
-	// obs, when set, is called after every completed shard with the shard's
-	// shot count and wall-clock time (WithShardObserver).
+	// obs, when set, is called once per completed shard and estimator with
+	// the shard's shot count and busy time (WithShardObserver).
 	obs func(shots int, elapsed time.Duration)
 }
 
@@ -103,11 +117,13 @@ func WithWorkers(n int) EngineOption {
 	return func(e *Engine) { e.workers = n }
 }
 
-// WithShardObserver registers fn to be called after every successfully
-// completed shard with that shard's shot count and wall-clock time — the
-// hook the telemetry layer uses to meter Monte-Carlo throughput. Shards run
-// concurrently, so fn must be safe for concurrent use. The observer never
-// affects the estimates.
+// WithShardObserver registers fn to be called once per estimator for every
+// successfully completed shard, with that shard's shot count and busy time
+// — the hook the telemetry layer uses to meter Monte-Carlo throughput. A
+// clean-probability shard's busy time is its wall-clock time; a
+// statevector shard's is its draws plus its replays, summed over the
+// workers that ran them. Shards run concurrently, so fn must be safe for
+// concurrent use. The observer never affects the estimates.
 func WithShardObserver(fn func(shots int, elapsed time.Duration)) EngineOption {
 	return func(e *Engine) { e.obs = fn }
 }
@@ -155,57 +171,6 @@ func shardSeed(seed int64, shard int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// forEachShard fans nShards shard indices across the engine's worker pool.
-// newWorker runs once per worker and returns that worker's shard function,
-// so workers can hold reusable buffers (statevectors) across shards. The
-// first error stops the pool; remaining shards are drained unprocessed.
-func (e *Engine) forEachShard(ctx context.Context, nShards int, newWorker func() func(shard int) error) error {
-	workers := e.workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > nShards {
-		workers = nShards
-	}
-
-	// Buffered and filled up front: every send completes immediately, so
-	// no feeder goroutine is needed — and none can be left blocked if the
-	// pool stops early on failure.
-	idx := make(chan int, nShards)
-	for i := 0; i < nShards; i++ {
-		idx <- i
-	}
-	close(idx)
-
-	var (
-		wg     sync.WaitGroup
-		failed atomic.Bool
-		first  error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		//lint:allochot-exempt one closure per pool worker at startup, amortized over every shard it runs
-		go func() {
-			defer wg.Done()
-			run := newWorker()
-			for i := range idx {
-				if failed.Load() {
-					continue // drain the queue without working
-				}
-				if err := run(i); err != nil {
-					// The CAS admits exactly one goroutine, so `first` has
-					// a single writer; wg.Wait orders it before the read.
-					if failed.CompareAndSwap(false, true) {
-						first = err
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return first
-}
-
 // shardShots returns how many of the batch's shots fall in one shard (a
 // shard is identified only by its RNG stream, not by a shot offset).
 func shardShots(shots, shard int) int {
@@ -215,55 +180,30 @@ func shardShots(shots, shard int) int {
 	return shardSize
 }
 
+// Estimates holds the results of one Estimate call. State and StateStderr
+// stay zero unless the call asked for the statevector estimate.
+type Estimates struct {
+	Clean, CleanStderr float64
+	State, StateStderr float64
+}
+
+// Estimate runs CleanProbability and, when withState is set,
+// StateFidelity over the same shots and seed in one call. Both estimators
+// share one worker pool, so the clean-probability shards fill the gaps the
+// statevector phases leave; each estimate is bit-identical to the
+// corresponding single-estimator call.
+func (e *Engine) Estimate(ctx context.Context, shots int, seed int64, withState bool) (Estimates, error) {
+	return e.estimate(ctx, shots, seed, true, withState)
+}
+
 // CleanProbability estimates the probability that a scheduled execution
 // completes with zero error events, over the given number of shots. The
 // returned uncertainty is the Wilson score interval half-width (z = 1), so
 // it stays strictly positive even when every shot lands on the same side —
 // finite shots never justify a zero-width error bar.
 func (e *Engine) CleanProbability(ctx context.Context, shots int, seed int64) (estimate, stderr float64, err error) {
-	if shots < 1 {
-		return 0, 0, fmt.Errorf("mc: shots %d < 1", shots)
-	}
-	nShards := (shots + shardSize - 1) / shardSize
-	clean := make([]int64, nShards)
-	err = e.forEachShard(ctx, nShards, func() func(int) error {
-		return func(shard int) error {
-			start := time.Now() //lint:deterministic-exempt shard wall-clock only feeds the WithShardObserver metrics hook, never the estimate
-			rng := rand.New(rand.NewSource(shardSeed(seed, shard)))
-			count := shardShots(shots, shard)
-			n := int64(0)
-		shotLoop:
-			for s := 0; s < count; s++ {
-				if s%cancelStride == 0 {
-					if err := ctx.Err(); err != nil {
-						return err
-					}
-				}
-				for _, ev := range e.evs {
-					for r := 0; r < ev.reps; r++ {
-						if rng.Float64() < ev.p {
-							continue shotLoop
-						}
-					}
-				}
-				n++
-			}
-			clean[shard] = n
-			if e.obs != nil {
-				e.obs(count, time.Since(start)) //lint:deterministic-exempt observer-only timing; the fidelity estimate is untouched
-			}
-			return nil
-		}
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	var total int64
-	for _, n := range clean {
-		total += n
-	}
-	est := float64(total) / float64(shots)
-	return est, wilsonHalfWidth(est, shots), nil
+	est, err := e.estimate(ctx, shots, seed, true, false)
+	return est.Clean, est.CleanStderr, err
 }
 
 // StateFidelity estimates the average state fidelity |<ψ_ideal|ψ_noisy>|²
@@ -279,74 +219,8 @@ func (e *Engine) CleanProbability(ctx context.Context, shots int, seed int64) (e
 // only from the ideal checkpoint at or before its first error (see the
 // package comment for why this is bit-identical to a full replay).
 func (e *Engine) StateFidelity(ctx context.Context, shots int, seed int64) (estimate, stderr float64, err error) {
-	if shots < 1 {
-		return 0, 0, fmt.Errorf("mc: shots %d < 1", shots)
-	}
-	if e.ions > MaxStateFidelityIons {
-		return 0, 0, fmt.Errorf("mc: StateFidelity supports ≤%d ions, got %d", MaxStateFidelityIons, e.ions)
-	}
-
-	// One ideal pass, snapshotting the state before every stride-th event.
-	dim := 1 << uint(e.ions)
-	stride := checkpointStride(len(e.evs), dim)
-	checkpoints := make([]complex128, (len(e.evs)+stride-1)/stride*dim)
-	ideal := qsim.NewState(e.ions)
-	for i, ev := range e.evs {
-		if i%stride == 0 {
-			copy(checkpoints[i/stride*dim:], ideal.Amplitudes())
-		}
-		ideal.ApplyGate(ev.gate)
-	}
-	// A clean shot's replay performs the ideal pass's arithmetic in the
-	// same order, so its final state — and its fidelity — is this, bit for
-	// bit.
-	cleanFidelity := ideal.FidelityWith(ideal)
-
-	nShards := (shots + shardSize - 1) / shardSize
-	stats := make([]welford, nShards)
-	err = e.forEachShard(ctx, nShards, func() func(int) error {
-		st := qsim.NewState(e.ions) // one reusable statevector per worker
-		var errs []pauliError       // one shot's drawn errors, reused
-		return func(shard int) error {
-			start := time.Now() //lint:deterministic-exempt shard wall-clock only feeds the WithShardObserver metrics hook, never the estimate
-			rng := rand.New(rand.NewSource(shardSeed(seed, shard)))
-			count := shardShots(shots, shard)
-			var w welford
-			for s := 0; s < count; s++ {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				errs = e.drawErrors(rng, errs[:0])
-				if len(errs) == 0 {
-					w.add(cleanFidelity)
-					continue
-				}
-				c := errs[0].event / stride
-				st.SetAmplitudes(checkpoints[c*dim : (c+1)*dim])
-				next := 0
-				for i := c * stride; i < len(e.evs); i++ {
-					st.ApplyGate(e.evs[i].gate)
-					for ; next < len(errs) && errs[next].event == i; next++ {
-						st.ApplyMat2(paulis[errs[next].pauli], errs[next].qubit)
-					}
-				}
-				w.add(st.FidelityWith(ideal))
-			}
-			stats[shard] = w
-			if e.obs != nil {
-				e.obs(count, time.Since(start)) //lint:deterministic-exempt observer-only timing; the fidelity estimate is untouched
-			}
-			return nil
-		}
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	var agg welford
-	for _, w := range stats { // fixed merge order: bit-identical results
-		agg.merge(w)
-	}
-	return agg.mean, math.Sqrt(agg.sampleVariance() / float64(agg.n)), nil
+	est, err := e.estimate(ctx, shots, seed, false, true)
+	return est.State, est.StateStderr, err
 }
 
 // checkpointBytes caps the memory of one StateFidelity call's ideal-state

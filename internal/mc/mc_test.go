@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -568,6 +569,138 @@ func TestStateFidelityMatchesFullReplayUnderMemoryCap(t *testing.T) {
 		if math.Float64bits(est) != math.Float64bits(wantEst) || math.Float64bits(se) != math.Float64bits(wantSe) {
 			t.Errorf("first error at event %d of %d (stride %d): %v ± %v, full replay gives %v ± %v",
 				k, n, stride, est, se, wantEst, wantSe)
+		}
+	}
+}
+
+func TestEstimateMatchesSeparateCalls(t *testing.T) {
+	// One Estimate call shares its pool between both estimators; each
+	// estimate must equal its single-estimator call bit for bit, for any
+	// worker count.
+	cr, cfg := compileSmall(t, 8, 4, workloads.QFTN(8))
+	p := noise.Default()
+	p.Epsilon = 1e-3
+	ctx := context.Background()
+	bits := math.Float64bits
+	for _, workers := range []int{1, 2, 3, 8} {
+		eng, err := NewEngine(cr.Physical, cr.Schedule, cfg.Device, p, WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shots := range []int{1, 256, 300, 2*shardSize + 5} {
+			cEst, cSe, err := eng.CleanProbability(ctx, shots, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fEst, fSe, err := eng.StateFidelity(ctx, shots, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			both, err := eng.Estimate(ctx, shots, 5, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bits(both.Clean) != bits(cEst) || bits(both.CleanStderr) != bits(cSe) ||
+				bits(both.State) != bits(fEst) || bits(both.StateStderr) != bits(fSe) {
+				t.Errorf("workers=%d, %d shots: Estimate %+v, separate calls clean %v ± %v, state %v ± %v",
+					workers, shots, both, cEst, cSe, fEst, fSe)
+			}
+			clean, err := eng.Estimate(ctx, shots, 5, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if clean != (Estimates{Clean: cEst, CleanStderr: cSe}) {
+				t.Errorf("workers=%d, %d shots: clean-only Estimate %+v", workers, shots, clean)
+			}
+		}
+	}
+}
+
+func TestStateFidelityMemoryIsBoundedInShots(t *testing.T) {
+	// Shards run in waves of one per worker, so a call's draw and
+	// fidelity buffers — and its RNG streams — are reused across waves
+	// instead of growing with the shot count.
+	cr, cfg := compileSmall(t, 4, 4, workloads.QFTN(4))
+	eng, err := NewEngine(cr.Physical, cr.Schedule, cfg.Device, noise.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, _, err := eng.StateFidelity(context.Background(), 1<<20, 1); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("allocated %d bytes", got)
+	if got >= 4<<20 {
+		t.Errorf("2^20-shot StateFidelity on 4 ions allocated %d bytes, want < 4 MiB", got)
+	}
+}
+
+// errAfter is a context whose Err reports cancellation from its n-th call
+// on, counting every call: it cancels a run at a chosen context check.
+type errAfter struct {
+	context.Context
+	calls atomic.Int64
+	n     int64
+}
+
+func (c *errAfter) Err() error {
+	if c.calls.Add(1) >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+func TestCancellationAtEveryCheck(t *testing.T) {
+	// Cancel at each context check of one Estimate call in turn — clean
+	// shards, the ideal pass, the draws and the replays — and require
+	// ctx.Err() back every time, with every pool goroutine gone. One more
+	// check than the run makes must let it finish with the reference bits.
+	cr, cfg := compileSmall(t, 6, 4, workloads.QFTN(6))
+	p := noise.Default()
+	p.Epsilon = 2e-3
+	const shots = shardSize + 44
+	for _, workers := range []int{1, 2, 4} {
+		eng, err := NewEngine(cr.Physical, cr.Schedule, cfg.Device, p, WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		count := &errAfter{Context: context.Background(), n: math.MaxInt64}
+		want, err := eng.Estimate(count, shots, 3, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checks := count.calls.Load()
+		// With one worker the checks come in task order: 2 clean shards
+		// of 4 and 1 checks, the ideal pass's checkpoints plus one, the
+		// draws of the first shard, then its replays.
+		stride := checkpointStride(len(eng.evs), 1<<6)
+		idealChecks := int64((len(eng.evs)+stride-1)/stride + 1)
+		if workers == 1 && checks <= 5+idealChecks+4 {
+			t.Fatalf("%d checks: the run has no replays to cancel", checks)
+		}
+		base := runtime.NumGoroutine()
+		for k := int64(1); k <= checks+1; k++ {
+			ctx := &errAfter{Context: context.Background(), n: k}
+			got, err := eng.Estimate(ctx, shots, 3, true)
+			switch {
+			case k <= checks && !errors.Is(err, context.Canceled):
+				t.Fatalf("workers=%d, cancelled at check %d of %d: err = %v, want context.Canceled", workers, k, checks, err)
+			case k > checks && (err != nil || got != want):
+				t.Fatalf("workers=%d, uncancelled: %+v, %v; want %+v", workers, got, err, want)
+			}
+			// A worker is counted until it has fully exited, a moment
+			// after the pool stops waiting for it.
+			n := runtime.NumGoroutine()
+			for deadline := time.Now().Add(time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+				time.Sleep(time.Millisecond)
+			}
+			if n > base {
+				t.Fatalf("workers=%d, cancelled at check %d: %d goroutines, baseline %d", workers, k, n, base)
+			}
 		}
 	}
 }

@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // mcBits compares two MCStats bit for bit (NaN-safe, unlike ==).
@@ -116,5 +119,71 @@ func TestCancelledRunMCIsNotCached(t *testing.T) {
 	}
 	if !mcBits(*got, *want) {
 		t.Errorf("runMC after cancellation = %+v, want %+v", *got, *want)
+	}
+}
+
+// errAfter is a context whose Err reports cancellation from its n-th call
+// on, counting every call: it cancels a Monte-Carlo run at a chosen
+// context check.
+type errAfter struct {
+	context.Context
+	calls atomic.Int64
+	n     int64
+}
+
+func (c *errAfter) Err() error {
+	if c.calls.Add(1) >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestRunMCCancelledMidPhaseIsNotCached: a runMC cancelled at any context
+// check — in a clean shard, the ideal pass, the error draws or a replay —
+// returns ctx.Err(), caches nothing, and leaves no pool goroutine behind;
+// the next call computes the uncancelled bits.
+func TestRunMCCancelledMidPhaseIsNotCached(t *testing.T) {
+	ctx := context.Background()
+	c := GHZ(8).Circuit
+	for _, workers := range []int{1, 2} {
+		be := NewTILT(WithDevice(8, 4), WithShots(300), WithSeed(9), WithMCWorkers(workers))
+		ref, err := be.Compile(ctx, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		count := &errAfter{Context: ctx, n: math.MaxInt64}
+		want, err := runMC(count, ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checks := count.calls.Load()
+
+		art, err := NewTILT(WithDevice(8, 4), WithShots(300), WithSeed(9), WithMCWorkers(workers)).Compile(ctx, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := runtime.NumGoroutine()
+		for k := int64(1); k <= checks; k++ {
+			if _, err := runMC(&errAfter{Context: ctx, n: k}, art); !errors.Is(err, context.Canceled) {
+				t.Fatalf("workers=%d, cancelled at check %d of %d: err = %v, want context.Canceled", workers, k, checks, err)
+			}
+			if art.mcStats != nil {
+				t.Fatalf("workers=%d, cancelled at check %d: cached %+v", workers, k, *art.mcStats)
+			}
+			n := runtime.NumGoroutine()
+			for deadline := time.Now().Add(time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+				time.Sleep(time.Millisecond)
+			}
+			if n > base {
+				t.Fatalf("workers=%d, cancelled at check %d: %d goroutines, baseline %d", workers, k, n, base)
+			}
+		}
+		got, err := runMC(ctx, art)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !mcBits(*got, *want) {
+			t.Errorf("workers=%d: runMC after cancellations = %+v, want %+v", workers, *got, *want)
+		}
 	}
 }
