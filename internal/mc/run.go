@@ -176,13 +176,9 @@ func (r *run) workAndDone(w int) {
 // work runs tasks of the current phase on worker w until none is left or
 // one has failed.
 func (r *run) work(w int) {
-	// Scratch is allocated on a worker's first task of each kind and
-	// reused for the rest of the call.
-	wk := &r.workers[w]
-	if wk.rng == nil && r.phase == drawPhase {
-		wk.rng = rand.New(rand.NewSource(0)) // reseeded per shard
-	}
-	if wk.st == nil && r.phase == replayPhase {
+	// A worker allocates its replay statevector on its first replay and
+	// reuses it for the rest of the call.
+	if wk := &r.workers[w]; wk.st == nil && r.phase == replayPhase {
 		wk.st = qsim.NewState(r.e.ions)
 	}
 	for !r.failed.Load() {
@@ -220,11 +216,24 @@ func (r *run) drawTask(w, i int) error {
 	return r.draw(w, i)
 }
 
+// shardRNG returns worker w's generator positioned at the start of shard's
+// stream. Reseeding in place gives the same stream as a fresh
+// rand.New(rand.NewSource(seed)) without a new 5 KB source per shard.
+func (r *run) shardRNG(w, shard int) *rand.Rand {
+	seed := shardSeed(r.seed, shard)
+	wk := &r.workers[w]
+	if wk.rng == nil {
+		wk.rng = rand.New(rand.NewSource(seed))
+	} else {
+		wk.rng.Seed(seed)
+	}
+	return wk.rng
+}
+
 // cleanShard counts one shard's shots that draw no error event.
 func (r *run) cleanShard(w, shard int) error {
 	start := time.Now() //lint:deterministic-exempt shard wall-clock only feeds the WithShardObserver metrics hook, never the estimate
-	rng := r.workers[w].rng
-	rng.Seed(shardSeed(r.seed, shard))
+	rng := r.shardRNG(w, shard)
 	count := shardShots(r.shots, shard)
 	n := int64(0)
 shotLoop:
@@ -274,8 +283,7 @@ func (r *run) idealPass() error {
 func (r *run) draw(w, slot int) error {
 	start := time.Now() //lint:deterministic-exempt shard wall-clock only feeds the WithShardObserver metrics hook, never the estimate
 	ws := &r.wave[slot]
-	rng := r.workers[w].rng
-	rng.Seed(shardSeed(r.seed, r.first+slot))
+	rng := r.shardRNG(w, r.first+slot)
 	ws.count = shardShots(r.shots, r.first+slot)
 	ws.errs, ws.errored = ws.errs[:0], ws.errored[:0]
 	for s := 0; s < ws.count; s++ {

@@ -8,6 +8,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
@@ -275,8 +276,10 @@ func TestGenerateKernelsBench(t *testing.T) {
 		Command: kernelsEnv + "=" + side + " " + kernelsCommand,
 		Results: map[string]kernelRow{},
 	}
-	for name, kernel := range kernelSetups {
-		run := kernel(t)
+	// A fixed order keeps each kernel's neighbours, and so the heap it
+	// starts from, the same on both sides.
+	for _, name := range slices.Sorted(maps.Keys(kernelSetups)) {
+		run := kernelSetups[name](t)
 		var reps []testing.BenchmarkResult
 		for r := 0; r < kernelsReps; r++ {
 			reps = append(reps, testing.Benchmark(run))
