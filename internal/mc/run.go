@@ -137,13 +137,16 @@ func (e *Engine) estimate(ctx context.Context, shots int, seed int64, clean, sta
 		}
 		r.mergeWave()
 	}
-	est := r.cleanEstimates()
+	var est Estimates
+	if clean {
+		est = r.cleanEstimates()
+	}
 	est.State, est.StateStderr = r.agg.mean, math.Sqrt(r.agg.sampleVariance()/float64(r.agg.n))
 	return est, nil
 }
 
 // cleanEstimates returns the clean-probability estimate with its Wilson
-// half-width (zero when the call counted no clean shots).
+// half-width.
 func (r *run) cleanEstimates() Estimates {
 	est := float64(r.cleanShots.Load()) / float64(r.shots)
 	return Estimates{Clean: est, CleanStderr: wilsonHalfWidth(est, r.shots)}
@@ -168,6 +171,7 @@ func (r *run) runPhase(phase, n int) error {
 	return r.err
 }
 
+// workAndDone is work on a pool goroutine of the current phase.
 func (r *run) workAndDone(w int) {
 	defer r.wg.Done()
 	r.work(w)
