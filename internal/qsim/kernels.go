@@ -266,7 +266,7 @@ func (s *State) applyCPhase(ph complex128, a, b int) {
 	ba, bb := 1<<uint(a), 1<<uint(b)
 	lo, hi := min(ba, bb), max(ba, bb)
 	for o := 0; o < len(s.amp); o += 2 * hi {
-		for i := o + ba + bb; i < o+2*hi; i += 2 * lo {
+		for i := o + ba + bb; i < o+hi+ba+bb; i += 2 * lo {
 			x := s.amp[i : i+lo]
 			for k := range x {
 				x[k] = ph * x[k]
