@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -21,16 +23,32 @@ import (
 // parity tests can mirror a local backend's configuration exactly.
 func startTestDaemon(t *testing.T, tiltOpts ...tilt.Option) (string, *jobs.Manager) {
 	t.Helper()
+	return startDaemonWithTILT(t, tilt.NewTILT(tiltOpts...), nil)
+}
+
+// startDaemonWithTILT is startTestDaemon with the TILT pool served by the
+// given backend. A non-nil observe sees every request before the daemon
+// serves it.
+func startDaemonWithTILT(t *testing.T, tiltBackend tilt.Backend, observe func(*http.Request)) (string, *jobs.Manager) {
+	t.Helper()
 	reg := tilt.NewMetricsRegistry()
 	mgr, err := jobs.New([]jobs.Pool{
-		{Name: "TILT", Backend: tilt.NewTILT(tiltOpts...), Workers: 2},
+		{Name: "TILT", Backend: tiltBackend, Workers: 2},
 		{Name: "QCCD", Backend: tilt.NewQCCD(), Workers: 1},
 		{Name: "IdealTI", Backend: tilt.NewIdealTI(), Workers: 1},
 	}, jobs.WithMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(linqhttp.NewServer(mgr, reg).Routes())
+	var h http.Handler = linqhttp.NewServer(mgr, reg).Routes()
+	if observe != nil {
+		routes := h
+		h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			observe(r)
+			routes.ServeHTTP(w, r)
+		})
+	}
+	srv := httptest.NewServer(h)
 	t.Cleanup(func() {
 		srv.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -153,12 +171,29 @@ func TestRemoteTypedErrors(t *testing.T) {
 	}
 }
 
+// heldBackend is a TILT backend whose Compile blocks until its context is
+// done, so a job on it stays running until someone cancels it.
+type heldBackend struct{ tilt.Backend }
+
+func (h heldBackend) Compile(ctx context.Context, _ *tilt.Circuit) (*tilt.Artifact, error) {
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
 // TestRemoteCancelPropagates: cancelling the caller's context both returns
 // ctx.Err() and DELETEs the job daemon-side, so the daemon stops working
 // on it.
 func TestRemoteCancelPropagates(t *testing.T) {
-	base, mgr := startTestDaemon(t)
-	// A deep circuit so the job is still queued or running when we cancel.
+	// The daemon holds the job until a cancel reaches it, so the cancel
+	// always lands however fast the real pipeline would have been. The
+	// first result poll shows the client holds the job ID it must DELETE.
+	polling := make(chan struct{})
+	var once sync.Once
+	base, mgr := startDaemonWithTILT(t, heldBackend{tilt.NewTILT()}, func(r *http.Request) {
+		if r.Method == http.MethodGet && strings.HasSuffix(r.URL.Path, "/result") {
+			once.Do(func() { close(polling) })
+		}
+	})
 	bench := tilt.BenchmarkQFT()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -169,10 +204,11 @@ func TestRemoteCancelPropagates(t *testing.T) {
 		done <- err
 	}()
 
-	// Wait until the daemon has accepted the job, then cancel the client.
-	deadline := time.Now().Add(30 * time.Second)
-	for mgr.Stats().Submitted == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	// Wait until the client is polling the accepted job, then cancel it.
+	select {
+	case <-polling:
+	case <-time.After(30 * time.Second):
+		t.Fatal("client never polled its submitted job")
 	}
 	cancel()
 	select {
@@ -184,16 +220,16 @@ func TestRemoteCancelPropagates(t *testing.T) {
 		t.Fatal("Execute did not return after cancel")
 	}
 
-	// The best-effort DELETE must land: the daemon's job reaches a
-	// terminal state well before its own execution would finish.
-	deadline = time.Now().Add(30 * time.Second)
+	// The best-effort DELETE must land: only the cancel can end the held
+	// job, and it must end as cancelled.
+	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
 		st := mgr.Stats()
 		if st.Cancelled > 0 {
 			return
 		}
 		if st.Done+st.Failed > 0 {
-			t.Skip("job finished before the cancel landed; nothing to assert")
+			t.Fatalf("held job ended without the cancel: %+v", st)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
