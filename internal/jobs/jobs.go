@@ -125,6 +125,10 @@ type Request struct {
 	// Circuit is the logical circuit to compile and simulate. The manager
 	// holds a reference until the job finishes; callers must not mutate it.
 	Circuit *tilt.Circuit
+	// Intake, when set, replaces Circuit: the circuit with its
+	// per-content work already done (see NewIntake). Submit builds one
+	// from Circuit when it is nil.
+	Intake *Intake
 	// Priority orders the queue: higher runs earlier (weighted-fair, then
 	// FIFO, within a priority). Zero is the default priority.
 	Priority int
@@ -139,6 +143,39 @@ type Request struct {
 	// elsewhere — typically the HTTP request span that carried the
 	// client's traceparent header. Ignored without WithTracer.
 	Parent tracing.SpanContext
+}
+
+// Intake is a circuit with the per-content work of a submission done
+// once: its fingerprint, the dedup key, and its journal wire form, which is
+// marshalled on first use, so a manager without a journal never pays for
+// it. Submissions of the same content can share one Intake (linqhttp's
+// intake cache does). An Intake is safe for concurrent use; like a
+// submitted Circuit, its circuit must not be mutated.
+type Intake struct {
+	circuit     *tilt.Circuit
+	fingerprint string
+
+	wireOnce sync.Once
+	wire     json.RawMessage
+	wireErr  error
+}
+
+// NewIntake fingerprints c, which must not be nil.
+func NewIntake(c *tilt.Circuit) *Intake {
+	return &Intake{circuit: c, fingerprint: c.Fingerprint()}
+}
+
+// Circuit returns the intake's circuit.
+func (in *Intake) Circuit() *tilt.Circuit { return in.circuit }
+
+// Fingerprint returns the circuit's Fingerprint, which keys dedup.
+func (in *Intake) Fingerprint() string { return in.fingerprint }
+
+// wireForm returns the circuit's journal wire form, marshalling it on the
+// first call.
+func (in *Intake) wireForm() (json.RawMessage, error) {
+	in.wireOnce.Do(func() { in.wire, in.wireErr = json.Marshal(in.circuit) })
+	return in.wire, in.wireErr
 }
 
 // Job is an immutable snapshot of one submission's lifecycle, returned by
@@ -712,15 +749,18 @@ func (m *Manager) Backends() []string {
 // submission record is on disk (fsynced) before Submit returns — a
 // returned ID is a promise that survives kill -9.
 func (m *Manager) Submit(req Request) (string, error) {
-	if req.Circuit == nil {
-		return "", fmt.Errorf("jobs: nil circuit")
+	in := req.Intake
+	if in == nil {
+		if req.Circuit == nil {
+			return "", fmt.Errorf("jobs: nil circuit")
+		}
+		// Hash (and, for journaled managers, marshal) outside the lock:
+		// fingerprints and wire forms of wide circuits aren't free.
+		in = NewIntake(req.Circuit)
 	}
-	// Hash (and, for journaled managers, marshal) outside the lock:
-	// fingerprints and wire forms of wide circuits aren't free.
-	fp := req.Circuit.Fingerprint()
 	var circJSON json.RawMessage
 	if m.jnl != nil {
-		b, err := json.Marshal(req.Circuit)
+		b, err := in.wireForm()
 		if err != nil {
 			return "", fmt.Errorf("jobs: marshal circuit: %w", err)
 		}
@@ -770,7 +810,7 @@ func (m *Manager) Submit(req Request) (string, error) {
 		j.traceID = j.span.Context().TraceID
 		j.queueSpan = j.span.StartChild("queue-wait")
 	}
-	if err := m.admitLocked(j, p, req.Backend+"\x00"+fp, req.Circuit); err != nil {
+	if err := m.admitLocked(j, p, req.Backend+"\x00"+in.fingerprint, in.circuit); err != nil {
 		return "", fmt.Errorf("jobs: journal submit: %w", err)
 	}
 	return j.id, nil

@@ -7,9 +7,11 @@ package linqhttp
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -22,6 +24,7 @@ import (
 
 	tilt "repro"
 	"repro/internal/jobs"
+	"repro/internal/lru"
 	"repro/internal/metrics"
 	"repro/internal/qasm"
 	"repro/internal/tenant"
@@ -32,6 +35,17 @@ import (
 // maxBodyBytes bounds a submission body (QASM source or JSON circuit
 // included).
 const maxBodyBytes = 8 << 20
+
+// The intake cache holds the decoded circuits of the last few distinct
+// "circuit" fields, so a burst of identical submissions decodes,
+// fingerprints and journal-encodes its body once. A burst has at most a
+// couple of distinct bodies in flight; larger fields are decoded every
+// time, which bounds the cache's memory. The cache is shared by all
+// tenants, as dedup and the compile cache already are.
+const (
+	intakeCacheEntries = 16
+	maxCachedCircuit   = 256 << 10
+)
 
 // maxResultWait caps the daemon-side blocking ?wait= on a result fetch, so
 // a client cannot pin a handler goroutine for hours.
@@ -85,6 +99,8 @@ type Server struct {
 	logger  *slog.Logger     // nil = no access log
 	start   time.Time
 	mx      instruments
+	// intakes maps the SHA-256 of a "circuit" field to its decoded intake.
+	intakes *lru.Cache[[sha256.Size]byte, *jobs.Intake]
 }
 
 // instruments holds the server's pre-resolved metric handles.
@@ -92,6 +108,9 @@ type instruments struct {
 	requests *metrics.CounterVec // linq_http_requests_total{route,code,tenant}
 	authFail *metrics.CounterVec // linq_tenant_auth_failures_total{reason}
 	throttle *metrics.CounterVec // linq_tenant_throttled_total{tenant}
+
+	intakeHits   *metrics.Counter // linq_http_intake_cache_hits_total
+	intakeMisses *metrics.Counter // linq_http_intake_cache_misses_total
 }
 
 // ServerOption configures a Server.
@@ -137,7 +156,12 @@ func NewServer(mgr *jobs.Manager, reg *tilt.MetricsRegistry, opts ...ServerOptio
 				"Requests refused by tenant authentication, by reason.", "reason"),
 			throttle: reg.CounterVec("linq_tenant_throttled_total",
 				"Submissions deferred by a tenant's rate limit.", "tenant"),
+			intakeHits: reg.Counter("linq_http_intake_cache_hits_total",
+				"Submitted circuits served decoded from the intake cache."),
+			intakeMisses: reg.Counter("linq_http_intake_cache_misses_total",
+				"Submitted circuits decoded from the request body."),
 		},
+		intakes: lru.New[[sha256.Size]byte, *jobs.Intake](intakeCacheEntries),
 	}
 	for _, o := range opts {
 		o(s)
@@ -391,8 +415,9 @@ type submitRequest struct {
 	// Workload names a built-in benchmark (ADDER, BV, QAOA, RCS, QFT, SQRT).
 	Workload string `json:"workload,omitempty"`
 	// Circuit is a JSON gate list in the circuit wire form — the lossless
-	// path the tilt.Remote backend uses for arbitrary circuits.
-	Circuit *tilt.Circuit `json:"circuit,omitempty"`
+	// path the tilt.Remote backend uses for arbitrary circuits. It stays
+	// raw until intake decodes it; null means absent.
+	Circuit json.RawMessage `json:"circuit,omitempty"`
 	// Priority orders the queue: higher runs earlier (default 0).
 	Priority int `json:"priority,omitempty"`
 	// TTLMs bounds the queue wait in milliseconds (0 = unbounded).
@@ -458,8 +483,23 @@ func stamp(t time.Time) string {
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	const route = "submit"
 	var req submitRequest
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	var in *jobs.Intake
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	err := dec.Decode(&req)
+	if err == nil {
+		// One JSON value per request: anything but whitespace after it
+		// would otherwise be silently dropped.
+		if _, tail := dec.Token(); !errors.Is(tail, io.EOF) {
+			err = errors.New("unexpected data after the top-level value")
+		}
+	}
+	if string(req.Circuit) == "null" {
+		req.Circuit = nil
+	}
+	if err == nil && req.Circuit != nil {
+		in, err = s.intake(req.Circuit)
+	}
+	if err != nil {
 		s.writeError(w, r, route, http.StatusBadRequest, CodeBadRequest,
 			fmt.Sprintf("invalid JSON body: %v", err), nil)
 		return
@@ -505,8 +545,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if req.Name == "" {
 			req.Name = bm.Name
 		}
-	default:
-		circ = req.Circuit // already validated by Circuit.UnmarshalJSON
 	}
 
 	// ttl_ms is client-controlled: reject negatives and cap the multiply so
@@ -525,6 +563,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Name:     req.Name,
 		Backend:  req.Backend,
 		Circuit:  circ,
+		Intake:   in,
 		Priority: req.Priority,
 		TTL:      time.Duration(req.TTLMs) * time.Millisecond,
 		Tenant:   tenantID(r),
@@ -563,6 +602,31 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		"result_url": "/v1/jobs/" + id + "/result",
 		"trace_url":  "/v1/traces/" + id,
 	})
+}
+
+// intake decodes a submission's "circuit" field, validating every gate,
+// and serves a field seen recently from the intake cache instead. A failed
+// decode is never cached, so a bad body fails the same way every time.
+func (s *Server) intake(raw json.RawMessage) (*jobs.Intake, error) {
+	cacheable := len(raw) <= maxCachedCircuit
+	var key [sha256.Size]byte
+	if cacheable {
+		key = sha256.Sum256(raw)
+		if in, ok := s.intakes.Get(key); ok {
+			s.mx.intakeHits.Inc()
+			return in, nil
+		}
+	}
+	s.mx.intakeMisses.Inc()
+	c := new(tilt.Circuit)
+	if err := c.UnmarshalJSON(raw); err != nil {
+		return nil, err
+	}
+	in := jobs.NewIntake(c)
+	if cacheable {
+		s.intakes.Add(key, in)
+	}
+	return in, nil
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {

@@ -38,13 +38,23 @@ func startServer(t *testing.T) (string, *jobs.Manager) {
 
 func doJSON(t *testing.T, method, url string, body any) (int, map[string]any) {
 	t.Helper()
-	var rd io.Reader
+	var raw []byte
 	if body != nil {
-		b, err := json.Marshal(body)
-		if err != nil {
+		var err error
+		if raw, err = json.Marshal(body); err != nil {
 			t.Fatal(err)
 		}
-		rd = bytes.NewReader(b)
+	}
+	return doRaw(t, method, url, raw)
+}
+
+// doRaw sends body verbatim (nil = no body) and returns the status and the
+// decoded response.
+func doRaw(t *testing.T, method, url string, body []byte) (int, map[string]any) {
+	t.Helper()
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequest(method, url, rd)
 	if err != nil {
@@ -154,7 +164,7 @@ func TestSubmitValidationAndErrorCodes(t *testing.T) {
 
 	cases := []struct {
 		name     string
-		body     map[string]any
+		body     any // a string is sent verbatim
 		wantCode string
 	}{
 		{"no source", map[string]any{"backend": "TILT"}, linqhttp.CodeBadRequest},
@@ -163,9 +173,17 @@ func TestSubmitValidationAndErrorCodes(t *testing.T) {
 		{"bad circuit", map[string]any{"circuit": map[string]any{"qubits": 2, "gates": []map[string]any{{"kind": "zz", "qubits": []int{0}}}}}, linqhttp.CodeBadRequest},
 		{"parse error", map[string]any{"qasm": "qreg q[2];\nfrobnicate q[0];"}, linqhttp.CodeParseError},
 		{"unknown pool", map[string]any{"backend": "nope", "circuit": circ}, linqhttp.CodeUnknownBackend},
+		{"trailing garbage", `{"workload":"BV"} trailing garbage`, linqhttp.CodeBadRequest},
+		{"second value", `{"workload":"BV"}{"workload":"QFT"}`, linqhttp.CodeBadRequest},
 	}
 	for _, tc := range cases {
-		code, body := doJSON(t, http.MethodPost, base+"/v1/jobs", tc.body)
+		var code int
+		var body map[string]any
+		if raw, ok := tc.body.(string); ok {
+			code, body = doRaw(t, http.MethodPost, base+"/v1/jobs", []byte(raw))
+		} else {
+			code, body = doJSON(t, http.MethodPost, base+"/v1/jobs", tc.body)
+		}
 		if code != http.StatusBadRequest || body["code"] != tc.wantCode {
 			t.Errorf("%s: HTTP %d code %v, want 400 %s (%v)", tc.name, code, body["code"], tc.wantCode, body["error"])
 		}

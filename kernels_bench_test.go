@@ -380,10 +380,16 @@ func TestKernelsBenchArtifact(t *testing.T) {
 		t.Errorf("tape_qft allocs/op %d, want < 1000", a)
 	}
 
-	// The named command must run a generator that exists in this package.
-	m := regexp.MustCompile(`-run (\w+)`).FindStringSubmatch(kernelsCommand)
+	checkGeneratorExists(t, kernelsCommand)
+}
+
+// checkGeneratorExists requires the test a bench artifact's command runs
+// to be defined in this package.
+func checkGeneratorExists(t *testing.T, command string) {
+	t.Helper()
+	m := regexp.MustCompile(`-run (\w+)`).FindStringSubmatch(command)
 	if m == nil {
-		t.Fatalf("command %q names no test", kernelsCommand)
+		t.Fatalf("command %q names no test", command)
 	}
 	files, err := filepath.Glob("*_test.go")
 	if err != nil {
@@ -403,6 +409,6 @@ func TestKernelsBenchArtifact(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Errorf("command %q runs %s, which no test file in this package defines", kernelsCommand, m[1])
+		t.Errorf("command %q runs %s, which no test file in this package defines", command, m[1])
 	}
 }
