@@ -54,22 +54,6 @@ var intakeCases = map[string]string{
 		"more than the daemon's intake cache holds",
 }
 
-// holdBackend parks every compile until its context ends, so the
-// benchmarked submissions stay queued or deduplicated and no execution
-// competes with the handler for CPU.
-type holdBackend struct{}
-
-func (holdBackend) Name() string { return "TILT" }
-
-func (holdBackend) Compile(ctx context.Context, c *tilt.Circuit) (*tilt.Artifact, error) {
-	<-ctx.Done()
-	return nil, ctx.Err()
-}
-
-func (holdBackend) Simulate(ctx context.Context, a *tilt.Artifact) (*tilt.Result, error) {
-	return nil, fmt.Errorf("holdBackend never compiles")
-}
-
 // intakeBodies returns n distinct submission bodies around QFT-64.
 func intakeBodies(tb testing.TB, n int) [][]byte {
 	qft := workloads.QFT().Circuit
@@ -99,7 +83,7 @@ func intakeKernel(bodies [][]byte) func(*testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		mgr, err := jobs.New([]jobs.Pool{{Name: "TILT", Backend: holdBackend{}, Workers: 1}}, jobs.WithJournal(jnl))
+		mgr, err := jobs.New([]jobs.Pool{{Name: "TILT", Backend: heldBackend{tilt.NewTILT()}, Workers: 1}}, jobs.WithJournal(jnl))
 		if err != nil {
 			b.Fatal(err)
 		}
