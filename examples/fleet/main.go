@@ -10,11 +10,12 @@
 //
 // The example polls GET /v1/fleet for the member census, opens a Remote
 // client per serving member, and builds the pool with the live-routing
-// options: PoolWeightedByLoad steers new circuits toward shallow queues,
-// PoolWithHedging races a second attempt on the next-best member when the
-// first is slow, and PoolWithAdmissionControl sheds load when every member
-// reports a deep queue. Because the pool is a plain Backend, the batch
-// below is the same runner.Run call a single in-process engine would use.
+// options: the pool's health sampler steers new circuits toward shallow
+// queues, PoolWithHedging races a second attempt on the next-best member
+// when the first is slow, and PoolWithAdmissionControl sheds load when
+// every member reports a deep queue. Because the pool is a plain Backend,
+// the batch below is the same runner.Run call a single in-process engine
+// would use.
 package main
 
 import (
@@ -85,7 +86,6 @@ func main() {
 	// routing telemetry (linq_fleet_* families) scrapeable afterwards.
 	reg := tilt.NewMetricsRegistry()
 	pool, err := tilt.Pool(members,
-		tilt.PoolWeightedByLoad(),
 		tilt.PoolWithSampleInterval(250*time.Millisecond),
 		tilt.PoolWithHedging(*hedge),
 		tilt.PoolWithAdmissionControl(64),

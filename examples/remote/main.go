@@ -45,12 +45,15 @@ func main() {
 	}
 	be := members[0]
 	if len(members) > 1 {
-		// A Pool spreads circuits across the fleet (least-loaded by
-		// default) with per-endpoint breakers, still as one Backend.
+		// A Pool spreads circuits across the fleet, least-loaded by the
+		// daemons' sampled queue depth plus in-flight calls, with
+		// per-endpoint breakers, still as one Backend. Close stops its
+		// health sampler.
 		p, err := tilt.Pool(members)
 		if err != nil {
 			log.Fatal(err)
 		}
+		defer p.Close()
 		be = p
 		fmt.Printf("fanning out over %d daemons: %s\n", len(members), p)
 	}

@@ -24,60 +24,30 @@ import (
 // cancelCheckStride is how many gates run between context checks.
 const cancelCheckStride = 1024
 
-// Timing collects QCCD-specific shuttling durations (µs). The paper's QCCD
-// source models split/merge and segment crossings as fixed-cost primitives.
-type Timing struct {
-	SplitUs   float64
-	MergeUs   float64
-	HopUs     float64
-	ReorderUs float64 // per-position in-chain ion transposition
-}
-
-// DefaultTiming returns shuttle primitive durations in line with the
-// trapped-ion literature (each primitive costs on the order of a hundred
-// microseconds).
-func DefaultTiming() Timing {
-	return Timing{SplitUs: 80, MergeUs: 80, HopUs: 100, ReorderUs: 40}
-}
-
-// Model collects the QCCD-specific physical-model knobs beyond noise.Params.
+// The calibrated QCCD physical model beyond noise.Params (README,
+// "Calibration and substitutions"). The paper's QCCD source models split,
+// merge and segment crossings as fixed-cost primitives, each on the order of
+// a hundred microseconds in the trapped-ion literature.
 //
 // QCCD machines (Honeywell-style) sympathetically cool their chains
 // continuously, so transport heating decays between gate applications rather
 // than accumulating for the whole program the way an uncooled TILT chain
-// does; CoolingDecay is the per-gate-application decay factor of a trap's
-// motional quanta. In-chain repositioning ("swap the qubit to the end of the
-// trap", Fig. 3 step i) is a physical transport primitive, not a logical
-// SWAP gate: it costs time and ReorderFactor-scaled heating but no gate
-// error.
-type Model struct {
-	Timing Timing
-	// CoolingDecay multiplies a trap's quanta after each two-qubit gate
-	// application in it (0 < decay ≤ 1; 1 disables cooling).
-	CoolingDecay float64
-	// ReorderFactor scales the split/merge heating for a one-position
+// does. In-chain repositioning ("swap the qubit to the end of the trap",
+// Fig. 3 step i) is a physical transport primitive, not a logical SWAP gate:
+// it costs time and reorderFactor-scaled heating but no gate error.
+const (
+	splitUs   = 80  // split one ion off a chain, µs
+	mergeUs   = 80  // merge one ion into a chain, µs
+	hopUs     = 100 // cross one shuttling segment, µs
+	reorderUs = 40  // one-position in-chain ion transposition, µs
+
+	// coolingDecay multiplies a trap's quanta after each two-qubit gate
+	// application in it.
+	coolingDecay = 0.995
+	// reorderFactor scales the split/merge heating for a one-position
 	// in-chain transposition.
-	ReorderFactor float64
-}
-
-// DefaultModel returns the calibrated QCCD model (README, "Calibration and
-// substitutions").
-func DefaultModel() Model {
-	return Model{Timing: DefaultTiming(), CoolingDecay: 0.995, ReorderFactor: 0.15}
-}
-
-func (m Model) validate() error {
-	if m.CoolingDecay <= 0 || m.CoolingDecay > 1 {
-		return fmt.Errorf("qccd: CoolingDecay %g outside (0,1]", m.CoolingDecay)
-	}
-	if m.ReorderFactor < 0 {
-		return fmt.Errorf("qccd: negative ReorderFactor %g", m.ReorderFactor)
-	}
-	if m.Timing.SplitUs < 0 || m.Timing.MergeUs < 0 || m.Timing.HopUs < 0 || m.Timing.ReorderUs < 0 {
-		return fmt.Errorf("qccd: negative timing")
-	}
-	return nil
-}
+	reorderFactor = 0.15
+)
 
 // Result reports the simulated metrics of one QCCD execution.
 type Result struct {
@@ -100,9 +70,8 @@ type Result struct {
 
 // machine is the mutable QCCD state during simulation.
 type machine struct {
-	dev   device.QCCD
-	p     noise.Params
-	model Model
+	dev device.QCCD
+	p   noise.Params
 
 	chains [][]int        // per-trap ordered logical qubits
 	trapOf []int          // logical qubit -> trap index
@@ -117,21 +86,13 @@ type machine struct {
 }
 
 // Run simulates the circuit (arity ≤ 2; run internal/decompose first) on a
-// QCCD device with the given noise parameters and the default model.
+// QCCD device with the given noise parameters. Cancellation of ctx is
+// observed between gates.
 func Run(ctx context.Context, c *circuit.Circuit, dev device.QCCD, p noise.Params) (*Result, error) {
-	return RunModel(ctx, c, dev, p, DefaultModel())
-}
-
-// RunModel is Run with an explicit QCCD physical model. Cancellation of ctx
-// is observed between gates.
-func RunModel(ctx context.Context, c *circuit.Circuit, dev device.QCCD, p noise.Params, model Model) (*Result, error) {
 	if err := dev.Validate(); err != nil {
 		return nil, err
 	}
 	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if err := model.validate(); err != nil {
 		return nil, err
 	}
 	if c.NumQubits() > dev.NumQubits {
@@ -145,7 +106,7 @@ func RunModel(ctx context.Context, c *circuit.Circuit, dev device.QCCD, p noise.
 		}
 	}
 
-	m := newMachine(dev, p, model)
+	m := newMachine(dev, p)
 	m.gates = c.Gates()
 	for i, g := range m.gates {
 		if i%cancelCheckStride == 0 {
@@ -166,12 +127,11 @@ func RunModel(ctx context.Context, c *circuit.Circuit, dev device.QCCD, p noise.
 	return m.finish(), nil
 }
 
-func newMachine(dev device.QCCD, p noise.Params, model Model) *machine {
+func newMachine(dev device.QCCD, p noise.Params) *machine {
 	numTraps := dev.NumTraps()
 	m := &machine{
 		dev:    dev,
 		p:      p,
-		model:  model,
 		chains: make([][]int, numTraps),
 		trapOf: make([]int, dev.NumQubits),
 		quanta: make([]float64, numTraps),
@@ -285,7 +245,7 @@ func (m *machine) applyTwoQubitGate(a, b, d, reps int) {
 		m.logF += safeLog1p(-err)
 		m.fidSum += 1 - err
 		m.fidN++
-		m.quanta[t] *= m.model.CoolingDecay
+		m.quanta[t] *= coolingDecay
 	}
 	start := math.Max(m.avail[a], m.avail[b])
 	end := start + float64(reps)*tau
@@ -326,8 +286,8 @@ func (m *machine) shuttle(q, dst, prot1, prot2 int) error {
 		}
 		other := m.chains[src][pos+step]
 		m.chains[src][pos], m.chains[src][pos+step] = other, q
-		m.quanta[src] += m.model.ReorderFactor * m.p.SplitMergeFactor * m.p.ShuttleQuanta(len(m.chains[src]))
-		m.avail[q] += m.model.Timing.ReorderUs
+		m.quanta[src] += reorderFactor * m.p.SplitMergeFactor * m.p.ShuttleQuanta(len(m.chains[src]))
+		m.avail[q] += reorderUs
 		m.res.EdgeSwaps++
 		pos += step
 	}
@@ -336,7 +296,7 @@ func (m *machine) shuttle(q, dst, prot1, prot2 int) error {
 	m.chains[src] = removeAt(m.chains[src], pos)
 	m.quanta[src] += m.p.SplitMergeFactor * m.p.ShuttleQuanta(len(m.chains[src])+1)
 	m.res.Splits++
-	m.avail[q] += m.model.Timing.SplitUs
+	m.avail[q] += splitUs
 
 	// Hop across segments. A lone shuttled ion accrues carry quanta that
 	// it deposits into the destination chain on merge.
@@ -346,7 +306,7 @@ func (m *machine) shuttle(q, dst, prot1, prot2 int) error {
 	}
 	carried := float64(hops) * m.p.HopFactor * m.p.ShuttleQuanta(1)
 	m.res.Hops += hops
-	m.avail[q] += float64(hops) * m.model.Timing.HopUs
+	m.avail[q] += float64(hops) * hopUs
 
 	// Merge at the edge of dst facing src; heats the destination chain.
 	if dir > 0 {
@@ -357,7 +317,7 @@ func (m *machine) shuttle(q, dst, prot1, prot2 int) error {
 	m.trapOf[q] = dst
 	m.quanta[dst] += m.p.SplitMergeFactor*m.p.ShuttleQuanta(len(m.chains[dst])) + carried
 	m.res.Merges++
-	m.avail[q] += m.model.Timing.MergeUs
+	m.avail[q] += mergeUs
 	return nil
 }
 
@@ -512,7 +472,7 @@ func RunChecked(ctx context.Context, c *circuit.Circuit, dev device.QCCD, p nois
 		return nil, fmt.Errorf("qccd: circuit width %d exceeds device %d",
 			c.NumQubits(), dev.NumQubits)
 	}
-	m := newMachine(dev, p, DefaultModel())
+	m := newMachine(dev, p)
 	m.gates = c.Gates()
 	if err := m.invariant(); err != nil {
 		return nil, err

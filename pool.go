@@ -13,27 +13,25 @@ import (
 )
 
 // PoolBackend fans work out across a fleet of member backends behind the
-// single Backend contract: Compile picks a member (least-loaded by default,
-// round-robin or queue-depth-weighted on request), Simulate routes the
-// artifact back to the member that compiled it, and a per-member circuit
-// breaker takes failing endpoints out of rotation for a cooldown. Members
-// are typically Remote backends pointing at N linqd daemons, but any
-// Backend mix works — the runner and the jobs manager scale across the
-// fleet with zero call-site changes.
+// single Backend contract: Compile picks the least-loaded member, Simulate
+// routes the artifact back to the member that compiled it, and a
+// per-member circuit breaker takes failing endpoints out of rotation for a
+// cooldown. Members are typically Remote backends pointing at N linqd
+// daemons, but any Backend mix works — the runner and the jobs manager
+// scale across the fleet with zero call-site changes.
 //
-// With PoolWeightedByLoad or PoolWithAdmissionControl the pool runs a
-// background health sampler over the members that expose a live load
-// report (RemoteBackend.Health) and routes on what the daemons actually
-// say — queue depth and drain state — instead of only the client-side
-// in-flight counters. Call Close to stop the sampler when the pool is
-// retired.
+// A member's load is its client-side in-flight count plus, for members
+// that expose a live load report (RemoteBackend.Health), the queue depth
+// and running work its daemon last reported; draining members are skipped
+// while any alternative exists. The reports come from a background health
+// sampler that runs whenever at least one member exposes one, so call
+// Close when the pool is retired. Without a fresh report a member scores
+// on its in-flight count alone, and ties go to the first member.
 //
 // A PoolBackend is safe for concurrent use.
 type PoolBackend struct {
 	name     string
 	members  []*poolMember
-	policy   poolPolicy
-	next     atomic.Uint64
 	failMax  int           // consecutive endpoint failures that open the breaker
 	cooldown time.Duration // how long an open breaker keeps a member out
 
@@ -41,23 +39,16 @@ type PoolBackend struct {
 	hedgeDelay time.Duration // 0 = derive from the primary's poll ceiling
 	watermark  int           // admission-control queue-depth watermark (0 = off)
 
-	sampleEvery   time.Duration // health sampler period
-	healthTimeout time.Duration // per-member bound on one health fetch
-
-	stop      chan struct{} // closes to stop the sampler (nil = no sampler)
-	closeOnce sync.Once
+	sampleEvery time.Duration      // health sampler period
+	stop        context.CancelFunc // stops the sampler (nil = no sampler)
+	stopped     chan struct{}      // closed once the sampler has exited
 
 	mx *poolInstruments
 }
 
-// poolPolicy selects how Compile picks among the healthy members.
-type poolPolicy int
-
-const (
-	pickLeastLoaded poolPolicy = iota // fewest in-flight calls (default)
-	pickRoundRobin                    // strict rotation
-	pickWeighted                      // sampled queue depth + in-flight
-)
+// healthTimeout bounds each member's health fetch within a Health sweep or
+// sampler tick, so one hung daemon cannot stall the whole fleet sample.
+const healthTimeout = 2 * time.Second
 
 // poolMember is one endpoint plus its load, sample, and breaker state.
 type poolMember struct {
@@ -71,7 +62,7 @@ type poolMember struct {
 }
 
 // loadSample is the member's last daemon-reported load, stored by the
-// background sampler and read by the weighted pick and admission control.
+// background sampler and read by pick and admission control.
 type loadSample struct {
 	when     time.Time // zero = never sampled
 	queued   int       // jobs waiting daemon-side (the routing signal)
@@ -81,31 +72,6 @@ type loadSample struct {
 
 // PoolOption configures a PoolBackend.
 type PoolOption func(*PoolBackend)
-
-// PoolRoundRobin picks members in strict rotation instead of the default
-// least-loaded choice — useful when members are identical and call costs
-// are uniform.
-func PoolRoundRobin() PoolOption {
-	return func(p *PoolBackend) { p.policy = pickRoundRobin }
-}
-
-// PoolLeastLoaded picks the member with the fewest in-flight calls (the
-// default; ties break by member order).
-func PoolLeastLoaded() PoolOption {
-	return func(p *PoolBackend) { p.policy = pickLeastLoaded }
-}
-
-// PoolWeightedByLoad routes on live daemon telemetry: a background sampler
-// polls each member's health report (RemoteBackend.Health) and Compile
-// picks the member with the lowest daemon-side queue depth plus in-flight
-// load, skipping draining members while any alternative exists. Members
-// that expose no health report (or whose last sample went stale) fall back
-// to their client-side in-flight count, so mixed fleets still route
-// sensibly. Tune the sampler with PoolWithSampleInterval; stop it with
-// Close.
-func PoolWeightedByLoad() PoolOption {
-	return func(p *PoolBackend) { p.policy = pickWeighted }
-}
 
 // PoolWithHedging enables tail-latency hedging on Compile and Simulate:
 // when the attempt on the picked member has not returned after delay, the
@@ -125,23 +91,16 @@ func PoolWithHedging(delay time.Duration) PoolOption {
 // depth over the watermark (a draining member counts as over). The check
 // only engages once every member has a fresh sample — partial knowledge
 // admits, so a fleet of members without health reports is never throttled
-// client-side. Requires the background sampler (started automatically).
+// client-side.
 func PoolWithAdmissionControl(watermark int) PoolOption {
 	return func(p *PoolBackend) { p.watermark = watermark }
 }
 
 // PoolWithSampleInterval tunes the background health sampler period
 // (default 500ms). Samples older than four periods are treated as stale by
-// the weighted pick and admission control.
+// pick and admission control.
 func PoolWithSampleInterval(d time.Duration) PoolOption {
 	return func(p *PoolBackend) { p.sampleEvery = d }
-}
-
-// PoolWithHealthTimeout bounds each member's health fetch within a Health
-// sweep or sampler tick (default 2s), so one hung daemon cannot stall the
-// whole fleet sample.
-func PoolWithHealthTimeout(d time.Duration) PoolOption {
-	return func(p *PoolBackend) { p.healthTimeout = d }
 }
 
 // PoolWithBreaker tunes the per-member circuit breaker: failMax
@@ -222,20 +181,19 @@ var ErrEmptyPool = errors.New("tilt: Pool needs at least one backend")
 var ErrFleetSaturated = errors.New("tilt: fleet saturated: every member over the queue-depth watermark")
 
 // Pool returns a fan-out backend over the members. Members must be safe
-// for concurrent use (all backends in this package are). Pools configured
-// with PoolWeightedByLoad or PoolWithAdmissionControl start a background
+// for concurrent use (all backends in this package are). A pool with at
+// least one member that exposes a live load report starts a background
 // health sampler; call Close to stop it when retiring the pool.
 func Pool(members []Backend, opts ...PoolOption) (*PoolBackend, error) {
 	if len(members) == 0 {
 		return nil, ErrEmptyPool
 	}
 	p := &PoolBackend{
-		name:          fmt.Sprintf("pool(%d)", len(members)),
-		failMax:       3,
-		cooldown:      15 * time.Second,
-		sampleEvery:   500 * time.Millisecond,
-		healthTimeout: 2 * time.Second,
-		mx:            newPoolInstruments(nil),
+		name:        fmt.Sprintf("pool(%d)", len(members)),
+		failMax:     3,
+		cooldown:    15 * time.Second,
+		sampleEvery: 500 * time.Millisecond,
+		mx:          newPoolInstruments(nil),
 	}
 	for i, b := range members {
 		if b == nil {
@@ -252,12 +210,10 @@ func Pool(members []Backend, opts ...PoolOption) (*PoolBackend, error) {
 	if p.sampleEvery <= 0 {
 		p.sampleEvery = 500 * time.Millisecond
 	}
-	if p.healthTimeout <= 0 {
-		p.healthTimeout = 2 * time.Second
-	}
-	if (p.policy == pickWeighted || p.watermark > 0) && p.anyReporter() {
-		p.stop = make(chan struct{})
-		go p.sampleLoop()
+	if p.anyReporter() {
+		ctx, cancel := context.WithCancel(context.Background())
+		p.stop, p.stopped = cancel, make(chan struct{})
+		go p.sampleLoop(ctx)
 	}
 	return p, nil
 }
@@ -273,13 +229,15 @@ func (p *PoolBackend) anyReporter() bool {
 	return false
 }
 
-// Close stops the background health sampler, if one is running. The pool
-// stays usable for routing afterwards (weighted picks degrade to the
-// client-side in-flight counters as samples go stale). Close is idempotent
-// and safe to call concurrently.
+// Close stops the background health sampler, if one is running, cancels
+// its in-flight health fetches and returns once it has exited. The pool
+// stays usable for routing afterwards (picks degrade to the client-side
+// in-flight counters as samples go stale). Close is idempotent and safe to
+// call concurrently.
 func (p *PoolBackend) Close() error {
 	if p.stop != nil {
-		p.closeOnce.Do(func() { close(p.stop) })
+		p.stop()
+		<-p.stopped
 	}
 	return nil
 }
@@ -343,10 +301,10 @@ type poolTargeter interface {
 
 // Health samples every member concurrently: breaker state and in-flight
 // load locally, and — for members backed by a daemon — the endpoint's own
-// queue-depth / cache / drain report. Each fetch is bounded by the
-// per-member health timeout (PoolWithHealthTimeout) under the caller's
-// context, so one hung daemon delays the sweep by at most that timeout
-// instead of serializing the whole fleet behind it. This is the fleet
+// queue-depth / cache / drain report. Each fetch is bounded by
+// healthTimeout under the caller's context, so one hung daemon delays the
+// sweep by at most that timeout instead of serializing the whole fleet
+// behind it. This is the fleet
 // supervisor's routing input; sampling never mutates breaker state.
 func (p *PoolBackend) Health(ctx context.Context) []PoolMemberHealth {
 	now := time.Now()
@@ -368,7 +326,7 @@ func (p *PoolBackend) Health(ctx context.Context) []PoolMemberHealth {
 		wg.Add(1)
 		go func(i int, hr healthReporter) {
 			defer wg.Done()
-			hctx, cancel := context.WithTimeout(ctx, p.healthTimeout)
+			hctx, cancel := context.WithTimeout(ctx, healthTimeout)
 			defer cancel()
 			if rh, err := hr.Health(hctx); err != nil {
 				out[i].Error = err.Error()
@@ -382,17 +340,18 @@ func (p *PoolBackend) Health(ctx context.Context) []PoolMemberHealth {
 }
 
 // sampleLoop is the background health sampler: one tick per sample period
-// until Close. Each tick refreshes every reporting member's load sample;
-// the weighted pick and admission control read the latest one.
-func (p *PoolBackend) sampleLoop() {
+// until Close cancels ctx. Each tick refreshes every reporting member's
+// load sample; pick and admission control read the latest one.
+func (p *PoolBackend) sampleLoop(ctx context.Context) {
+	defer close(p.stopped)
 	t := time.NewTicker(p.sampleEvery)
 	defer t.Stop()
 	for {
 		select {
-		case <-p.stop:
+		case <-ctx.Done():
 			return
 		case <-t.C:
-			p.sampleOnce()
+			p.sampleOnce(ctx)
 		}
 	}
 }
@@ -402,7 +361,7 @@ func (p *PoolBackend) sampleLoop() {
 // A failed fetch keeps the previous sample (it goes stale on its own and
 // the member degrades to in-flight routing) — sampling never trips
 // breakers.
-func (p *PoolBackend) sampleOnce() {
+func (p *PoolBackend) sampleOnce(ctx context.Context) {
 	var wg sync.WaitGroup
 	for _, m := range p.members {
 		hr, ok := m.b.(healthReporter)
@@ -412,9 +371,9 @@ func (p *PoolBackend) sampleOnce() {
 		wg.Add(1)
 		go func(m *poolMember, hr healthReporter) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), p.healthTimeout)
+			hctx, cancel := context.WithTimeout(ctx, healthTimeout)
 			defer cancel()
-			rh, err := hr.Health(ctx)
+			rh, err := hr.Health(hctx)
 			if err != nil {
 				p.mx.sampleErr.With(m.b.Name()).Inc()
 				return
@@ -572,11 +531,11 @@ func (p *PoolBackend) owns(m *poolMember) bool {
 }
 
 // pick chooses the member to route the next call to, never returning
-// exclude (pass nil to consider everyone): among the members whose breaker
-// is closed (or whose cooldown elapsed — the half-open probe), round-robin,
-// least-loaded, or weighted by the sampled daemon queue depth. With every
-// breaker open, the least recently opened member is tried anyway so the
-// pool degrades to retrying rather than failing fast forever.
+// exclude (pass nil to consider everyone): the lowest-scoring
+// (pickWeighted) among the members whose breaker is closed (or whose
+// cooldown elapsed — the half-open probe). With every breaker open, the
+// least recently opened member is tried anyway so the pool degrades to
+// retrying rather than failing fast forever.
 func (p *PoolBackend) pick(exclude *poolMember) *poolMember {
 	now := time.Now()
 	avail := make([]*poolMember, 0, len(p.members))
@@ -614,26 +573,14 @@ func (p *PoolBackend) pick(exclude *poolMember) *poolMember {
 		}
 		return oldest
 	}
-	switch p.policy {
-	case pickRoundRobin:
-		return avail[int((p.next.Add(1)-1)%uint64(len(avail)))]
-	case pickWeighted:
-		return p.pickWeighted(avail, now)
-	}
-	best := avail[0]
-	for _, m := range avail[1:] {
-		if m.inflight.Load() < best.inflight.Load() {
-			best = m
-		}
-	}
-	return best
+	return p.pickWeighted(avail, now)
 }
 
 // pickWeighted scores every available member on what its daemon last
 // reported — queue depth plus daemon-side running work — on top of the
 // client-side in-flight count, and picks the lowest. Draining members are
 // skipped while any non-draining candidate exists; members without a fresh
-// sample score on in-flight alone (the least-loaded degradation).
+// sample score on in-flight alone, and ties go to the earlier member.
 func (p *PoolBackend) pickWeighted(avail []*poolMember, now time.Time) *poolMember {
 	var best *poolMember
 	var bestScore int64
@@ -789,7 +736,7 @@ func poolCall[T any](p *PoolBackend, m *poolMember, fn func() (T, error)) (T, er
 	m.inflight.Add(1)
 	p.mx.inflight.With(m.b.Name()).Inc()
 	// Deferred so a panicking member (recovered upstream by the runner)
-	// cannot leave phantom in-flight load that skews least-loaded picks.
+	// cannot leave phantom in-flight load that skews picks.
 	defer func() {
 		m.inflight.Add(-1)
 		p.mx.inflight.With(m.b.Name()).Dec()

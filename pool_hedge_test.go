@@ -5,8 +5,10 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -211,7 +213,6 @@ func TestPoolWeightedRoutesAroundDeepQueue(t *testing.T) {
 	deep.setLoad(50, 2, false)
 	shallow.setLoad(1, 0, false)
 	p, err := tilt.Pool([]tilt.Backend{deep, shallow},
-		tilt.PoolWeightedByLoad(),
 		tilt.PoolWithSampleInterval(5*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +253,6 @@ func TestPoolWeightedSkipsDrainingMember(t *testing.T) {
 	drainer.setLoad(0, 0, true)
 	busy.setLoad(20, 2, false)
 	p, err := tilt.Pool([]tilt.Backend{drainer, busy},
-		tilt.PoolWeightedByLoad(),
 		tilt.PoolWithSampleInterval(5*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
@@ -328,6 +328,49 @@ func TestPoolAdmissionControlAdmitsOnPartialKnowledge(t *testing.T) {
 			t.Fatalf("compile %d refused with a blind member in the fleet: %v", i, err)
 		}
 	}
+}
+
+// TestPoolSamplesRemoteMembersByDefault: a Pool of Remote members built
+// with no options starts the health sampler, and Close stops it: once the
+// client's idle connections are closed, the goroutine count is back to its
+// baseline from before the pool existed.
+func TestPoolSamplesRemoteMembersByDefault(t *testing.T) {
+	ctx := context.Background()
+	var samples atomic.Int64
+	observe := func(r *http.Request) {
+		if r.Method == http.MethodGet && r.URL.Path == "/v1/backends" {
+			samples.Add(1)
+		}
+	}
+	urlA, _ := startDaemonWithTILT(t, tilt.NewTILT(tilt.WithDevice(0, 4)), observe)
+	urlB, _ := startDaemonWithTILT(t, tilt.NewTILT(tilt.WithDevice(0, 4)), observe)
+	tr := &http.Transport{}
+	client := &http.Client{Transport: tr}
+	baseline := runtime.NumGoroutine()
+
+	p, err := tilt.Pool([]tilt.Backend{
+		tilt.Remote(urlA, tilt.RemoteTarget("TILT"), tilt.RemoteHTTPClient(client)),
+		tilt.Remote(urlB, tilt.RemoteTarget("TILT"), tilt.RemoteHTTPClient(client)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if _, err := tilt.Execute(ctx, p, tilt.GHZ(6).Circuit); err != nil {
+		t.Fatal(err)
+	}
+	// Two sampler ticks over two members.
+	waitUntil(t, 10*time.Second, func() bool { return samples.Load() >= 4 })
+
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, 10*time.Second, func() bool {
+		// A fetch cancelled by Close may park its connection after an
+		// earlier sweep, so close idle connections on every poll.
+		tr.CloseIdleConnections()
+		return runtime.NumGoroutine() <= baseline
+	})
 }
 
 // TestRemoteMaxPollIntervalOption: the option and the pollmax URI parameter

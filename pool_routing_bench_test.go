@@ -16,7 +16,7 @@ import (
 )
 
 // poolRoutingBench is the committed BENCH_pool_routing.json shape: p50/p99
-// request latency per routing policy on a 2-daemon fleet with one slow
+// request latency per pool configuration on a 2-daemon fleet with one slow
 // member.
 type poolRoutingBench struct {
 	Bench       string                    `json:"bench"`
@@ -138,16 +138,15 @@ func TestGeneratePoolRoutingBench(t *testing.T) {
 		Concurrency: concurrency,
 		Policies:    map[string]poolRoutingRow{},
 	}
+	// Both rows sample every 20ms: the default 500ms period would land
+	// only a few samples in a run this short.
+	sampled := tilt.PoolWithSampleInterval(20 * time.Millisecond)
 	for _, pol := range []struct {
 		name string
 		opts []tilt.PoolOption
 	}{
-		{"least_loaded", nil},
-		{"weighted_by_load", []tilt.PoolOption{
-			tilt.PoolWeightedByLoad(),
-			tilt.PoolWithSampleInterval(20 * time.Millisecond),
-		}},
-		{"hedged", []tilt.PoolOption{tilt.PoolWithHedging(15 * time.Millisecond)}},
+		{"default", []tilt.PoolOption{sampled}},
+		{"hedged", []tilt.PoolOption{sampled, tilt.PoolWithHedging(15 * time.Millisecond)}},
 	} {
 		p, err := tilt.Pool(members(), pol.opts...)
 		if err != nil {
@@ -172,7 +171,7 @@ func TestGeneratePoolRoutingBench(t *testing.T) {
 }
 
 // TestPoolRoutingBenchArtifact keeps the committed bench file honest: it
-// must parse, cover all three policies, and carry sane distributions.
+// must parse, cover both pool configurations, and carry sane distributions.
 func TestPoolRoutingBenchArtifact(t *testing.T) {
 	raw, err := os.ReadFile(poolRoutingBenchFile)
 	if err != nil {
@@ -185,7 +184,7 @@ func TestPoolRoutingBenchArtifact(t *testing.T) {
 	if bench.Bench != "pool_routing" {
 		t.Errorf("bench = %q", bench.Bench)
 	}
-	for _, pol := range []string{"least_loaded", "weighted_by_load", "hedged"} {
+	for _, pol := range []string{"default", "hedged"} {
 		row, ok := bench.Policies[pol]
 		if !ok {
 			t.Errorf("missing policy %q", pol)

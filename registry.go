@@ -76,8 +76,10 @@ func Backends() []string {
 //	                                        the identity the key must own)
 //
 // The in-process schemes share one query vocabulary: ions, head, maxswaplen,
-// alpha, placement (identity|greedy|program), inserter (linq|stochastic),
-// trials, seed, shots, mcworkers, cache, optimize, capacities. Unknown
+// alpha, gamma, epsilon, k0, cooling (the noise.Params fields Gamma,
+// Epsilon, K0 and CoolingInterval), placement (identity|greedy|program),
+// inserter (linq|stochastic), trials, seed, shots, mcworkers, cache,
+// optimize, capacities. Unknown
 // parameters are rejected, so typos fail loudly at Open time rather than
 // silently running a default configuration.
 func Open(ctx context.Context, uri string) (Backend, error) {
@@ -168,6 +170,30 @@ func optionsFromURI(u *url.URL) ([]Option, error) {
 		// of clobbering it through WithSwapOptions's whole-struct replace.
 		opts = append(opts, func(c *config) { c.core.Swap.Alpha = v })
 	}
+	for _, nk := range []struct {
+		key   string
+		field func(*NoiseParams) *float64
+	}{
+		{"gamma", func(p *NoiseParams) *float64 { return &p.Gamma }},
+		{"epsilon", func(p *NoiseParams) *float64 { return &p.Epsilon }},
+		{"k0", func(p *NoiseParams) *float64 { return &p.K0 }},
+	} {
+		if !q.Has(nk.key) {
+			continue
+		}
+		v, err := strconv.ParseFloat(q.Get(nk.key), 64)
+		if err != nil {
+			return nil, fmt.Errorf("parameter %s=%q: %w", nk.key, q.Get(nk.key), err)
+		}
+		opts = append(opts, withNoiseField(func(p *NoiseParams) { *nk.field(p) = v }))
+	}
+	if q.Has("cooling") {
+		v, err := intParam(q, "cooling", 0)
+		if err != nil {
+			return nil, err
+		}
+		opts = append(opts, withNoiseField(func(p *NoiseParams) { p.CoolingInterval = v }))
+	}
 	if q.Has("placement") {
 		switch v := q.Get("placement"); v {
 		case "identity":
@@ -250,16 +276,29 @@ func optionsFromURI(u *url.URL) ([]Option, error) {
 
 	known := map[string]bool{
 		"ions": true, "head": true, "maxswaplen": true, "alpha": true,
+		"gamma": true, "epsilon": true, "k0": true, "cooling": true,
 		"placement": true, "inserter": true, "trials": true, "seed": true,
 		"shots": true, "mcworkers": true, "cache": true, "optimize": true,
 		"capacities": true,
 	}
 	for k := range q {
 		if !known[k] {
-			return nil, fmt.Errorf("unknown parameter %q (known: ions, head, maxswaplen, alpha, placement, inserter, trials, seed, shots, mcworkers, cache, optimize, capacities)", k)
+			return nil, fmt.Errorf("unknown parameter %q (known: ions, head, maxswaplen, alpha, gamma, epsilon, k0, cooling, placement, inserter, trials, seed, shots, mcworkers, cache, optimize, capacities)", k)
 		}
 	}
 	return opts, nil
+}
+
+// withNoiseField sets one noise.Params field over whatever noise model the
+// earlier options chose (DefaultNoise when none), so the noise keys compose
+// with each other the way alpha composes with maxswaplen. Values go in as
+// given: noise.Params.Validate rejects a negative one when the backend runs.
+func withNoiseField(set func(*NoiseParams)) Option {
+	return func(c *config) {
+		p := c.core.NoiseParams()
+		set(&p)
+		c.core.Noise = &p
+	}
 }
 
 // intParam parses an integer query parameter, with a default when absent.

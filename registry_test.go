@@ -150,3 +150,89 @@ func TestOpenRejectsTrialsWithoutStochastic(t *testing.T) {
 		t.Errorf("trials with stochastic inserter rejected: %v", err)
 	}
 }
+
+// TestOpenNoiseKeys: gamma, epsilon, k0 and cooling each set only their own
+// noise.Params field, so each composes with alpha and maxswaplen and with
+// the other noise keys. An unparsable value fails at Open; a negative one
+// goes in as given and noise.Params.Validate rejects it at run time.
+func TestOpenNoiseKeys(t *testing.T) {
+	ctx := context.Background()
+	bv, err := tilt.BenchmarkByName("BV")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// maxswaplen=2 changes BV's routing on a head-4 tape (30 swaps, not
+	// 20), so a noise key that clobbered the swap options would show.
+	swap := tilt.WithSwapOptions(tilt.SwapOptions{MaxSwapLen: 2, Alpha: 0.5})
+	execute := func(be tilt.Backend) *tilt.Result {
+		t.Helper()
+		res, err := tilt.Execute(ctx, be, bv.Circuit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	open := func(uri string) tilt.Backend {
+		t.Helper()
+		be, err := tilt.Open(ctx, uri)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return be
+	}
+	plain := execute(tilt.NewTILT(tilt.WithDevice(0, 4), swap))
+
+	cases := []struct {
+		key, value string
+		set        func(*tilt.NoiseParams)
+		negative   string
+	}{
+		{"gamma", "1e-5", func(p *tilt.NoiseParams) { p.Gamma = 1e-5 }, "noise: negative Gamma -1"},
+		{"epsilon", "1e-3", func(p *tilt.NoiseParams) { p.Epsilon = 1e-3 }, "noise: negative Epsilon -1"},
+		{"k0", "1", func(p *tilt.NoiseParams) { p.K0 = 1 }, "noise: negative K0 -1"},
+		{"cooling", "1", func(p *tilt.NoiseParams) { p.CoolingInterval = 1 }, "noise: negative cooling interval -1"},
+	}
+	all := tilt.DefaultNoise()
+	query := ""
+	for _, tc := range cases {
+		t.Run(tc.key, func(t *testing.T) {
+			p := tilt.DefaultNoise()
+			tc.set(&p)
+			want := execute(tilt.NewTILT(tilt.WithDevice(0, 4), swap, tilt.WithNoise(p)))
+			got := execute(open("tilt://?head=4&alpha=0.5&maxswaplen=2&" + tc.key + "=" + tc.value))
+			if got.SuccessRate != want.SuccessRate || got.ExecTimeUs != want.ExecTimeUs ||
+				got.TILT.SwapCount != want.TILT.SwapCount || got.TILT.SwapCount != plain.TILT.SwapCount {
+				t.Errorf("%s=%s with alpha and maxswaplen: success %v, %v µs, %d swaps; want %v, %v µs, %d swaps",
+					tc.key, tc.value, got.SuccessRate, got.ExecTimeUs, got.TILT.SwapCount,
+					want.SuccessRate, want.ExecTimeUs, want.TILT.SwapCount)
+			}
+			if got.SuccessRate == plain.SuccessRate {
+				t.Errorf("%s=%s left the success rate at the default noise's %v", tc.key, tc.value, plain.SuccessRate)
+			}
+
+			if _, err := tilt.Open(ctx, "tilt://?"+tc.key+"=abc"); err == nil ||
+				!strings.Contains(err.Error(), "parameter "+tc.key+`="abc"`) {
+				t.Errorf("%s=abc: err = %v", tc.key, err)
+			}
+			neg := open("tilt://?" + tc.key + "=-1")
+			if _, err := tilt.Execute(ctx, neg, bv.Circuit); err == nil || !strings.Contains(err.Error(), tc.negative) {
+				t.Errorf("%s=-1: err = %v, want %q", tc.key, err, tc.negative)
+			}
+		})
+		tc.set(&all)
+		query += "&" + tc.key + "=" + tc.value
+	}
+
+	// All four keys together set all four fields.
+	want := execute(tilt.NewTILT(tilt.WithDevice(0, 4), swap, tilt.WithNoise(all)))
+	if got := execute(open("tilt://?head=4&alpha=0.5&maxswaplen=2" + query)); got.SuccessRate != want.SuccessRate {
+		t.Errorf("all four noise keys: success %v, want %v", got.SuccessRate, want.SuccessRate)
+	}
+
+	// A hotter trap lowers the success rate.
+	cool := execute(open("tilt://?head=4&gamma=1e-6"))
+	hot := execute(open("tilt://?head=4&gamma=1e-5"))
+	if !(hot.SuccessRate < cool.SuccessRate) {
+		t.Errorf("gamma 1e-5 success %v not below gamma 1e-6's %v", hot.SuccessRate, cool.SuccessRate)
+	}
+}

@@ -317,10 +317,11 @@ func TestRunOverRemotePool(t *testing.T) {
 		tilt.Remote(startPoolDaemon(t)),
 		tilt.Remote(startPoolDaemon(t)),
 	}
-	pool, err := tilt.Pool(fleet, tilt.PoolRoundRobin())
+	pool, err := tilt.Pool(fleet)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer pool.Close()
 
 	local := tilt.NewTILT(tilt.WithDevice(0, 4))
 	widths := []int{6, 8, 10, 12, 6, 8, 10, 12}
