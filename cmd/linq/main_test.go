@@ -222,6 +222,10 @@ func TestRunNoiseFlags(t *testing.T) {
 	// than replaced by the default.
 	runErr(t, "noise: negative Gamma -1", "-bench", "BV", "-gamma", "-1")
 	runErr(t, "noise: negative cooling interval -2", "-bench", "BV", "-cooling", "-2")
+	// ParseFloat accepts NaN; it must not print a NaN success rate.
+	runErr(t, "noise: non-finite Gamma NaN", "-bench", "BV", "-gamma", "NaN")
+	runErr(t, "noise: non-finite Epsilon +Inf", "-bench", "BV", "-epsilon", "Inf")
+	runErr(t, "swapins: Alpha NaN outside (0,1)", "-bench", "BV", "-alpha", "NaN")
 }
 
 func TestRunOptimize(t *testing.T) {

@@ -77,6 +77,20 @@ func Default() Params {
 
 // Validate rejects non-physical parameter sets.
 func (p Params) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"Gamma", p.Gamma}, {"Epsilon", p.Epsilon}, {"K0", p.K0},
+		{"OneQubitError", p.OneQubitError}, {"GateTimeSlope", p.GateTimeSlope},
+		{"GateTimeOffset", p.GateTimeOffset}, {"OneQubitTimeUs", p.OneQubitTimeUs},
+		{"ShuttleRateUmPerUs", p.ShuttleRateUmPerUs}, {"IonSpacingUm", p.IonSpacingUm},
+		{"SplitMergeFactor", p.SplitMergeFactor}, {"HopFactor", p.HopFactor},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("noise: non-finite %s %g", f.name, f.v)
+		}
+	}
 	switch {
 	case p.Gamma < 0:
 		return fmt.Errorf("noise: negative Gamma %g", p.Gamma)

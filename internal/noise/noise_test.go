@@ -24,6 +24,11 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		"spacing": func(p *Params) { p.IonSpacingUm = 0 },
 		"split":   func(p *Params) { p.SplitMergeFactor = -1 },
 		"cool":    func(p *Params) { p.CoolingInterval = -1 },
+		// NaN passes every ordered comparison and +Inf every lower bound.
+		"gamma-nan": func(p *Params) { p.Gamma = math.NaN() },
+		"k0-inf":    func(p *Params) { p.K0 = math.Inf(1) },
+		"rate-inf":  func(p *Params) { p.ShuttleRateUmPerUs = math.Inf(1) },
+		"hop-nan":   func(p *Params) { p.HopFactor = math.NaN() },
 	}
 	for name, mod := range mods {
 		p := Default()

@@ -91,7 +91,7 @@ func (o Options) validate(dev device.TILT) error {
 		return fmt.Errorf("swapins: MaxSwapLen %d outside [1,%d]",
 			o.MaxSwapLen, dev.MaxGateDistance())
 	}
-	if o.Alpha <= 0 || o.Alpha >= 1 {
+	if !(o.Alpha > 0 && o.Alpha < 1) { // also rejects NaN
 		return fmt.Errorf("swapins: Alpha %g outside (0,1)", o.Alpha)
 	}
 	if o.Lookahead < 1 {

@@ -3,6 +3,7 @@ package swapins
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -139,6 +140,9 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	if _, err := (LinQ{}).Insert(context.Background(), c, m, dev, Options{Alpha: 1.5}); err == nil {
 		t.Error("Alpha outside (0,1) should fail")
+	}
+	if _, err := (LinQ{}).Insert(context.Background(), c, m, dev, Options{Alpha: math.NaN()}); err == nil {
+		t.Error("NaN Alpha should fail")
 	}
 	if _, err := (LinQ{}).Insert(context.Background(), c, m, dev, Options{Lookahead: -1}); err == nil {
 		t.Error("negative lookahead should fail")

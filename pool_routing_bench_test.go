@@ -138,21 +138,21 @@ func TestGeneratePoolRoutingBench(t *testing.T) {
 		Concurrency: concurrency,
 		Policies:    map[string]poolRoutingRow{},
 	}
-	// Both rows sample every 20ms: the default 500ms period would land
-	// only a few samples in a run this short.
-	sampled := tilt.PoolWithSampleInterval(20 * time.Millisecond)
 	for _, pol := range []struct {
 		name string
 		opts []tilt.PoolOption
 	}{
-		{"default", []tilt.PoolOption{sampled}},
-		{"hedged", []tilt.PoolOption{sampled, tilt.PoolWithHedging(15 * time.Millisecond)}},
+		{"default", nil},
+		{"sampled_20ms", []tilt.PoolOption{tilt.PoolWithSampleInterval(20 * time.Millisecond)}},
+		{"hedged", []tilt.PoolOption{tilt.PoolWithHedging(15 * time.Millisecond)}},
 	} {
 		p, err := tilt.Pool(members(), pol.opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(100 * time.Millisecond) // let the sampler land a first sweep
+		// Outlast the default 500ms sample period so every row routes on
+		// a landed sample.
+		time.Sleep(600 * time.Millisecond)
 		lat := measureRoutingPolicy(t, p, requests, concurrency)
 		p.Close()
 		row := poolRoutingRow{P50MS: percentileMS(lat, 0.50), P99MS: percentileMS(lat, 0.99)}
@@ -171,7 +171,7 @@ func TestGeneratePoolRoutingBench(t *testing.T) {
 }
 
 // TestPoolRoutingBenchArtifact keeps the committed bench file honest: it
-// must parse, cover both pool configurations, and carry sane distributions.
+// must parse, cover every pool configuration, and carry sane distributions.
 func TestPoolRoutingBenchArtifact(t *testing.T) {
 	raw, err := os.ReadFile(poolRoutingBenchFile)
 	if err != nil {
@@ -184,7 +184,7 @@ func TestPoolRoutingBenchArtifact(t *testing.T) {
 	if bench.Bench != "pool_routing" {
 		t.Errorf("bench = %q", bench.Bench)
 	}
-	for _, pol := range []string{"default", "hedged"} {
+	for _, pol := range []string{"default", "sampled_20ms", "hedged"} {
 		row, ok := bench.Policies[pol]
 		if !ok {
 			t.Errorf("missing policy %q", pol)

@@ -50,32 +50,60 @@ func TestPoolValidation(t *testing.T) {
 }
 
 func TestPoolRoutesSimulateToCompilingMember(t *testing.T) {
+	// Hold a Simulate in flight on a so the next compiles land on b, then
+	// simulate b's artifacts once both members are idle, when a fresh pick
+	// would choose a: only following the artifact reaches b.
 	ctx := context.Background()
-	a := &countingBackend{name: "a"}
+	gate := make(chan struct{})
+	a := &blockingBackend{name: "a", gate: gate}
 	b := &countingBackend{name: "b"}
 	p, err := tilt.Pool([]tilt.Backend{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
 	circ := tilt.GHZ(4).Circuit
-	for i := 0; i < 6; i++ {
+	held, err := p.Compile(ctx, circ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if held.Backend != "a" {
+		t.Fatalf("first pick went to %s, want a", held.Backend)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, _ = p.Simulate(ctx, held)
+	}()
+	deadline := time.Now().Add(30 * time.Second)
+	for a.inSim.Load() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	var onB []*tilt.Artifact
+	for i := 0; i < 3; i++ {
 		art, err := p.Compile(ctx, circ)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if art.Backend != "b" {
+			t.Fatalf("compile %d went to loaded member %s, want b", i, art.Backend)
+		}
+		onB = append(onB, art)
+	}
+	close(gate)
+	<-done
+
+	for _, art := range onB {
 		res, err := p.Simulate(ctx, art)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The simulating member is the compiling member: the fake stamps
-		// its own name into the result.
-		if res.Backend != art.Backend {
-			t.Fatalf("artifact compiled by %s but simulated by %s", art.Backend, res.Backend)
+		// The fake stamps its own name into the result.
+		if res.Backend != "b" {
+			t.Fatalf("artifact compiled by b but simulated by %s", res.Backend)
 		}
 	}
-	if a.compiles.Load() != a.sims.Load() || b.compiles.Load() != b.sims.Load() {
-		t.Errorf("simulate did not follow compile: a %d/%d, b %d/%d",
-			a.compiles.Load(), a.sims.Load(), b.compiles.Load(), b.sims.Load())
+	if c, s := b.compiles.Load(), b.sims.Load(); c != 3 || s != c {
+		t.Errorf("simulate did not follow compile: b compiled %d, simulated %d; want 3/3", c, s)
 	}
 
 	// An artifact from outside the pool is rejected.

@@ -186,11 +186,12 @@ func TestOpenNoiseKeys(t *testing.T) {
 		key, value string
 		set        func(*tilt.NoiseParams)
 		negative   string
+		nonFinite  string // error for NaN, Inf and -Inf
 	}{
-		{"gamma", "1e-5", func(p *tilt.NoiseParams) { p.Gamma = 1e-5 }, "noise: negative Gamma -1"},
-		{"epsilon", "1e-3", func(p *tilt.NoiseParams) { p.Epsilon = 1e-3 }, "noise: negative Epsilon -1"},
-		{"k0", "1", func(p *tilt.NoiseParams) { p.K0 = 1 }, "noise: negative K0 -1"},
-		{"cooling", "1", func(p *tilt.NoiseParams) { p.CoolingInterval = 1 }, "noise: negative cooling interval -1"},
+		{"gamma", "1e-5", func(p *tilt.NoiseParams) { p.Gamma = 1e-5 }, "noise: negative Gamma -1", "noise: non-finite Gamma "},
+		{"epsilon", "1e-3", func(p *tilt.NoiseParams) { p.Epsilon = 1e-3 }, "noise: negative Epsilon -1", "noise: non-finite Epsilon "},
+		{"k0", "1", func(p *tilt.NoiseParams) { p.K0 = 1 }, "noise: negative K0 -1", "noise: non-finite K0 "},
+		{"cooling", "1", func(p *tilt.NoiseParams) { p.CoolingInterval = 1 }, "noise: negative cooling interval -1", "parameter cooling="},
 	}
 	all := tilt.DefaultNoise()
 	query := ""
@@ -217,6 +218,16 @@ func TestOpenNoiseKeys(t *testing.T) {
 			neg := open("tilt://?" + tc.key + "=-1")
 			if _, err := tilt.Execute(ctx, neg, bv.Circuit); err == nil || !strings.Contains(err.Error(), tc.negative) {
 				t.Errorf("%s=-1: err = %v, want %q", tc.key, err, tc.negative)
+			}
+			// ParseFloat accepts NaN and Inf; they must not reach the model.
+			for _, v := range []string{"NaN", "Inf", "-Inf"} {
+				be, err := tilt.Open(ctx, "tilt://?"+tc.key+"="+v)
+				if err == nil {
+					_, err = tilt.Execute(ctx, be, bv.Circuit)
+				}
+				if err == nil || !strings.Contains(err.Error(), tc.nonFinite) {
+					t.Errorf("%s=%s: err = %v, want %q", tc.key, v, err, tc.nonFinite)
+				}
 			}
 		})
 		tc.set(&all)
