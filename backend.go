@@ -194,6 +194,16 @@ type QCCDStats struct {
 	Hops      int
 }
 
+// Noise returns the noise model a local backend compiled the artifact under
+// and simulates it with; a pool artifact reports its member's. A remote
+// artifact's noise is resolved on the daemon, so it reports the default.
+func (a *Artifact) Noise() NoiseParams {
+	if a.inner != nil {
+		return a.inner.Noise()
+	}
+	return a.cfg.core.NoiseParams()
+}
+
 // Execute compiles and simulates in one call on any backend.
 func Execute(ctx context.Context, b Backend, c *Circuit) (*Result, error) {
 	a, err := b.Compile(ctx, c)

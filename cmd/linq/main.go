@@ -65,22 +65,22 @@ var uriFlags = []string{"ions", "head", "maxswaplen", "alpha", "inserter", "seed
 func run(ctx context.Context, args []string, out io.Writer) error {
 	def := noise.Default()
 	fs := flag.NewFlagSet("linq", flag.ContinueOnError)
-	// These six only feed the tilt:// URI, read back through uriFlags.
+	// These ten only feed the tilt:// URI, read back through uriFlags.
 	fs.Int("ions", 0, "chain length (0 = circuit width)")
 	fs.Int("head", 16, "tape head size")
 	fs.Int("maxswaplen", 0, "max swap span (0 = head-1)")
 	fs.Float64("alpha", 0, "Eq.1 lookahead discount (0 = default 0.7)")
 	fs.String("inserter", "linq", "swap inserter: linq or stochastic")
 	fs.Int64("seed", 1, "seed for the stochastic inserter")
+	fs.Float64("gamma", def.Gamma, "background heating rate, 1/µs")
+	fs.Float64("epsilon", def.Epsilon, "two-qubit residual error")
+	fs.Float64("k0", def.K0, "per-shuttle heating scale")
+	fs.Int("cooling", 0, "sympathetic cooling interval in moves (0 = off)")
 	var (
 		bench      = fs.String("bench", "QFT", "benchmark name (ADDER, BV, QAOA, RCS, QFT, SQRT)")
 		qasmPath   = fs.String("qasm", "", "OpenQASM 2.0 input file (instead of -bench)")
 		backendURI = fs.String("backend", "", "backend URI for tilt.Open (e.g. tilt://?ions=64&head=16, linqd://127.0.0.1:8080); replaces the device and noise flags")
 		optimize   = fs.Bool("optimize", false, "run the peephole optimizer")
-		gamma      = fs.Float64("gamma", def.Gamma, "background heating rate, 1/µs")
-		epsilon    = fs.Float64("epsilon", def.Epsilon, "two-qubit residual error")
-		k0         = fs.Float64("k0", def.K0, "per-shuttle heating scale")
-		cooling    = fs.Int("cooling", 0, "sympathetic cooling interval in moves (0 = off)")
 		compare    = fs.Bool("compare", false, "also simulate IdealTI and QCCD with the same query")
 		emit       = fs.String("emit", "", "write the compiled physical program as QASM")
 		passes     = fs.Bool("passes", false, "print per-pass compile stats")
@@ -193,11 +193,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		fmt.Fprintln(out)
 		fmt.Fprint(out, render.Timeline(cr.Schedule, dev))
 		fmt.Fprintln(out)
-		// With -backend the noise flags are unset, so this is the default
-		// model whatever the URI chose.
-		p := def
-		p.Gamma, p.Epsilon, p.K0, p.CoolingInterval = *gamma, *epsilon, *k0, *cooling
-		prof := render.Profile(cr.Physical, cr.Schedule, dev, p)
+		prof := render.Profile(cr.Physical, cr.Schedule, dev, art.Noise())
 		fmt.Fprint(out, render.FormatProfile(prof))
 	}
 	return nil

@@ -244,3 +244,30 @@ func TestRunScheduleViewsNeedLocalTILT(t *testing.T) {
 		t.Errorf("-v report:\n%s", got)
 	}
 }
+
+// TestRunProfileUsesBackendNoise: -v draws the fidelity-decay profile with
+// the noise the backend simulated, so a URI's noise key and the matching
+// flag print the same profile, and both differ from the default model's.
+func TestRunProfileUsesBackendNoise(t *testing.T) {
+	profile := func(args ...string) string {
+		t.Helper()
+		var lines []string
+		for _, line := range strings.Split(runOK(t, args...), "\n") {
+			if strings.HasPrefix(line, "move ") && strings.Contains(line, " fid ") {
+				lines = append(lines, line)
+			}
+		}
+		if len(lines) == 0 {
+			t.Fatalf("linq %s printed no profile", strings.Join(args, " "))
+		}
+		return strings.Join(lines, "\n")
+	}
+	viaURI := profile("-bench", "BV", "-backend", "tilt://?gamma=1e-4", "-v")
+	viaFlag := profile("-bench", "BV", "-gamma", "1e-4", "-v")
+	if viaURI != viaFlag {
+		t.Errorf("-backend tilt://?gamma=1e-4 profile:\n%s\nwant the -gamma 1e-4 profile:\n%s", viaURI, viaFlag)
+	}
+	if def := profile("-bench", "BV", "-v"); def == viaFlag {
+		t.Errorf("-gamma 1e-4 left the profile at the default model's:\n%s", def)
+	}
+}

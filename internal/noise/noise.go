@@ -152,11 +152,19 @@ func (p Params) EffectiveQuanta(moves int, k float64) float64 {
 // tau (µs) executed while the chain carries the given motional quanta:
 // err = Γτ + ((1+ε)^(2·quanta+1) − 1), clamped to [0, 1].
 func (p Params) TwoQubitError(tau, quanta float64) float64 {
+	return p.TwoQubitErrorLog(tau, quanta, math.Log1p(p.Epsilon))
+}
+
+// TwoQubitErrorLog is TwoQubitError with log1pEps = log1p(Epsilon) supplied
+// by the caller, so a simulator that evaluates Eq. 4 once per gate computes
+// the logarithm once per run. Passing math.Log1p(p.Epsilon) gives exactly
+// TwoQubitError's result.
+func (p Params) TwoQubitErrorLog(tau, quanta, log1pEps float64) float64 {
 	if quanta < 0 {
 		quanta = 0
 	}
 	// (1+ε)^(2q+1) − 1 computed in log space for numerical stability.
-	amp := math.Expm1((2*quanta + 1) * math.Log1p(p.Epsilon))
+	amp := math.Expm1((2*quanta + 1) * log1pEps)
 	err := p.Gamma*tau + amp
 	if err < 0 {
 		return 0

@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/circuit"
@@ -68,16 +69,91 @@ type Result struct {
 	MeanTwoQubitFidelity float64
 }
 
+// Kinds of the routing index's op stream.
+const (
+	opMeasure int32 = iota // no machine work; the zero op
+	opOne
+	opTwo
+)
+
+// op is one gate of the routing index's op stream.
+type op struct {
+	kind   int32
+	q0, q1 int32
+}
+
+// partner is one two-qubit gate seen from one of its operands: the gate's
+// ordinal among the circuit's two-qubit gates and the other operand.
+type partner struct {
+	ord, other int32
+}
+
+// index is the routing view of one circuit: its gates as a compact op
+// stream and, for each qubit, the two-qubit gates it takes part in, in
+// program order. It is read-only once built, so every machine of a
+// capacity sweep shares one.
+type index struct {
+	ops []op
+	occ [][]partner
+}
+
+// newIndex checks that the circuit fits numQubits qubits and has arity ≤ 2,
+// then builds its routing index.
+func newIndex(c *circuit.Circuit, numQubits int) (*index, error) {
+	if c.NumQubits() > numQubits {
+		return nil, fmt.Errorf("qccd: circuit width %d exceeds device %d",
+			c.NumQubits(), numQubits)
+	}
+	gates := c.Gates()
+	ix := &index{ops: make([]op, len(gates)), occ: make([][]partner, c.NumQubits())}
+	deg := make([]int, c.NumQubits())
+	twoQubit := 0
+	for i, g := range gates {
+		// A circuit's gates carry exactly their kind's arity of qubits.
+		switch qs := g.Qubits; {
+		case len(qs) > 2:
+			return nil, fmt.Errorf("qccd: gate %d (%s) has arity %d; decompose first",
+				i, g, len(qs))
+		case len(qs) == 2:
+			ix.ops[i] = op{kind: opTwo, q0: int32(qs[0]), q1: int32(qs[1])}
+			deg[qs[0]]++
+			deg[qs[1]]++
+			twoQubit++
+		case g.Kind != circuit.Measure:
+			ix.ops[i] = op{kind: opOne, q0: int32(qs[0])}
+		}
+	}
+	flat := make([]partner, 2*twoQubit)
+	for q, d := range deg {
+		ix.occ[q], flat = flat[:0:d], flat[d:]
+	}
+	k := int32(0)
+	for _, o := range ix.ops {
+		if o.kind == opTwo {
+			ix.occ[o.q0] = append(ix.occ[o.q0], partner{k, o.q1})
+			ix.occ[o.q1] = append(ix.occ[o.q1], partner{k, o.q0})
+			k++
+		}
+	}
+	return ix, nil
+}
+
 // machine is the mutable QCCD state during simulation.
 type machine struct {
 	dev device.QCCD
 	p   noise.Params
+	ix  *index
 
-	chains [][]int        // per-trap ordered logical qubits
-	trapOf []int          // logical qubit -> trap index
-	quanta []float64      // per-trap motional quanta
-	avail  []float64      // per-qubit ready time, µs
-	gates  []circuit.Gate // full program, for routing lookahead
+	chains [][]int   // per-trap ordered logical qubits
+	trapOf []int     // logical qubit -> trap index
+	pos    []int     // logical qubit -> index in its trap's chain
+	quanta []float64 // per-trap motional quanta
+	avail  []float64 // per-qubit ready time, µs
+	cursor []int     // per qubit: first ix.occ entry not behind the current gate
+
+	// logOne and logEps are log1p(-OneQubitError) and log1p(Epsilon),
+	// the per-gate logarithms of the noise model computed once.
+	logOne, logEps float64
 
 	logF   float64
 	fidSum float64
@@ -89,37 +165,41 @@ type machine struct {
 // QCCD device with the given noise parameters. Cancellation of ctx is
 // observed between gates.
 func Run(ctx context.Context, c *circuit.Circuit, dev device.QCCD, p noise.Params) (*Result, error) {
+	ix, err := newIndex(c, dev.NumQubits)
+	if err != nil {
+		return nil, err
+	}
+	return simulate(ctx, ix, dev, p, nil)
+}
+
+// simulate runs one machine over the index's op stream. A non-nil check
+// runs after every gate i; its error aborts the run.
+func simulate(ctx context.Context, ix *index, dev device.QCCD, p noise.Params, check func(m *machine, i int) error) (*Result, error) {
 	if err := dev.Validate(); err != nil {
 		return nil, err
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if c.NumQubits() > dev.NumQubits {
-		return nil, fmt.Errorf("qccd: circuit width %d exceeds device %d",
-			c.NumQubits(), dev.NumQubits)
-	}
-	for i, g := range c.Gates() {
-		if len(g.Qubits) > 2 {
-			return nil, fmt.Errorf("qccd: gate %d (%s) has arity %d; decompose first",
-				i, g, len(g.Qubits))
-		}
-	}
-
-	m := newMachine(dev, p)
-	m.gates = c.Gates()
-	for i, g := range m.gates {
+	m := newMachine(ix, dev, p)
+	k := 0 // ordinal of the next two-qubit gate
+	for i, o := range ix.ops {
 		if i%cancelCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		switch {
-		case g.Kind == circuit.Measure:
-		case !g.IsTwoQubit():
-			m.oneQubit(g.Qubits[0])
-		default:
-			if err := m.twoQubit(i, g.Qubits[0], g.Qubits[1]); err != nil {
+		switch o.kind {
+		case opOne:
+			m.oneQubit(int(o.q0))
+		case opTwo:
+			if err := m.twoQubit(k, int(o.q0), int(o.q1)); err != nil {
+				return nil, err
+			}
+			k++
+		}
+		if check != nil {
+			if err := check(m, i); err != nil {
 				return nil, err
 			}
 		}
@@ -127,16 +207,27 @@ func Run(ctx context.Context, c *circuit.Circuit, dev device.QCCD, p noise.Param
 	return m.finish(), nil
 }
 
-func newMachine(dev device.QCCD, p noise.Params) *machine {
+func newMachine(ix *index, dev device.QCCD, p noise.Params) *machine {
 	numTraps := dev.NumTraps()
 	m := &machine{
 		dev:    dev,
 		p:      p,
+		ix:     ix,
 		chains: make([][]int, numTraps),
 		trapOf: make([]int, dev.NumQubits),
+		pos:    make([]int, dev.NumQubits),
 		quanta: make([]float64, numTraps),
 		avail:  make([]float64, dev.NumQubits),
+		cursor: make([]int, len(ix.occ)),
+		logOne: math.Log1p(-p.OneQubitError),
+		logEps: math.Log1p(p.Epsilon),
 		res:    &Result{Capacity: dev.Capacity},
+	}
+	// Each chain owns Capacity slots of one buffer, so splits and merges
+	// work in place.
+	buf := make([]int, numTraps*dev.Capacity)
+	for t := range m.chains {
+		m.chains[t] = buf[t*dev.Capacity : t*dev.Capacity : (t+1)*dev.Capacity]
 	}
 	// Distribute qubits in index order, leaving one transit slot per trap.
 	perTrap := dev.Capacity - 1
@@ -145,6 +236,7 @@ func newMachine(dev device.QCCD, p noise.Params) *machine {
 		if t >= numTraps {
 			t = numTraps - 1
 		}
+		m.pos[q] = len(m.chains[t])
 		m.chains[t] = append(m.chains[t], q)
 		m.trapOf[q] = t
 	}
@@ -152,7 +244,7 @@ func newMachine(dev device.QCCD, p noise.Params) *machine {
 }
 
 func (m *machine) oneQubit(q int) {
-	m.logF += math.Log1p(-m.p.OneQubitError)
+	m.logF += m.logOne
 	m.res.OneQubitGates++
 	m.avail[q] += m.p.OneQubitTimeUs
 }
@@ -161,77 +253,51 @@ func (m *machine) oneQubit(q int) {
 // selection examines.
 const routingLookahead = 96
 
-// twoQubit executes the gate at index gi, shuttling one operand to the
-// other's trap if needed.
+// twoQubit executes the k-th two-qubit gate of the circuit, shuttling one
+// operand to the other's trap if needed.
 //
 // Traveler selection looks ahead: the endpoint that has more upcoming gates
 // with residents of the other endpoint's trap travels, so a hub qubit (QFT's
 // cascade source) moves once into a remote block instead of dragging each
 // partner over one by one — the same block-affinity idea the QCCD literature
 // uses to keep shuttle counts near-linear.
-func (m *machine) twoQubit(gi, a, b int) error {
+func (m *machine) twoQubit(k, a, b int) error {
 	if m.trapOf[a] != m.trapOf[b] {
-		if m.affinity(gi, b, m.trapOf[a]) > m.affinity(gi, a, m.trapOf[b]) {
+		if m.affinity(k, b, m.trapOf[a]) > m.affinity(k, a, m.trapOf[b]) {
 			a, b = b, a
 		}
 		if err := m.shuttle(a, m.trapOf[b], a, b); err != nil {
 			return err
 		}
 	}
-	t := m.trapOf[a]
-	d := m.chainDistance(t, a, b)
+	// The operands now share a trap; d is their separation in ion spacings.
+	d := m.pos[a] - m.pos[b]
+	if d < 0 {
+		d = -d
+	}
 	m.applyTwoQubitGate(a, b, d, 1)
 	m.res.TwoQubitGates++
 	return nil
 }
 
-// affinity counts upcoming two-qubit gates (within the lookahead window,
-// starting at gate gi) that pair qubit q with a current resident of trap t.
-func (m *machine) affinity(gi, q, t int) int {
+// affinity counts the two-qubit gates with ordinals in the lookahead window
+// [k, k+routingLookahead) that pair qubit q with a current resident of
+// trap t. Gates run in program order, so q's cursor only moves forward and
+// a call costs q's degree within the window.
+func (m *machine) affinity(k, q, t int) int {
+	occ := m.ix.occ[q]
+	i := m.cursor[q]
+	for i < len(occ) && int(occ[i].ord) < k {
+		i++
+	}
+	m.cursor[q] = i
 	count := 0
-	seen := 0
-	for i := gi; i < len(m.gates) && seen < routingLookahead; i++ {
-		g := m.gates[i]
-		if !g.IsTwoQubit() {
-			continue
-		}
-		seen++
-		var other int
-		switch {
-		case g.Qubits[0] == q:
-			other = g.Qubits[1]
-		case g.Qubits[1] == q:
-			other = g.Qubits[0]
-		default:
-			continue
-		}
-		if m.trapOf[other] == t {
+	for end := k + routingLookahead; i < len(occ) && int(occ[i].ord) < end; i++ {
+		if m.trapOf[occ[i].other] == t {
 			count++
 		}
 	}
 	return count
-}
-
-// chainDistance returns the in-chain separation of two qubits co-resident in
-// trap t, in ion spacings.
-func (m *machine) chainDistance(t, a, b int) int {
-	pa, pb := -1, -1
-	for i, q := range m.chains[t] {
-		if q == a {
-			pa = i
-		}
-		if q == b {
-			pb = i
-		}
-	}
-	if pa < 0 || pb < 0 {
-		panic(fmt.Sprintf("qccd: qubits %d,%d not co-resident in trap %d", a, b, t))
-	}
-	d := pa - pb
-	if d < 0 {
-		d = -d
-	}
-	return d
 }
 
 // applyTwoQubitGate accounts fidelity and timing for reps two-qubit gate
@@ -241,7 +307,7 @@ func (m *machine) applyTwoQubitGate(a, b, d, reps int) {
 	t := m.trapOf[a]
 	tau := m.p.GateTime(d)
 	for r := 0; r < reps; r++ {
-		err := m.p.TwoQubitError(tau, m.quanta[t])
+		err := m.p.TwoQubitErrorLog(tau, m.quanta[t], m.logEps)
 		m.logF += safeLog1p(-err)
 		m.fidSum += 1 - err
 		m.fidN++
@@ -274,18 +340,20 @@ func (m *machine) shuttle(q, dst, prot1, prot2 int) error {
 
 	// Reposition q to the edge of src facing dst: physical in-chain
 	// transport (heating + time), not logical SWAP gates.
-	pos := m.chainIndex(src, q)
+	chain := m.chains[src]
+	pos := m.pos[q]
 	var edge int
 	if dir > 0 {
-		edge = len(m.chains[src]) - 1
+		edge = len(chain) - 1
 	}
 	for pos != edge {
 		step := 1
 		if edge < pos {
 			step = -1
 		}
-		other := m.chains[src][pos+step]
-		m.chains[src][pos], m.chains[src][pos+step] = other, q
+		other := chain[pos+step]
+		chain[pos], chain[pos+step] = other, q
+		m.pos[other], m.pos[q] = pos, pos+step
 		m.quanta[src] += reorderFactor * m.p.SplitMergeFactor * m.p.ShuttleQuanta(len(m.chains[src]))
 		m.avail[q] += reorderUs
 		m.res.EdgeSwaps++
@@ -293,7 +361,8 @@ func (m *machine) shuttle(q, dst, prot1, prot2 int) error {
 	}
 
 	// Split: remove q from src; heats the source chain.
-	m.chains[src] = removeAt(m.chains[src], pos)
+	m.chains[src] = slices.Delete(chain, pos, pos+1)
+	m.reindex(src, pos)
 	m.quanta[src] += m.p.SplitMergeFactor * m.p.ShuttleQuanta(len(m.chains[src])+1)
 	m.res.Splits++
 	m.avail[q] += splitUs
@@ -310,9 +379,11 @@ func (m *machine) shuttle(q, dst, prot1, prot2 int) error {
 
 	// Merge at the edge of dst facing src; heats the destination chain.
 	if dir > 0 {
-		m.chains[dst] = append([]int{q}, m.chains[dst]...)
+		m.chains[dst] = slices.Insert(m.chains[dst], 0, q)
+		m.reindex(dst, 0)
 	} else {
 		m.chains[dst] = append(m.chains[dst], q)
+		m.reindex(dst, len(m.chains[dst])-1)
 	}
 	m.trapOf[q] = dst
 	m.quanta[dst] += m.p.SplitMergeFactor*m.p.ShuttleQuanta(len(m.chains[dst])) + carried
@@ -360,13 +431,11 @@ func (m *machine) ensureSpace(t, dir, prot1, prot2 int) error {
 	return m.shuttle(victim, next, prot1, prot2)
 }
 
-func (m *machine) chainIndex(t, q int) int {
-	for i, qq := range m.chains[t] {
-		if qq == q {
-			return i
-		}
+// reindex records the chain positions of trap t's ions from index from on.
+func (m *machine) reindex(t, from int) {
+	for i, q := range m.chains[t][from:] {
+		m.pos[q] = from + i
 	}
-	panic(fmt.Sprintf("qccd: qubit %d not in trap %d", q, t))
 }
 
 func (m *machine) finish() *Result {
@@ -381,12 +450,6 @@ func (m *machine) finish() *Result {
 		m.res.MeanTwoQubitFidelity = m.fidSum / float64(m.fidN)
 	}
 	return m.res
-}
-
-func removeAt(s []int, i int) []int {
-	out := make([]int, 0, len(s)-1)
-	out = append(out, s[:i]...)
-	return append(out, s[i+1:]...)
 }
 
 func safeLog1p(x float64) float64 {
@@ -407,6 +470,10 @@ func RunBestCapacity(ctx context.Context, c *circuit.Circuit, numQubits int, cap
 			caps = append(caps, cap)
 		}
 	}
+	ix, err := newIndex(c, numQubits)
+	if err != nil {
+		return nil, err
+	}
 	results := make([]*Result, len(caps))
 	errs := make([]error, len(caps))
 	var wg sync.WaitGroup
@@ -414,7 +481,7 @@ func RunBestCapacity(ctx context.Context, c *circuit.Circuit, numQubits int, cap
 		wg.Add(1)
 		go func(i, capacity int) {
 			defer wg.Done()
-			r, err := Run(ctx, c, device.QCCD{NumQubits: numQubits, Capacity: capacity}, p)
+			r, err := simulate(ctx, ix, device.QCCD{NumQubits: numQubits, Capacity: capacity}, p, nil)
 			results[i], errs[i] = r, err
 		}(i, capacity)
 	}
@@ -430,71 +497,4 @@ func RunBestCapacity(ctx context.Context, c *circuit.Circuit, numQubits int, cap
 		}
 	}
 	return best, nil
-}
-
-// Invariant checks the machine's structural invariants; exported for tests
-// via RunChecked.
-func (m *machine) invariant() error {
-	seen := make([]bool, m.dev.NumQubits)
-	for t, chain := range m.chains {
-		if len(chain) > m.dev.Capacity {
-			return fmt.Errorf("qccd: trap %d over capacity: %d > %d",
-				t, len(chain), m.dev.Capacity)
-		}
-		for _, q := range chain {
-			if seen[q] {
-				return fmt.Errorf("qccd: qubit %d in two traps", q)
-			}
-			seen[q] = true
-			if m.trapOf[q] != t {
-				return fmt.Errorf("qccd: qubit %d trapOf mismatch", q)
-			}
-		}
-	}
-	for q, ok := range seen {
-		if !ok {
-			return fmt.Errorf("qccd: qubit %d lost", q)
-		}
-	}
-	return nil
-}
-
-// RunChecked is Run with the structural invariant re-verified after every
-// gate — slower, used by tests and debugging.
-func RunChecked(ctx context.Context, c *circuit.Circuit, dev device.QCCD, p noise.Params) (*Result, error) {
-	if err := dev.Validate(); err != nil {
-		return nil, err
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if c.NumQubits() > dev.NumQubits {
-		return nil, fmt.Errorf("qccd: circuit width %d exceeds device %d",
-			c.NumQubits(), dev.NumQubits)
-	}
-	m := newMachine(dev, p)
-	m.gates = c.Gates()
-	if err := m.invariant(); err != nil {
-		return nil, err
-	}
-	for i, g := range m.gates {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		switch {
-		case g.Kind == circuit.Measure:
-		case len(g.Qubits) > 2:
-			return nil, fmt.Errorf("qccd: gate %d arity %d", i, len(g.Qubits))
-		case !g.IsTwoQubit():
-			m.oneQubit(g.Qubits[0])
-		default:
-			if err := m.twoQubit(i, g.Qubits[0], g.Qubits[1]); err != nil {
-				return nil, err
-			}
-		}
-		if err := m.invariant(); err != nil {
-			return nil, fmt.Errorf("after gate %d (%s): %w", i, g, err)
-		}
-	}
-	return m.finish(), nil
 }

@@ -2,6 +2,8 @@ package qccd
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -12,6 +14,51 @@ import (
 	"repro/internal/noise"
 	"repro/internal/workloads"
 )
+
+// RunChecked is Run with the structural invariants re-verified after every
+// gate.
+func RunChecked(ctx context.Context, c *circuit.Circuit, dev device.QCCD, p noise.Params) (*Result, error) {
+	ix, err := newIndex(c, dev.NumQubits)
+	if err != nil {
+		return nil, err
+	}
+	return simulate(ctx, ix, dev, p, func(m *machine, i int) error {
+		if err := m.invariant(); err != nil {
+			return fmt.Errorf("after gate %d (%s): %w", i, c.Gate(i), err)
+		}
+		return nil
+	})
+}
+
+// invariant checks that every qubit sits in exactly one chain, at the trap
+// trapOf names and the index pos names, and that no trap is over capacity.
+func (m *machine) invariant() error {
+	seen := make([]bool, m.dev.NumQubits)
+	for t, chain := range m.chains {
+		if len(chain) > m.dev.Capacity {
+			return fmt.Errorf("qccd: trap %d over capacity: %d > %d",
+				t, len(chain), m.dev.Capacity)
+		}
+		for i, q := range chain {
+			if seen[q] {
+				return fmt.Errorf("qccd: qubit %d in two traps", q)
+			}
+			seen[q] = true
+			if m.trapOf[q] != t {
+				return fmt.Errorf("qccd: qubit %d trapOf mismatch", q)
+			}
+			if m.pos[q] != i {
+				return fmt.Errorf("qccd: qubit %d at chain index %d, pos %d", q, i, m.pos[q])
+			}
+		}
+	}
+	for q, ok := range seen {
+		if !ok {
+			return fmt.Errorf("qccd: qubit %d lost", q)
+		}
+	}
+	return nil
+}
 
 func TestSameTrapGateNeedsNoShuttle(t *testing.T) {
 	dev := device.QCCD{NumQubits: 8, Capacity: 16}
@@ -214,5 +261,22 @@ func TestOneQubitGateCensus(t *testing.T) {
 	want := math.Pow(1-p.OneQubitError, 2)
 	if math.Abs(r.SuccessRate-want) > 1e-12 {
 		t.Errorf("success = %g, want %g", r.SuccessRate, want)
+	}
+}
+
+// TestRunBestCapacityRejectsBeforeSweeping: the sweep's shared routing
+// index is built once from the circuit, so a device narrower than the
+// circuit must come back as the width error, not an index panic, and a
+// cancelled context as ctx.Err().
+func TestRunBestCapacityRejectsBeforeSweeping(t *testing.T) {
+	nat := decompose.ToNative(workloads.QFTN(20).Circuit)
+	_, err := RunBestCapacity(context.Background(), nat, 12, nil, noise.Default())
+	if err == nil || err.Error() != "qccd: circuit width 20 exceeds device 12" {
+		t.Errorf("narrow device: err = %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := RunBestCapacity(ctx, nat, 20, nil, noise.Default()); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled context: err = %v, want context.Canceled", err)
 	}
 }

@@ -371,6 +371,31 @@ func All() []Benchmark {
 	return []Benchmark{Adder(), BV(), QAOA(), RCS(), QFT(), SQRT()}
 }
 
+// Scaled returns the six Table II families in paper order, resized to width
+// qubits (a multiple of 4, at least 16) with seeded QAOA graphs, RCS gates, BV secret
+// and Grover target: the inputs of the QCCD capacity-sweep differential
+// tests and kernel benchmark. SQRT's family is plain GroverN.
+func Scaled(width int, seed int64) []Benchmark {
+	if width < 16 || width%4 != 0 {
+		panic(fmt.Sprintf("workloads: scaled width %d is not a multiple of 4 ≥ 16", width))
+	}
+	rng := rand.New(rand.NewSource(seed))
+	secret := make([]bool, width-1)
+	for i := range secret {
+		secret[i] = rng.Intn(2) == 1
+	}
+	secret[0] = true
+	m := (width + 2) / 2
+	return []Benchmark{
+		AdderN((width - 2) / 2),
+		BVSecret(secret),
+		QAOAN(width, 2, rng.Int63()),
+		RCSGrid(4, width/4, 8, rng.Int63()),
+		QFTN(width),
+		GroverN(m, uint64(rng.Int63n(1<<uint(m))), 1),
+	}
+}
+
 // ByName returns the named Table II benchmark (case-sensitive paper names:
 // ADDER, BV, QAOA, RCS, QFT, SQRT).
 func ByName(name string) (Benchmark, error) {

@@ -55,6 +55,9 @@ type kernelRow struct {
 	NsPerOp     int64 `json:"ns_per_op"`
 	AllocsPerOp int64 `json:"allocs_per_op"`
 	BytesPerOp  int64 `json:"bytes_per_op"`
+	// Digest, when set, fingerprints the results the measured operation
+	// computed, so a file can show both sides computed the same thing.
+	Digest string `json:"digest,omitempty"`
 }
 
 const (
@@ -245,24 +248,60 @@ func kernelSpeedup(parent, change kernelRow) float64 {
 //	LINQ_BENCH_KERNELS=parent go test -run TestGenerateKernelsBench -count=1 .   # on the parent
 //	LINQ_BENCH_KERNELS=change go test -run TestGenerateKernelsBench -count=1 .   # on the change
 func TestGenerateKernelsBench(t *testing.T) {
-	side := os.Getenv(kernelsEnv)
+	side := benchSide(t, kernelsEnv, kernelsBenchFile)
+	writeBenchSide(t, kernelsBenchFile, "kernels", kernelsEnv, kernelsCommand, side,
+		kernelDescriptions, measureKernels(t, side, kernelSetups))
+}
+
+// benchSide reads which side a generator run measures from env, skipping
+// the test when it is unset.
+func benchSide(t *testing.T, env, file string) string {
+	t.Helper()
+	side := os.Getenv(env)
 	if side == "" {
-		t.Skipf("set %s=parent or %s=change to regenerate %s", kernelsEnv, kernelsEnv, kernelsBenchFile)
+		t.Skipf("set %s=parent or %s=change to regenerate %s", env, env, file)
 	}
 	if !slices.Contains(kernelsSides, side) {
-		t.Fatalf("%s=%q: want parent or change", kernelsEnv, side)
+		t.Fatalf("%s=%q: want parent or change", env, side)
 	}
+	return side
+}
 
+// measureKernels runs each kernel kernelsReps times and returns the median
+// runs' rows.
+func measureKernels(t *testing.T, side string, setups map[string]func(testing.TB) func(*testing.B)) map[string]kernelRow {
+	t.Helper()
+	rows := map[string]kernelRow{}
+	// A fixed order keeps each kernel's neighbours, and so the heap it
+	// starts from, the same on both sides.
+	for _, name := range slices.Sorted(maps.Keys(setups)) {
+		run := setups[name](t)
+		var reps []testing.BenchmarkResult
+		for r := 0; r < kernelsReps; r++ {
+			reps = append(reps, testing.Benchmark(run))
+		}
+		sort.Slice(reps, func(i, j int) bool { return reps[i].NsPerOp() < reps[j].NsPerOp() })
+		med := reps[len(reps)/2]
+		rows[name] = kernelRow{NsPerOp: med.NsPerOp(), AllocsPerOp: med.AllocsPerOp(), BytesPerOp: med.AllocedBytesPerOp()}
+		t.Logf("%s %-18s %12d ns/op %6d allocs/op", side, name, med.NsPerOp(), med.AllocsPerOp())
+	}
+	return rows
+}
+
+// writeBenchSide records rows as this commit's side of a kernel bench
+// artifact, keeping the other side, and recomputes the speedups.
+func writeBenchSide(t *testing.T, file, bench, env, command, side string, desc map[string]string, rows map[string]kernelRow) {
+	t.Helper()
 	out := kernelsBench{Sides: map[string]kernelsSide{}}
-	if raw, err := os.ReadFile(kernelsBenchFile); err == nil {
+	if raw, err := os.ReadFile(file); err == nil {
 		if err := json.Unmarshal(raw, &out); err != nil {
-			t.Fatalf("%s: %v", kernelsBenchFile, err)
+			t.Fatalf("%s: %v", file, err)
 		}
 	}
-	out.Bench = "kernels"
-	out.GeneratedBy = kernelsEnv + "=<parent|change> " + kernelsCommand
+	out.Bench = bench
+	out.GeneratedBy = env + "=<parent|change> " + command
 	out.Host = fmt.Sprintf("%s/%s, %d CPUs, %s", runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), runtime.Version())
-	out.Kernels = kernelDescriptions
+	out.Kernels = desc
 	if out.Sides == nil {
 		out.Sides = map[string]kernelsSide{}
 	}
@@ -271,31 +310,17 @@ func TestGenerateKernelsBench(t *testing.T) {
 	if err != nil {
 		t.Logf("commit unknown: %v", err)
 	}
-	row := kernelsSide{
+	out.Sides[side] = kernelsSide{
 		Commit:  strings.TrimSpace(string(commit)),
-		Command: kernelsEnv + "=" + side + " " + kernelsCommand,
-		Results: map[string]kernelRow{},
+		Command: env + "=" + side + " " + command,
+		Results: rows,
 	}
-	// A fixed order keeps each kernel's neighbours, and so the heap it
-	// starts from, the same on both sides.
-	for _, name := range slices.Sorted(maps.Keys(kernelSetups)) {
-		run := kernelSetups[name](t)
-		var reps []testing.BenchmarkResult
-		for r := 0; r < kernelsReps; r++ {
-			reps = append(reps, testing.Benchmark(run))
-		}
-		sort.Slice(reps, func(i, j int) bool { return reps[i].NsPerOp() < reps[j].NsPerOp() })
-		med := reps[len(reps)/2]
-		row.Results[name] = kernelRow{NsPerOp: med.NsPerOp(), AllocsPerOp: med.AllocsPerOp(), BytesPerOp: med.AllocedBytesPerOp()}
-		t.Logf("%s %-18s %12d ns/op %6d allocs/op", side, name, med.NsPerOp(), med.AllocsPerOp())
-	}
-	out.Sides[side] = row
 
 	out.Speedup = nil
 	if p, ok := out.Sides["parent"]; ok {
 		if c, ok := out.Sides["change"]; ok {
 			out.Speedup = map[string]float64{}
-			for name := range kernelDescriptions {
+			for name := range desc {
 				// A side recorded before a kernel existed has no row for it.
 				if pr, cr := p.Results[name], c.Results[name]; pr.NsPerOp > 0 && cr.NsPerOp > 0 {
 					out.Speedup[name] = kernelSpeedup(pr, cr)
@@ -311,10 +336,10 @@ func TestGenerateKernelsBench(t *testing.T) {
 	if err := enc.Encode(out); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(kernelsBenchFile, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(file, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("wrote %s side of %s", side, kernelsBenchFile)
+	t.Logf("wrote %s side of %s", side, file)
 }
 
 // TestKernelsBenchArtifact keeps the committed BENCH_kernels.json honest:
@@ -322,51 +347,7 @@ func TestGenerateKernelsBench(t *testing.T) {
 // names a test that exists, and the recorded speedups follow from the
 // numbers.
 func TestKernelsBenchArtifact(t *testing.T) {
-	raw, err := os.ReadFile(kernelsBenchFile)
-	if err != nil {
-		t.Fatalf("%s missing (regenerate with %s=<side>): %v", kernelsBenchFile, kernelsEnv, err)
-	}
-	var bench kernelsBench
-	if err := json.Unmarshal(raw, &bench); err != nil {
-		t.Fatalf("%s: %v", kernelsBenchFile, err)
-	}
-	if bench.Bench != "kernels" {
-		t.Errorf("bench = %q", bench.Bench)
-	}
-	if want := kernelsEnv + "=<parent|change> " + kernelsCommand; bench.GeneratedBy != want {
-		t.Errorf("generated_by = %q, want %q", bench.GeneratedBy, want)
-	}
-	for _, side := range kernelsSides {
-		s, ok := bench.Sides[side]
-		if !ok {
-			t.Errorf("missing side %q", side)
-			continue
-		}
-		if want := kernelsEnv + "=" + side + " " + kernelsCommand; s.Command != want {
-			t.Errorf("%s: command %q, want %q", side, s.Command, want)
-		}
-		if s.Commit == "" {
-			t.Errorf("%s: no commit recorded", side)
-		}
-		for name := range kernelDescriptions {
-			r, ok := s.Results[name]
-			if !ok || r.NsPerOp <= 0 || r.AllocsPerOp < 0 {
-				t.Errorf("%s: %s missing or implausible: %+v", side, name, r)
-			}
-		}
-	}
-	for name, desc := range kernelDescriptions {
-		if bench.Kernels[name] != desc {
-			t.Errorf("kernel %s described as %q, want %q", name, bench.Kernels[name], desc)
-		}
-		p, c := bench.Sides["parent"].Results[name], bench.Sides["change"].Results[name]
-		if c.NsPerOp <= 0 {
-			continue
-		}
-		if want := kernelSpeedup(p, c); bench.Speedup[name] != want {
-			t.Errorf("speedup[%s] = %v, want %v from the recorded ns/op", name, bench.Speedup[name], want)
-		}
-	}
+	bench := readBenchArtifact(t, kernelsBenchFile, "kernels", kernelsEnv, kernelsCommand, kernelDescriptions)
 	// The claims the file backs: the strided gate kernels and the phased
 	// shot pool make the single-worker StateFidelity kernel at least 1.6×
 	// and the mc-crosscheck job mix at least 1.3× faster, and tape
@@ -379,8 +360,61 @@ func TestKernelsBenchArtifact(t *testing.T) {
 	if a := bench.Sides["change"].Results["tape_qft"].AllocsPerOp; a >= 1000 {
 		t.Errorf("tape_qft allocs/op %d, want < 1000", a)
 	}
+}
 
-	checkGeneratorExists(t, kernelsCommand)
+// readBenchArtifact loads a committed kernel bench artifact and checks
+// what every such file must hold: both sides measured every described
+// kernel with the same command, that command names a test that exists,
+// and the recorded speedups follow from the numbers.
+func readBenchArtifact(t *testing.T, file, name, env, command string, desc map[string]string) kernelsBench {
+	t.Helper()
+	raw, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatalf("%s missing (regenerate with %s=<side>): %v", file, env, err)
+	}
+	var bench kernelsBench
+	if err := json.Unmarshal(raw, &bench); err != nil {
+		t.Fatalf("%s: %v", file, err)
+	}
+	if bench.Bench != name {
+		t.Errorf("bench = %q", bench.Bench)
+	}
+	if want := env + "=<parent|change> " + command; bench.GeneratedBy != want {
+		t.Errorf("generated_by = %q, want %q", bench.GeneratedBy, want)
+	}
+	for _, side := range kernelsSides {
+		s, ok := bench.Sides[side]
+		if !ok {
+			t.Errorf("missing side %q", side)
+			continue
+		}
+		if want := env + "=" + side + " " + command; s.Command != want {
+			t.Errorf("%s: command %q, want %q", side, s.Command, want)
+		}
+		if s.Commit == "" {
+			t.Errorf("%s: no commit recorded", side)
+		}
+		for name := range desc {
+			r, ok := s.Results[name]
+			if !ok || r.NsPerOp <= 0 || r.AllocsPerOp < 0 {
+				t.Errorf("%s: %s missing or implausible: %+v", side, name, r)
+			}
+		}
+	}
+	for name, d := range desc {
+		if bench.Kernels[name] != d {
+			t.Errorf("kernel %s described as %q, want %q", name, bench.Kernels[name], d)
+		}
+		p, c := bench.Sides["parent"].Results[name], bench.Sides["change"].Results[name]
+		if c.NsPerOp <= 0 {
+			continue
+		}
+		if want := kernelSpeedup(p, c); bench.Speedup[name] != want {
+			t.Errorf("speedup[%s] = %v, want %v from the recorded ns/op", name, bench.Speedup[name], want)
+		}
+	}
+	checkGeneratorExists(t, command)
+	return bench
 }
 
 // checkGeneratorExists requires the test a bench artifact's command runs
