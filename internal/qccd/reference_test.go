@@ -1,10 +1,11 @@
 package qccd
 
-// The machine model as it was before the routing index: affinity rescans
-// the next routingLookahead two-qubit gates of the full gate list, chain
-// positions are found by scanning, splits and merges allocate new chains,
-// and every gate re-derives its logarithms. It is the oracle the
-// differential tests hold the indexed machine to, bit for bit.
+// refMachine is the same QCCD machine model without the routing index:
+// affinity rescans the next routingLookahead two-qubit gates of the full
+// gate list, chain positions are found by scanning, splits and merges
+// allocate new chains, and every gate re-derives its logarithms. It is the
+// oracle the differential tests hold the indexed machine to, bit for bit;
+// keep it unoptimised.
 
 import (
 	"context"

@@ -372,9 +372,8 @@ func All() []Benchmark {
 }
 
 // Scaled returns the six Table II families in paper order, resized to width
-// qubits (a multiple of 4, at least 16) with seeded QAOA graphs, RCS gates, BV secret
-// and Grover target: the inputs of the QCCD capacity-sweep differential
-// tests and kernel benchmark. SQRT's family is plain GroverN.
+// qubits (a multiple of 4, at least 16), with the QAOA graph, RCS gates, BV
+// secret and Grover target drawn from seed. SQRT's family is plain GroverN.
 func Scaled(width int, seed int64) []Benchmark {
 	if width < 16 || width%4 != 0 {
 		panic(fmt.Sprintf("workloads: scaled width %d is not a multiple of 4 ≥ 16", width))
