@@ -12,7 +12,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"math"
 	"slices"
@@ -344,66 +343,29 @@ func (c *Circuit) Fingerprint() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// gateJSON is the stable wire form of one gate: the lowercase kind
-// mnemonic, the qubit operands, and the rotation angle for parameterized
-// kinds. It is shared by the linqd submission API and the remote backend.
-type gateJSON struct {
-	Kind   string  `json:"kind"`
-	Qubits []int   `json:"qubits"`
-	Theta  float64 `json:"theta,omitempty"`
-}
-
-// circuitJSON is the stable wire form of a circuit.
-type circuitJSON struct {
-	Qubits int        `json:"qubits"`
-	Gates  []gateJSON `json:"gates"`
-}
-
 // MarshalJSON renders the circuit in its stable wire form:
 //
 //	{"qubits": 3, "gates": [{"kind": "h", "qubits": [0]},
 //	                        {"kind": "cx", "qubits": [0, 1]},
 //	                        {"kind": "rz", "qubits": [2], "theta": 0.25}]}
 //
-// The encoding is lossless: UnmarshalJSON reconstructs a gate-for-gate
+// It writes AppendJSON's canonical bytes. The encoding is lossless but for
+// the sign of a zero angle: UnmarshalJSON reconstructs a gate-for-gate
 // identical circuit (equal Fingerprint), which is what lets the remote
 // backend ship arbitrary circuits to a linqd daemon.
 func (c *Circuit) MarshalJSON() ([]byte, error) {
-	out := circuitJSON{Qubits: c.numQubits, Gates: make([]gateJSON, len(c.gates))}
-	for i, g := range c.gates {
-		out.Gates[i] = gateJSON{Kind: g.Kind.String(), Qubits: g.Qubits, Theta: g.Theta}
-	}
-	return json.Marshal(out)
+	return c.AppendJSON(make([]byte, 0, 24+32*len(c.gates))), nil
 }
 
-// UnmarshalJSON parses the MarshalJSON wire form, validating every gate
-// against the register exactly as Add does.
+// UnmarshalJSON parses the MarshalJSON wire form (see DecodeJSON),
+// validating every gate against the register exactly as Add does. On
+// error c is left as it was.
 func (c *Circuit) UnmarshalJSON(data []byte) error {
-	var in circuitJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return fmt.Errorf("circuit: %w", err)
+	parsed, _, err := DecodeJSON(data)
+	if err != nil {
+		return err
 	}
-	if in.Qubits <= 0 {
-		return fmt.Errorf("circuit: non-positive qubit count %d", in.Qubits)
-	}
-	parsed := Circuit{numQubits: in.Qubits, gates: make([]Gate, 0, len(in.Gates))}
-	for i, gj := range in.Gates {
-		kind, err := KindByName(gj.Kind)
-		if err != nil {
-			return fmt.Errorf("gate %d: %w", i, err)
-		}
-		g, err := NewGate(kind, gj.Theta, gj.Qubits...)
-		if err != nil {
-			return fmt.Errorf("gate %d: %w", i, err)
-		}
-		for _, q := range g.Qubits {
-			if q >= parsed.numQubits {
-				return fmt.Errorf("gate %d: qubit %d out of range [0,%d)", i, q, parsed.numQubits)
-			}
-		}
-		parsed.gates = append(parsed.gates, g)
-	}
-	*c = parsed
+	*c = *parsed
 	return nil
 }
 

@@ -65,3 +65,15 @@ func FuzzCircuitJSONRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCircuitJSONMatchesOracle holds the hand-written wire codec to the
+// reflective one it replaced (oracle_test.go): for any bytes, both accept
+// or both refuse, with the same text for a gate that fails validation, the
+// same circuit, the oracle's json.Marshal bytes as the encoding, and a
+// canonical flag that is set exactly when the input is that encoding.
+func FuzzCircuitJSONMatchesOracle(f *testing.F) {
+	for _, s := range codecCases {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { checkAgainstOracle(t, data) })
+}

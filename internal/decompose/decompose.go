@@ -24,6 +24,7 @@ import (
 // the same width.
 func ToNative(c *circuit.Circuit) *circuit.Circuit {
 	out := circuit.New(c.NumQubits())
+	out.Grow(loweredLen(c, nativeLen))
 	for _, g := range c.Gates() {
 		emitNative(out, g)
 	}
@@ -34,10 +35,57 @@ func ToNative(c *circuit.Circuit) *circuit.Circuit {
 // intermediate level at which the paper counts two-qubit gates (Table II).
 func ToCNOT(c *circuit.Circuit) *circuit.Circuit {
 	out := circuit.New(c.NumQubits())
+	out.Grow(loweredLen(c, cnotLen))
 	for _, g := range c.Gates() {
 		emitCNOTLevel(lowering{out: out}, g)
 	}
 	return out
+}
+
+// loweredLen is the length of c lowered gate by gate, where one gate of
+// kind k becomes per(k) gates.
+func loweredLen(c *circuit.Circuit, per func(circuit.Kind) int) int {
+	n := 0
+	for _, g := range c.Gates() {
+		n += per(g.Kind)
+	}
+	return n
+}
+
+// nativeLen is the number of native gates emitNative lowers one gate of
+// kind k to.
+func nativeLen(k circuit.Kind) int {
+	switch k {
+	case circuit.I:
+		return 0
+	case circuit.H:
+		return 2
+	case circuit.CNOT:
+		return 5
+	case circuit.CZ:
+		return 9 // H, CNOT, H
+	case circuit.CP:
+		return 13 // three RZ, two CNOT
+	case circuit.SWAP:
+		return 15 // three CNOT
+	case circuit.CCX:
+		return 41 // two H, six CNOT, seven T or T†
+	}
+	return 1
+}
+
+// cnotLen is the number of gates emitCNOTLevel lowers one gate of kind k
+// to.
+func cnotLen(k circuit.Kind) int {
+	switch k {
+	case circuit.CZ, circuit.SWAP:
+		return 3
+	case circuit.CP:
+		return 5
+	case circuit.CCX:
+		return 15
+	}
+	return 1
 }
 
 // TwoQubitGateCount returns the number of two-qubit gates c contains after

@@ -204,3 +204,26 @@ func TestPropertyNativeTwoQubitCountMatchesCNOTLevel(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestReservedLengthIsExact: the per-kind lengths ToNative and ToCNOT
+// reserve from are exactly the lengths the lowerings emit, for every gate
+// kind.
+func TestReservedLengthIsExact(t *testing.T) {
+	for k := circuit.I; k <= circuit.Measure; k++ {
+		c := circuit.New(3)
+		qubits := []int{0, 1, 2}[:k.Arity()]
+		theta := 0.0
+		if k.Parameterized() {
+			theta = 0.3
+		}
+		if err := c.Add(circuit.Gate{Kind: k, Qubits: qubits, Theta: theta}); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := ToNative(c).Len(), nativeLen(k); got != want {
+			t.Errorf("%v: ToNative emits %d gates, nativeLen says %d", k, got, want)
+		}
+		if got, want := ToCNOT(c).Len(), cnotLen(k); got != want {
+			t.Errorf("%v: ToCNOT emits %d gates, cnotLen says %d", k, got, want)
+		}
+	}
+}

@@ -147,22 +147,25 @@ type Request struct {
 
 // Intake is a circuit with the per-content work of a submission done
 // once: its fingerprint, the dedup key, and its journal wire form, which is
-// marshalled on first use, so a manager without a journal never pays for
-// it. Submissions of the same content can share one Intake (linqhttp's
-// intake cache does). An Intake is safe for concurrent use; like a
-// submitted Circuit, its circuit must not be mutated.
+// encoded on first use unless the submission's own bytes were already
+// canonical, so a manager without a journal never pays for it. Submissions
+// of the same content can share one Intake (linqhttp's intake cache does).
+// An Intake is safe for concurrent use; like a submitted Circuit, its
+// circuit must not be mutated.
 type Intake struct {
 	circuit     *tilt.Circuit
 	fingerprint string
 
 	wireOnce sync.Once
-	wire     json.RawMessage
-	wireErr  error
+	wire     []byte
 }
 
-// NewIntake fingerprints c, which must not be nil.
-func NewIntake(c *tilt.Circuit) *Intake {
-	return &Intake{circuit: c, fingerprint: c.Fingerprint()}
+// NewIntake fingerprints c, which must not be nil. wire, when not nil,
+// must be c's canonical wire form (the bytes c.AppendJSON writes, which
+// circuit.DecodeJSON recognizes); the journal then writes it verbatim, so
+// it must not be modified afterwards.
+func NewIntake(c *tilt.Circuit, wire []byte) *Intake {
+	return &Intake{circuit: c, fingerprint: c.Fingerprint(), wire: wire}
 }
 
 // Circuit returns the intake's circuit.
@@ -171,11 +174,15 @@ func (in *Intake) Circuit() *tilt.Circuit { return in.circuit }
 // Fingerprint returns the circuit's Fingerprint, which keys dedup.
 func (in *Intake) Fingerprint() string { return in.fingerprint }
 
-// wireForm returns the circuit's journal wire form, marshalling it on the
-// first call.
-func (in *Intake) wireForm() (json.RawMessage, error) {
-	in.wireOnce.Do(func() { in.wire, in.wireErr = json.Marshal(in.circuit) })
-	return in.wire, in.wireErr
+// wireForm returns the circuit's canonical journal wire form, encoding it
+// on the first call when the submission did not supply it.
+func (in *Intake) wireForm() []byte {
+	in.wireOnce.Do(func() {
+		if in.wire == nil {
+			in.wire = in.circuit.AppendJSON(nil)
+		}
+	})
+	return in.wire
 }
 
 // Job is an immutable snapshot of one submission's lifecycle, returned by
@@ -708,7 +715,7 @@ func (m *Manager) requeueLocked(r *replayedJob, seq uint64, now time.Time) journ
 		m.recovery.Unrecoverable++
 		return fail("unrecoverable", "jobs: recovery: submission record has no circuit")
 	}
-	if err := json.Unmarshal(rec.Circuit, &circ); err != nil {
+	if err := circ.UnmarshalJSON(rec.Circuit); err != nil {
 		m.recovery.Unrecoverable++
 		return fail("unrecoverable", fmt.Sprintf("jobs: recovery: circuit unreadable: %v", err))
 	}
@@ -756,15 +763,11 @@ func (m *Manager) Submit(req Request) (string, error) {
 		}
 		// Hash (and, for journaled managers, marshal) outside the lock:
 		// fingerprints and wire forms of wide circuits aren't free.
-		in = NewIntake(req.Circuit)
+		in = NewIntake(req.Circuit, nil)
 	}
 	var circJSON json.RawMessage
 	if m.jnl != nil {
-		b, err := in.wireForm()
-		if err != nil {
-			return "", fmt.Errorf("jobs: marshal circuit: %w", err)
-		}
-		circJSON = b
+		circJSON = in.wireForm()
 	}
 
 	m.mu.Lock()

@@ -35,6 +35,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -89,6 +90,9 @@ type Record struct {
 	Deadline  time.Time `json:"deadline,omitzero"`
 	Finished  time.Time `json:"finished,omitzero"`
 	// Circuit is the Circuit.MarshalJSON wire form (Submitted records).
+	// Writers copy it into the record verbatim, so it must be compact JSON
+	// free of the characters encoding/json escapes for HTML (<, >, &),
+	// as Circuit.AppendJSON's bytes are.
 	Circuit json.RawMessage `json:"circuit,omitempty"`
 	// State/Error/Result describe the terminal outcome (Finalized and
 	// Cancelled records). Result is the Result JSON wire form, preserved
@@ -217,7 +221,7 @@ type Journal struct {
 	// jobs, and where each job's records start and end.
 	spans  map[string]*jobSpan
 	segIDs map[int]map[string]bool
-	buf    []byte // append scratch, reused under mu
+	buf    []byte // checkpoint scratch, reused under mu
 }
 
 // Open opens (or creates) the journal directory, scans the existing
@@ -302,7 +306,7 @@ func (j *Journal) Append(rec Record) error {
 	if rec.ID == "" {
 		return fmt.Errorf("journal: record without a job ID")
 	}
-	payload, err := json.Marshal(rec)
+	frame, err := appendFrame(nil, rec)
 	if err != nil {
 		return fmt.Errorf("journal: marshal record: %w", err)
 	}
@@ -311,14 +315,10 @@ func (j *Journal) Append(rec Record) error {
 	if j.closed {
 		return ErrClosed
 	}
-	j.buf = j.buf[:0]
-	j.buf = binary.LittleEndian.AppendUint32(j.buf, uint32(len(payload)))
-	j.buf = binary.LittleEndian.AppendUint32(j.buf, crc32.Checksum(payload, castagnoli))
-	j.buf = append(j.buf, payload...)
-	if _, err := j.f.Write(j.buf); err != nil {
+	if _, err := j.f.Write(frame); err != nil {
 		return fmt.Errorf("journal: append: %w", err)
 	}
-	j.size += int64(len(j.buf))
+	j.size += int64(len(frame))
 	if !j.noSync {
 		if err := j.f.Sync(); err != nil {
 			return fmt.Errorf("journal: fsync: %w", err)
@@ -370,13 +370,10 @@ func (j *Journal) Checkpoint(recs []Record) error {
 		if !rec.Op.known() || rec.ID == "" {
 			return fmt.Errorf("journal: checkpoint: bad record %q/%q", rec.Op, rec.ID)
 		}
-		payload, err := json.Marshal(rec)
-		if err != nil {
+		var err error
+		if j.buf, err = appendFrame(j.buf, rec); err != nil {
 			return fmt.Errorf("journal: checkpoint: %w", err)
 		}
-		j.buf = binary.LittleEndian.AppendUint32(j.buf, uint32(len(payload)))
-		j.buf = binary.LittleEndian.AppendUint32(j.buf, crc32.Checksum(payload, castagnoli))
-		j.buf = append(j.buf, payload...)
 	}
 	if len(j.buf) > 0 {
 		if _, err := j.f.Write(j.buf); err != nil {
@@ -632,19 +629,51 @@ func ReadSegment(path string) ([]Record, error) {
 	return recs, nil
 }
 
+// appendFrame appends rec's frame to dst: its header, then its payload,
+// the bytes json.Marshal writes for rec. A record's circuit is spliced in
+// as it is rather than handed to encoding/json, which would re-compact it
+// byte by byte; the Circuit contract makes the two the same bytes.
+func appendFrame(dst []byte, rec Record) ([]byte, error) {
+	circ := rec.Circuit
+	if rec.State != "" || rec.Error != "" || len(rec.Result) > 0 {
+		circ = nil // fields after "circuit": let encoding/json place it
+	} else {
+		rec.Circuit = nil
+	}
+	head, err := json.Marshal(rec)
+	if err != nil {
+		return dst, err
+	}
+	const key = `,"circuit":`
+	size := headerBytes + len(head)
+	if len(circ) > 0 {
+		size += len(key) + len(circ)
+	}
+	dst = slices.Grow(dst, size)
+	start := len(dst)
+	dst = append(dst, make([]byte, headerBytes)...)
+	if len(circ) == 0 {
+		dst = append(dst, head...)
+	} else {
+		// head ends in the '}' that closes the fields before "circuit".
+		dst = append(dst, head[:len(head)-1]...)
+		dst = append(dst, key...)
+		dst = append(dst, circ...)
+		dst = append(dst, '}')
+	}
+	payload := dst[start+headerBytes:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, castagnoli))
+	return dst, nil
+}
+
 // AppendTo frames one record onto w — the test helper writers (golden file
 // and corpus generators) share the production framing.
 func AppendTo(w io.Writer, rec Record) error {
-	payload, err := json.Marshal(rec)
+	frame, err := appendFrame(nil, rec)
 	if err != nil {
 		return err
 	}
-	var hdr [headerBytes]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, castagnoli))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(payload)
+	_, err = w.Write(frame)
 	return err
 }

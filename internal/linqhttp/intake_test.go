@@ -33,7 +33,7 @@ func TestIntakeRejectionsAreStable(t *testing.T) {
 		{"qubit out of range", `{"circuit":{"qubits":2,"gates":[{"kind":"h","qubits":[5]}]}}`,
 			`invalid JSON body: gate 0: qubit 5 out of range [0,2)`},
 		{"not an object", `{"circuit": 5}`,
-			`invalid JSON body: circuit: json: cannot unmarshal number into Go value of type circuit.circuitJSON`},
+			`invalid JSON body: circuit: want an object, got number at offset 0`},
 	}
 	for _, tc := range cases {
 		for send := 1; send <= 2; send++ {
@@ -273,5 +273,52 @@ func TestIntakeSharedCircuitImmutable(t *testing.T) {
 	}
 	if got, err := c.MarshalJSON(); err != nil || !bytes.Equal(got, wire) {
 		t.Errorf("wire form changed (%v)", err)
+	}
+}
+
+// TestSubmitRegisterLimit: a few bytes can name a huge register, and the
+// compiler and simulators build structures that grow with its width (the
+// placement pass with its square), so a circuit or QASM program wider
+// than linqhttp.MaxQubits is refused with a 400 that names the limit.
+// The widest circuits the experiments run (128 qubits) still go through.
+func TestSubmitRegisterLimit(t *testing.T) {
+	base, _ := startServer(t)
+	want := "register of 100000 qubits exceeds the limit of " + strconv.Itoa(linqhttp.MaxQubits)
+	for name, body := range map[string]string{
+		"circuit": `{"backend":"IdealTI","circuit":{"qubits":100000,"gates":[{"kind":"cx","qubits":[0,1]}]}}`,
+		"qasm":    `{"backend":"IdealTI","qasm":"qreg q[100000]; cx q[0],q[1];"}`,
+	} {
+		for send := 1; send <= 2; send++ {
+			code, resp := doRaw(t, http.MethodPost, base+"/v1/jobs", []byte(body))
+			if code != http.StatusBadRequest || resp["code"] != linqhttp.CodeBadRequest || resp["error"] != want {
+				t.Errorf("%s, send %d: HTTP %d %v %q, want 400 %q", name, send, code, resp["code"], resp["error"], want)
+			}
+		}
+	}
+	wide := tilt.NewCircuit(linqhttp.MaxQubits + 1)
+	wide.ApplyH(0)
+	if code, resp := doJSON(t, http.MethodPost, base+"/v1/jobs", map[string]any{"backend": "IdealTI", "circuit": wide}); code != http.StatusBadRequest {
+		t.Errorf("%d qubits: HTTP %d %v, want 400", wide.NumQubits(), code, resp)
+	}
+	for _, body := range []map[string]any{
+		{"backend": "IdealTI", "circuit": workloads.QFTN(128).Circuit},
+		{"backend": "IdealTI", "qasm": "qreg q[128]; h q[0]; cx q[0],q[127];"},
+	} {
+		if code, resp := doJSON(t, http.MethodPost, base+"/v1/jobs", body); code != http.StatusAccepted {
+			t.Errorf("128 qubits: HTTP %d %v, want 202", code, resp)
+		}
+	}
+}
+
+// TestSubmitBodyLimit: a body longer than the daemon's 8 MiB limit is a
+// 400, even when the excess is whitespace after a valid value.
+func TestSubmitBodyLimit(t *testing.T) {
+	base, _ := startServer(t)
+	body := append([]byte(`{"backend":"IdealTI","workload":"BV"}`), bytes.Repeat([]byte(" "), 8<<20)...)
+	if code, resp := doRaw(t, http.MethodPost, base+"/v1/jobs", body); code != http.StatusBadRequest || resp["code"] != linqhttp.CodeBadRequest {
+		t.Errorf("oversize body: HTTP %d %v, want 400", code, resp)
+	}
+	if code, resp := doRaw(t, http.MethodPost, base+"/v1/jobs", body[:1<<20]); code != http.StatusAccepted {
+		t.Errorf("1 MiB body: HTTP %d %v, want 202", code, resp)
 	}
 }

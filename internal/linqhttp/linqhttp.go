@@ -23,6 +23,7 @@ import (
 	"time"
 
 	tilt "repro"
+	"repro/internal/circuit"
 	"repro/internal/jobs"
 	"repro/internal/lru"
 	"repro/internal/metrics"
@@ -35,6 +36,20 @@ import (
 // maxBodyBytes bounds a submission body (QASM source or JSON circuit
 // included).
 const maxBodyBytes = 8 << 20
+
+// MaxQubits bounds the register of a submitted circuit or QASM program.
+// Placement, swap insertion and the simulators build structures whose
+// size grows with the width, some with its square, so a few bytes naming
+// a huge register could otherwise pin or exhaust the daemon. It is 8× the
+// widest circuit the paper's experiments run (128 qubits).
+const MaxQubits = 1024
+
+// errTooWide refuses a register wider than MaxQubits.
+type errTooWide int
+
+func (n errTooWide) Error() string {
+	return fmt.Sprintf("register of %d qubits exceeds the limit of %d", int(n), MaxQubits)
+}
 
 // The intake cache holds the decoded circuits of the last few distinct
 // "circuit" fields, so a burst of identical submissions decodes,
@@ -404,24 +419,97 @@ func (s *Server) owns(r *http.Request, j jobs.Job) bool {
 }
 
 // submitRequest is the POST /v1/jobs body. Exactly one of QASM, Workload,
-// or Circuit selects the program.
+// or Circuit selects the program. Each field's comment names its JSON key;
+// decodeSubmit reads them.
 type submitRequest struct {
-	// Name labels the job in status responses (optional).
-	Name string `json:"name,omitempty"`
-	// Backend is the target pool: TILT (default), QCCD, or IdealTI.
-	Backend string `json:"backend,omitempty"`
-	// QASM is OpenQASM 2.0 source text.
-	QASM string `json:"qasm,omitempty"`
-	// Workload names a built-in benchmark (ADDER, BV, QAOA, RCS, QFT, SQRT).
-	Workload string `json:"workload,omitempty"`
-	// Circuit is a JSON gate list in the circuit wire form — the lossless
-	// path the tilt.Remote backend uses for arbitrary circuits. It stays
-	// raw until intake decodes it; null means absent.
-	Circuit json.RawMessage `json:"circuit,omitempty"`
-	// Priority orders the queue: higher runs earlier (default 0).
-	Priority int `json:"priority,omitempty"`
-	// TTLMs bounds the queue wait in milliseconds (0 = unbounded).
-	TTLMs int64 `json:"ttl_ms,omitempty"`
+	// Name ("name") labels the job in status responses (optional).
+	Name string
+	// Backend ("backend") is the target pool: TILT (default), QCCD, or
+	// IdealTI.
+	Backend string
+	// QASM ("qasm") is OpenQASM 2.0 source text.
+	QASM string
+	// Workload ("workload") names a built-in benchmark (ADDER, BV, QAOA,
+	// RCS, QFT, SQRT).
+	Workload string
+	// Circuit ("circuit") is a JSON gate list in the circuit wire form —
+	// the lossless path the tilt.Remote backend uses for arbitrary
+	// circuits. It stays raw until intake decodes it; null means absent.
+	Circuit []byte
+	// Priority ("priority") orders the queue: higher runs earlier
+	// (default 0).
+	Priority int
+	// TTLMs ("ttl_ms") bounds the queue wait in milliseconds (0 =
+	// unbounded).
+	TTLMs int
+}
+
+// decodeSubmit reads a POST /v1/jobs body in one pass of the circuit
+// lexer, with encoding/json's rules for a struct: keys in any order and
+// letter case, unknown keys skipped, the last of repeated keys winning,
+// and null leaving a field unset. The circuit's bytes are located, not
+// decoded. Nothing but whitespace may follow the body's value.
+func decodeSubmit(body []byte) (submitRequest, error) {
+	var req submitRequest
+	lx := circuit.NewLexer(body)
+	err := lx.Object(func(key []byte) error {
+		var err error
+		switch {
+		case circuit.KeyIs(key, "name"):
+			err = lx.String(&req.Name)
+		case circuit.KeyIs(key, "backend"):
+			err = lx.String(&req.Backend)
+		case circuit.KeyIs(key, "qasm"):
+			err = lx.String(&req.QASM)
+		case circuit.KeyIs(key, "workload"):
+			err = lx.String(&req.Workload)
+		case circuit.KeyIs(key, "circuit"):
+			req.Circuit, err = lx.Raw()
+			if string(req.Circuit) == "null" {
+				req.Circuit = nil
+			}
+		case circuit.KeyIs(key, "priority"):
+			err = lx.Int(&req.Priority)
+		case circuit.KeyIs(key, "ttl_ms"):
+			err = lx.Int(&req.TTLMs)
+		default:
+			return lx.Skip()
+		}
+		if err != nil {
+			return fmt.Errorf("%q: %w", key, err)
+		}
+		return nil
+	})
+	if err == nil {
+		err = lx.End()
+	}
+	return req, err
+}
+
+// readBody reads the whole request body, refusing one over maxBodyBytes.
+// A declared Content-Length sizes the buffer, so the body is read into
+// one allocation of its own size.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	size := r.ContentLength
+	if size < 0 || size > maxBodyBytes {
+		size = 512
+	}
+	// One spare byte lets the read see EOF without growing the buffer.
+	buf := make([]byte, 0, size+1)
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if errors.Is(err, io.EOF) {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
 }
 
 // jobJSON is the wire form of a job snapshot.
@@ -482,22 +570,19 @@ func stamp(t time.Time) string {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	const route = "submit"
-	var req submitRequest
 	var in *jobs.Intake
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	err := dec.Decode(&req)
+	body, err := readBody(w, r)
+	var req submitRequest
 	if err == nil {
-		// One JSON value per request: anything but whitespace after it
-		// would otherwise be silently dropped.
-		if _, tail := dec.Token(); !errors.Is(tail, io.EOF) {
-			err = errors.New("unexpected data after the top-level value")
-		}
-	}
-	if string(req.Circuit) == "null" {
-		req.Circuit = nil
+		req, err = decodeSubmit(body)
 	}
 	if err == nil && req.Circuit != nil {
 		in, err = s.intake(req.Circuit)
+	}
+	var wide errTooWide
+	if errors.As(err, &wide) {
+		s.writeError(w, r, route, http.StatusBadRequest, CodeBadRequest, wide.Error(), nil)
+		return
 	}
 	if err != nil {
 		s.writeError(w, r, route, http.StatusBadRequest, CodeBadRequest,
@@ -524,6 +609,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case req.QASM != "":
 		c, err := qasm.Parse(req.QASM)
+		if err == nil && c.NumQubits() > MaxQubits {
+			s.writeError(w, r, route, http.StatusBadRequest, CodeBadRequest, errTooWide(c.NumQubits()).Error(), nil)
+			return
+		}
 		if err != nil {
 			// Surface the parse position so the 400 is actionable.
 			extra := map[string]any{}
@@ -550,7 +639,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// ttl_ms is client-controlled: reject negatives and cap the multiply so
 	// a huge value can't overflow int64 nanoseconds into a bogus short (or
 	// dropped) TTL.
-	const maxTTLMs = math.MaxInt64 / int64(time.Millisecond)
+	const maxTTLMs = math.MaxInt64 / int(time.Millisecond)
 	if req.TTLMs < 0 {
 		s.writeError(w, r, route, http.StatusBadRequest, CodeBadRequest,
 			`"ttl_ms" must be non-negative`, nil)
@@ -606,8 +695,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // intake decodes a submission's "circuit" field, validating every gate,
 // and serves a field seen recently from the intake cache instead. A failed
-// decode is never cached, so a bad body fails the same way every time.
-func (s *Server) intake(raw json.RawMessage) (*jobs.Intake, error) {
+// decode is never cached, so a bad body fails the same way every time. A
+// field that is already in canonical form becomes the journal's bytes.
+func (s *Server) intake(raw []byte) (*jobs.Intake, error) {
 	cacheable := len(raw) <= maxCachedCircuit
 	var key [sha256.Size]byte
 	if cacheable {
@@ -618,11 +708,18 @@ func (s *Server) intake(raw json.RawMessage) (*jobs.Intake, error) {
 		}
 	}
 	s.mx.intakeMisses.Inc()
-	c := new(tilt.Circuit)
-	if err := c.UnmarshalJSON(raw); err != nil {
+	c, canonical, err := circuit.DecodeJSON(raw)
+	if err != nil {
 		return nil, err
 	}
-	in := jobs.NewIntake(c)
+	if c.NumQubits() > MaxQubits {
+		return nil, errTooWide(c.NumQubits())
+	}
+	var wire []byte
+	if canonical {
+		wire = raw
+	}
+	in := jobs.NewIntake(c, wire)
 	if cacheable {
 		s.intakes.Add(key, in)
 	}

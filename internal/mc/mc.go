@@ -137,6 +137,7 @@ func NewEngine(c *circuit.Circuit, sched *schedule.Schedule, dev device.TILT, p 
 		return nil, fmt.Errorf("mc: invalid schedule: %w", err)
 	}
 	k := p.ShuttleQuanta(dev.NumIons)
+	logEps := math.Log1p(p.Epsilon)
 	e := &Engine{ions: dev.NumIons}
 	for i, st := range sched.Steps {
 		quanta := p.EffectiveQuanta(i+1, k)
@@ -147,10 +148,10 @@ func NewEngine(c *circuit.Circuit, sched *schedule.Schedule, dev device.TILT, p 
 			case !g.IsTwoQubit():
 				e.evs = append(e.evs, gateEvent{gate: g, p: p.OneQubitError, reps: 1})
 			case g.Kind == circuit.SWAP:
-				p2q := p.TwoQubitError(p.GateTime(g.Distance()), quanta)
+				p2q := p.TwoQubitErrorLog(p.GateTime(g.Distance()), quanta, logEps)
 				e.evs = append(e.evs, gateEvent{gate: g, p: p2q, reps: 3})
 			default:
-				p2q := p.TwoQubitError(p.GateTime(g.Distance()), quanta)
+				p2q := p.TwoQubitErrorLog(p.GateTime(g.Distance()), quanta, logEps)
 				e.evs = append(e.evs, gateEvent{gate: g, p: p2q, reps: 1})
 			}
 		}

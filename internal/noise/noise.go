@@ -118,7 +118,7 @@ func (p Params) Validate() error {
 
 // GateTime returns the AM two-qubit gate duration τ(d) in µs (Eq. 3) for a
 // gate spanning d ion spacings.
-func (p Params) GateTime(d int) float64 {
+func (p *Params) GateTime(d int) float64 {
 	if d < 0 {
 		panic(fmt.Sprintf("noise: negative gate distance %d", d))
 	}
@@ -127,7 +127,7 @@ func (p Params) GateTime(d int) float64 {
 
 // ShuttleQuanta returns the motional quanta k added to an n-ion chain by one
 // linear shuttle: k = K0·√n (paper §III-A).
-func (p Params) ShuttleQuanta(n int) float64 {
+func (p *Params) ShuttleQuanta(n int) float64 {
 	if n < 0 {
 		panic(fmt.Sprintf("noise: negative chain length %d", n))
 	}
@@ -141,7 +141,7 @@ func (p Params) ShuttleQuanta(n int) float64 {
 // the gates of move C still see the full C·k quanta, and move C+1 starts a
 // fresh accumulation at 1·k. All simulators (sim, mc, trace) share this
 // accounting so cross-validation stays exact.
-func (p Params) EffectiveQuanta(moves int, k float64) float64 {
+func (p *Params) EffectiveQuanta(moves int, k float64) float64 {
 	if p.CoolingInterval > 0 && moves > 0 {
 		moves = (moves-1)%p.CoolingInterval + 1
 	}
@@ -151,7 +151,7 @@ func (p Params) EffectiveQuanta(moves int, k float64) float64 {
 // TwoQubitError returns the Eq. 4 error of a two-qubit gate with duration
 // tau (µs) executed while the chain carries the given motional quanta:
 // err = Γτ + ((1+ε)^(2·quanta+1) − 1), clamped to [0, 1].
-func (p Params) TwoQubitError(tau, quanta float64) float64 {
+func (p *Params) TwoQubitError(tau, quanta float64) float64 {
 	return p.TwoQubitErrorLog(tau, quanta, math.Log1p(p.Epsilon))
 }
 
@@ -159,7 +159,7 @@ func (p Params) TwoQubitError(tau, quanta float64) float64 {
 // by the caller, so a simulator that evaluates Eq. 4 once per gate computes
 // the logarithm once per run. Passing math.Log1p(p.Epsilon) gives exactly
 // TwoQubitError's result.
-func (p Params) TwoQubitErrorLog(tau, quanta, log1pEps float64) float64 {
+func (p *Params) TwoQubitErrorLog(tau, quanta, log1pEps float64) float64 {
 	if quanta < 0 {
 		quanta = 0
 	}
@@ -176,7 +176,7 @@ func (p Params) TwoQubitErrorLog(tau, quanta, log1pEps float64) float64 {
 }
 
 // TwoQubitFidelity returns 1 − TwoQubitError for a gate spanning d spacings.
-func (p Params) TwoQubitFidelity(d int, quanta float64) float64 {
+func (p *Params) TwoQubitFidelity(d int, quanta float64) float64 {
 	return 1 - p.TwoQubitError(p.GateTime(d), quanta)
 }
 
@@ -185,7 +185,7 @@ func (p Params) OneQubitFidelity() float64 { return 1 - p.OneQubitError }
 
 // MoveTime returns the duration in µs of a tape move spanning the given
 // number of ion spacings.
-func (p Params) MoveTime(spacings int) float64 {
+func (p *Params) MoveTime(spacings int) float64 {
 	if spacings < 0 {
 		spacings = -spacings
 	}

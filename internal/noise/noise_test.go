@@ -56,7 +56,8 @@ func TestGateTimePanicsOnNegative(t *testing.T) {
 			t.Error("GateTime(-1) should panic")
 		}
 	}()
-	Default().GateTime(-1)
+	p := Default()
+	p.GateTime(-1)
 }
 
 func TestShuttleQuantaSqrtScaling(t *testing.T) {

@@ -71,6 +71,7 @@ func Simulate(ctx context.Context, c *circuit.Circuit, sched *schedule.Schedule,
 
 	logF := 0.0
 	log1q := math.Log1p(-p.OneQubitError)
+	logEps := math.Log1p(p.Epsilon)
 	var fidSum float64
 	var fidN int
 
@@ -114,7 +115,7 @@ func Simulate(ctx context.Context, c *circuit.Circuit, sched *schedule.Schedule,
 				avail[g.Qubits[0]] = start + p.OneQubitTimeUs
 			case g.Kind == circuit.SWAP:
 				d := g.Distance()
-				err2 := p.TwoQubitError(p.GateTime(d), quanta)
+				err2 := p.TwoQubitErrorLog(p.GateTime(d), quanta, logEps)
 				logF += 3 * safeLog1p(-err2)
 				fidSum += 3 * (1 - err2)
 				fidN += 3
@@ -122,7 +123,7 @@ func Simulate(ctx context.Context, c *circuit.Circuit, sched *schedule.Schedule,
 				applyTwoQubitTime(avail, clock, g, 3*p.GateTime(d))
 			default:
 				d := g.Distance()
-				err2 := p.TwoQubitError(p.GateTime(d), quanta)
+				err2 := p.TwoQubitErrorLog(p.GateTime(d), quanta, logEps)
 				logF += safeLog1p(-err2)
 				fidSum += 1 - err2
 				fidN++
@@ -187,6 +188,7 @@ func SimulateIdeal(ctx context.Context, c *circuit.Circuit, dev device.IdealTI, 
 	res := &Result{}
 	logF := 0.0
 	log1q := math.Log1p(-p.OneQubitError)
+	logEps := math.Log1p(p.Epsilon)
 	var fidSum float64
 	var fidN int
 	avail := make([]float64, dev.NumIons)
@@ -206,7 +208,7 @@ func SimulateIdeal(ctx context.Context, c *circuit.Circuit, dev device.IdealTI, 
 		default:
 			d := g.Distance()
 			tau := p.GateTime(d)
-			err2 := p.TwoQubitError(tau, 0)
+			err2 := p.TwoQubitErrorLog(tau, 0, logEps)
 			n := 1
 			if g.Kind == circuit.SWAP {
 				n = 3
