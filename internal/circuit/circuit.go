@@ -94,13 +94,20 @@ func (k Kind) Native() bool {
 // KindByName returns the kind with the given lowercase mnemonic (the
 // Kind.String form, e.g. "cx", "rz").
 func KindByName(name string) (Kind, error) {
-	for k, n := range kindNames {
-		if n == name {
-			return Kind(k), nil
-		}
+	if k, ok := kindsByName[name]; ok {
+		return k, nil
 	}
 	return 0, fmt.Errorf("circuit: unknown gate kind %q", name)
 }
+
+// kindsByName maps each mnemonic to its kind.
+var kindsByName = func() map[string]Kind {
+	m := make(map[string]Kind, len(kindNames))
+	for k, n := range kindNames {
+		m[n] = Kind(k)
+	}
+	return m
+}()
 
 // Gate is a single quantum operation on one, two, or three qubits.
 // Qubits are logical indices before mapping and physical slot indices after.

@@ -714,7 +714,11 @@ func (d *decoder) gate(g *Gate) error {
 		}
 		if !more {
 			// The canonical form writes theta exactly when it is non-zero.
-			d.canonical = d.canonical && members == 2+btoi(g.Theta != 0)
+			want := 2
+			if g.Theta != 0 {
+				want = 3
+			}
+			d.canonical = d.canonical && members == want
 			return nil
 		}
 		k, raw, err := d.key()
@@ -742,13 +746,6 @@ func (d *decoder) gate(g *Gate) error {
 	}
 }
 
-func btoi(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // kind scans a gate's kind mnemonic.
 func (d *decoder) kind(g *Gate) error {
 	switch d.skipWS() {
@@ -764,58 +761,13 @@ func (d *decoder) kind(g *Gate) error {
 		return err
 	}
 	d.canonical = d.canonical && raw
-	if k, ok := kindOf(s); ok {
+	if k, ok := kindsByName[string(s)]; ok {
 		g.Kind = k + 1
 	} else {
 		g.Kind = Kind(-1 - len(d.names))
 		d.names = append(d.names, string(s))
 	}
 	return nil
-}
-
-// kindOf looks a mnemonic up without allocating.
-func kindOf(s []byte) (Kind, bool) {
-	switch string(s) {
-	case "i":
-		return I, true
-	case "x":
-		return X, true
-	case "y":
-		return Y, true
-	case "z":
-		return Z, true
-	case "h":
-		return H, true
-	case "s":
-		return S, true
-	case "sdg":
-		return Sdg, true
-	case "t":
-		return T, true
-	case "tdg":
-		return Tdg, true
-	case "rx":
-		return RX, true
-	case "ry":
-		return RY, true
-	case "rz":
-		return RZ, true
-	case "cx":
-		return CNOT, true
-	case "cz":
-		return CZ, true
-	case "cp":
-		return CP, true
-	case "swap":
-		return SWAP, true
-	case "xx":
-		return XX, true
-	case "ccx":
-		return CCX, true
-	case "measure":
-		return Measure, true
-	}
-	return 0, false
 }
 
 // operands scans a gate's qubit array. As encoding/json decodes into a
@@ -877,12 +829,11 @@ func (d *decoder) operands(old []int) ([]int, error) {
 
 // theta scans a gate's rotation angle.
 func (d *decoder) theta(g *Gate) error {
-	c := d.skipWS()
-	if c == 'n' {
+	if null, err := d.null(); null {
 		d.canonical = false
-		return d.literal("null")
+		return err
 	}
-	if c != '-' && (c < '0' || c > '9') {
+	if c := d.skipWS(); c != '-' && (c < '0' || c > '9') {
 		return d.typeErr("a number")
 	}
 	at := d.off
