@@ -639,7 +639,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// ttl_ms is client-controlled: reject negatives and cap the multiply so
 	// a huge value can't overflow int64 nanoseconds into a bogus short (or
 	// dropped) TTL.
-	const maxTTLMs = math.MaxInt64 / int(time.Millisecond)
+	const maxTTLMs = math.MaxInt / int(time.Millisecond)
 	if req.TTLMs < 0 {
 		s.writeError(w, r, route, http.StatusBadRequest, CodeBadRequest,
 			`"ttl_ms" must be non-negative`, nil)
