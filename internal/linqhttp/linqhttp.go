@@ -44,13 +44,6 @@ const maxBodyBytes = 8 << 20
 // widest circuit the paper's experiments run (128 qubits).
 const MaxQubits = 1024
 
-// errTooWide refuses a register wider than MaxQubits.
-type errTooWide int
-
-func (n errTooWide) Error() string {
-	return fmt.Sprintf("register of %d qubits exceeds the limit of %d", int(n), MaxQubits)
-}
-
 // The intake cache holds the decoded circuits of the last few distinct
 // "circuit" fields, so a burst of identical submissions decodes,
 // fingerprints and journal-encodes its body once. A burst has at most a
@@ -579,11 +572,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err == nil && req.Circuit != nil {
 		in, err = s.intake(req.Circuit)
 	}
-	var wide errTooWide
-	if errors.As(err, &wide) {
-		s.writeError(w, r, route, http.StatusBadRequest, CodeBadRequest, wide.Error(), nil)
-		return
-	}
 	if err != nil {
 		s.writeError(w, r, route, http.StatusBadRequest, CodeBadRequest,
 			fmt.Sprintf("invalid JSON body: %v", err), nil)
@@ -609,10 +597,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case req.QASM != "":
 		c, err := qasm.Parse(req.QASM)
-		if err == nil && c.NumQubits() > MaxQubits {
-			s.writeError(w, r, route, http.StatusBadRequest, CodeBadRequest, errTooWide(c.NumQubits()).Error(), nil)
-			return
-		}
 		if err != nil {
 			// Surface the parse position so the 400 is actionable.
 			extra := map[string]any{}
@@ -634,6 +618,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if req.Name == "" {
 			req.Name = bm.Name
 		}
+	}
+	if in != nil {
+		circ = in.Circuit()
+	}
+	if n := circ.NumQubits(); n > MaxQubits {
+		s.writeError(w, r, route, http.StatusBadRequest, CodeBadRequest,
+			fmt.Sprintf("register of %d qubits exceeds the limit of %d", n, MaxQubits), nil)
+		return
 	}
 
 	// ttl_ms is client-controlled: reject negatives and cap the multiply so
@@ -711,9 +703,6 @@ func (s *Server) intake(raw []byte) (*jobs.Intake, error) {
 	c, canonical, err := circuit.DecodeJSON(raw)
 	if err != nil {
 		return nil, err
-	}
-	if c.NumQubits() > MaxQubits {
-		return nil, errTooWide(c.NumQubits())
 	}
 	var wire []byte
 	if canonical {
