@@ -563,12 +563,12 @@ func stamp(t time.Time) string {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	const route = "submit"
-	var in *jobs.Intake
 	body, err := readBody(w, r)
 	var req submitRequest
 	if err == nil {
 		req, err = decodeSubmit(body)
 	}
+	var in *jobs.Intake
 	if err == nil && req.Circuit != nil {
 		in, err = s.intake(req.Circuit)
 	}
@@ -595,6 +595,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	var circ *tilt.Circuit
 	switch {
+	case in != nil:
+		circ = in.Circuit()
 	case req.QASM != "":
 		c, err := qasm.Parse(req.QASM)
 		if err != nil {
@@ -618,9 +620,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if req.Name == "" {
 			req.Name = bm.Name
 		}
-	}
-	if in != nil {
-		circ = in.Circuit()
 	}
 	if n := circ.NumQubits(); n > MaxQubits {
 		s.writeError(w, r, route, http.StatusBadRequest, CodeBadRequest,
