@@ -18,6 +18,9 @@ import (
 )
 
 // Params collects every noise/timing constant used by the simulators.
+// The methods the simulators call once per gate take a pointer receiver:
+// Params is a dozen words, and a value receiver copies all of them on
+// every call that is not inlined.
 type Params struct {
 	// Gamma is the background heating rate of the trap in 1/µs; it
 	// contributes Γ·τ to each two-qubit gate error (Eq. 4).
