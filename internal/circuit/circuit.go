@@ -327,7 +327,8 @@ func (c *Circuit) ApplyMeasure(q int) { c.MustAdd(Measure, 0, q) }
 // Fingerprint returns a stable content hash of the circuit: a hex-encoded
 // SHA-256 over the register width and every gate's kind, rotation-angle bits,
 // and qubit operands, in program order. Two circuits share a fingerprint iff
-// they are gate-for-gate identical, so it keys content-addressed caches of
+// they are gate-for-gate identical (a -0 angle counts as +0, as it does on
+// the wire, which drops the sign of a zero angle), so it keys content-addressed caches of
 // compiled artifacts. The fingerprint covers only circuit content — device,
 // noise, and compiler configuration must be keyed separately (or, as the
 // compile cache does, held fixed per cache).
@@ -341,7 +342,7 @@ func (c *Circuit) Fingerprint() string {
 	put(uint64(c.numQubits))
 	for _, g := range c.gates {
 		put(uint64(g.Kind))
-		put(math.Float64bits(g.Theta))
+		put(math.Float64bits(g.Theta + 0)) // + 0 folds -0 into +0
 		put(uint64(len(g.Qubits)))
 		for _, q := range g.Qubits {
 			put(uint64(q))

@@ -29,6 +29,7 @@ func FuzzCircuitJSONRoundTrip(f *testing.F) {
 	f.Add([]byte(`{"qubits":2,"gates":[{"kind":"nope","qubits":[0]}]}`))
 	f.Add([]byte(`not json`))
 	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"qubits":1,"gates":[{"kind":"rz","qubits":[0],"theta":-0}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var c Circuit

@@ -36,7 +36,7 @@ type PoolBackend struct {
 	cooldown time.Duration // how long an open breaker keeps a member out
 
 	hedging    bool          // PoolWithHedging enabled
-	hedgeDelay time.Duration // 0 = derive from the primary's poll ceiling
+	hedgeDelay time.Duration // how long the primary runs before the hedge fires
 	watermark  int           // admission-control queue-depth watermark (0 = off)
 
 	sampleEvery time.Duration      // health sampler period
@@ -46,8 +46,8 @@ type PoolBackend struct {
 	mx *poolInstruments
 }
 
-// healthTimeout bounds each member's health fetch within a Health sweep or
-// sampler tick, so one hung daemon cannot stall the whole fleet sample.
+// healthTimeout bounds each member's health fetch within a sampler tick, so
+// one hung daemon cannot stall the whole fleet sample.
 const healthTimeout = 2 * time.Second
 
 // poolMember is one endpoint plus its load, sample, and breaker state.
@@ -59,6 +59,14 @@ type poolMember struct {
 	fails     int       // consecutive endpoint failures
 	openUntil time.Time // breaker open until (zero = closed)
 	sample    loadSample
+}
+
+// available reports whether the member's breaker is closed at now, or open
+// with its cooldown elapsed (the half-open probe).
+func (m *poolMember) available(now time.Time) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.openUntil.IsZero() || !now.Before(m.openUntil)
 }
 
 // loadSample is the member's last daemon-reported load, stored by the
@@ -78,12 +86,14 @@ type PoolOption func(*PoolBackend)
 // pool launches a second attempt on the next-best member, the first
 // successful result wins, and the loser's context is cancelled (a
 // cancelled loser never counts against its member's breaker). A primary
-// that fails outright fires the hedge immediately. Zero delay derives the
-// hedge trigger from the primary member's poll-backoff ceiling
-// (RemoteMaxPollInterval) when it exposes one — the longest a healthy
-// remote attempt sits between result polls — and 50ms otherwise.
+// that fails outright fires the hedge immediately. A delay <= 0 means 50ms.
 func PoolWithHedging(delay time.Duration) PoolOption {
-	return func(p *PoolBackend) { p.hedging, p.hedgeDelay = true, delay }
+	return func(p *PoolBackend) {
+		if delay <= 0 {
+			delay = 50 * time.Millisecond
+		}
+		p.hedging, p.hedgeDelay = true, delay
+	}
 }
 
 // PoolWithAdmissionControl refuses new Compiles with ErrFleetSaturated
@@ -260,30 +270,11 @@ func (p *PoolBackend) Healthy() int {
 	now := time.Now()
 	n := 0
 	for _, m := range p.members {
-		m.mu.Lock()
-		if m.openUntil.IsZero() || !now.Before(m.openUntil) {
+		if m.available(now) {
 			n++
 		}
-		m.mu.Unlock()
 	}
 	return n
-}
-
-// PoolMemberHealth is one member's live sample from PoolBackend.Health:
-// local breaker/load state always, plus the daemon's own load report for
-// members that expose one (RemoteBackend).
-type PoolMemberHealth struct {
-	// Name is the member backend's name; Healthy reports a closed (or
-	// half-open) breaker; InFlight counts this pool's calls currently
-	// executing on the member.
-	Name     string `json:"name"`
-	Healthy  bool   `json:"healthy"`
-	InFlight int64  `json:"inflight"`
-	// Remote is the daemon's live health/load sample, nil for members that
-	// don't expose one. Error is the sample-fetch failure, if any ("" on
-	// success) — a failed sample does not trip the breaker.
-	Remote *RemoteHealth `json:"remote,omitempty"`
-	Error  string        `json:"error,omitempty"`
 }
 
 // healthReporter is implemented by members that can sample their endpoint's
@@ -297,46 +288,6 @@ type healthReporter interface {
 // the member actually submits to.
 type poolTargeter interface {
 	Target() string
-}
-
-// Health samples every member concurrently: breaker state and in-flight
-// load locally, and — for members backed by a daemon — the endpoint's own
-// queue-depth / cache / drain report. Each fetch is bounded by
-// healthTimeout under the caller's context, so one hung daemon delays the
-// sweep by at most that timeout instead of serializing the whole fleet
-// behind it. This is the fleet
-// supervisor's routing input; sampling never mutates breaker state.
-func (p *PoolBackend) Health(ctx context.Context) []PoolMemberHealth {
-	now := time.Now()
-	out := make([]PoolMemberHealth, len(p.members))
-	var wg sync.WaitGroup
-	for i, m := range p.members {
-		m.mu.Lock()
-		healthy := m.openUntil.IsZero() || !now.Before(m.openUntil)
-		m.mu.Unlock()
-		out[i] = PoolMemberHealth{
-			Name:     m.b.Name(),
-			Healthy:  healthy,
-			InFlight: m.inflight.Load(),
-		}
-		hr, ok := m.b.(healthReporter)
-		if !ok {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, hr healthReporter) {
-			defer wg.Done()
-			hctx, cancel := context.WithTimeout(ctx, healthTimeout)
-			defer cancel()
-			if rh, err := hr.Health(hctx); err != nil {
-				out[i].Error = err.Error()
-			} else {
-				out[i].Remote = &rh
-			}
-		}(i, hr)
-	}
-	wg.Wait()
-	return out
 }
 
 // sampleLoop is the background health sampler: one tick per sample period
@@ -540,13 +491,7 @@ func (p *PoolBackend) pick(exclude *poolMember) *poolMember {
 	now := time.Now()
 	avail := make([]*poolMember, 0, len(p.members))
 	for _, m := range p.members {
-		if m == exclude {
-			continue
-		}
-		m.mu.Lock()
-		ok := m.openUntil.IsZero() || !now.Before(m.openUntil)
-		m.mu.Unlock()
-		if ok {
+		if m != exclude && m.available(now) {
 			avail = append(avail, m)
 		}
 	}
@@ -605,43 +550,16 @@ func (p *PoolBackend) pickWeighted(avail []*poolMember, now time.Time) *poolMemb
 
 // hedgePartner returns the member to hedge onto — the best pick excluding
 // the primary — or nil when hedging is off or no alternative member has a
-// workable breaker.
+// workable breaker. pick returns an available member whenever one exists,
+// so checking its choice is enough.
 func (p *PoolBackend) hedgePartner(primary *poolMember) *poolMember {
 	if !p.hedging || len(p.members) < 2 {
 		return nil
 	}
-	now := time.Now()
-	for _, m := range p.members {
-		if m == primary {
-			continue
-		}
-		m.mu.Lock()
-		ok := m.openUntil.IsZero() || !now.Before(m.openUntil)
-		m.mu.Unlock()
-		if ok {
-			return p.pick(primary)
-		}
+	if m := p.pick(primary); m.available(time.Now()) {
+		return m
 	}
 	return nil
-}
-
-// pollBounded is implemented by members that expose their poll-backoff
-// ceiling (RemoteBackend.MaxPollInterval) — the auto hedge delay.
-type pollBounded interface {
-	MaxPollInterval() time.Duration
-}
-
-// hedgeAfter resolves the effective hedge trigger for a primary member.
-func (p *PoolBackend) hedgeAfter(primary *poolMember) time.Duration {
-	if p.hedgeDelay > 0 {
-		return p.hedgeDelay
-	}
-	if pb, ok := primary.b.(pollBounded); ok {
-		if d := pb.MaxPollInterval(); d > 0 {
-			return d
-		}
-	}
-	return 50 * time.Millisecond
 }
 
 // hedgeOutcome is one attempt's result inside a hedged call.
@@ -683,7 +601,7 @@ func hedgedCall[T any](ctx context.Context, p *PoolBackend, primary, backup *poo
 		go attempt(bctx, backup)
 	}
 
-	timer := time.NewTimer(p.hedgeAfter(primary))
+	timer := time.NewTimer(p.hedgeDelay)
 	defer timer.Stop()
 
 	var zero T

@@ -373,30 +373,6 @@ func TestPoolSamplesRemoteMembersByDefault(t *testing.T) {
 	})
 }
 
-// TestRemoteMaxPollIntervalOption: the option and the pollmax URI parameter
-// both set the poll-backoff ceiling the hedging path derives its auto
-// delay from.
-func TestRemoteMaxPollIntervalOption(t *testing.T) {
-	b := tilt.Remote("http://127.0.0.1:1", tilt.RemoteMaxPollInterval(750*time.Millisecond))
-	if got := b.MaxPollInterval(); got != 750*time.Millisecond {
-		t.Errorf("MaxPollInterval() = %v, want 750ms", got)
-	}
-
-	base, _ := startTestDaemon(t)
-	be, err := tilt.Open(context.Background(),
-		"linqd://"+strings.TrimPrefix(base, "http://")+"?backend=TILT&pollmax=1s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, ok := be.(*tilt.RemoteBackend)
-	if !ok {
-		t.Fatalf("Open returned %T, want *RemoteBackend", be)
-	}
-	if got := rb.MaxPollInterval(); got != time.Second {
-		t.Errorf("pollmax URI param: MaxPollInterval() = %v, want 1s", got)
-	}
-}
-
 // startDelayedDaemon is startTestDaemon behind a response-delaying
 // middleware: every request sits for delay before the daemon sees it — an
 // overloaded (but correct) member for hedging e2e.

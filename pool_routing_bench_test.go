@@ -116,13 +116,9 @@ func TestGeneratePoolRoutingBench(t *testing.T) {
 	fastURL := startRoutingDaemon(t, tilt.NewTILT(tilt.WithDevice(0, 4)))
 
 	members := func() []tilt.Backend {
-		ropts := []tilt.RemoteOption{
-			tilt.RemoteTarget("TILT"),
-			tilt.RemotePollInterval(2*time.Millisecond, 20*time.Millisecond),
-		}
 		return []tilt.Backend{
-			tilt.Remote(slowURL, ropts...),
-			tilt.Remote(fastURL, ropts...),
+			tilt.Remote(slowURL, tilt.RemoteTarget("TILT")),
+			tilt.Remote(fastURL, tilt.RemoteTarget("TILT")),
 		}
 	}
 

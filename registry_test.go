@@ -103,6 +103,8 @@ func TestOpenErrors(t *testing.T) {
 		{"tilt://?placement=sideways", `placement="sideways"`},
 		{"linqd://", "needs a host"},
 		{"linqd://h:1?bogus=1", `unknown parameter "bogus"`},
+		{"linqd://h:1?wait=5s", `unknown parameter "wait"`},
+		{"linqd://h:1?pollmax=1s", `unknown parameter "pollmax"`},
 	}
 	for _, tc := range cases {
 		_, err := tilt.Open(ctx, tc.uri)

@@ -17,8 +17,8 @@ import (
 )
 
 // RemoteBackend executes circuits on a linqd daemon over its HTTP job API:
-// Simulate submits the job, blocks on the daemon's ?wait= result fetch
-// (falling back to poll-with-backoff), and decodes the unified Result.
+// Simulate submits the job, blocks on the daemon's ?wait= result fetch,
+// and decodes the unified Result.
 // Cancelling the context aborts the wait and propagates a best-effort
 // DELETE so the daemon stops working on the job too.
 //
@@ -30,13 +30,21 @@ type RemoteBackend struct {
 	base    string // http://host:port, no trailing slash
 	backend string // server-side pool name ("TILT", "QCCD", "IdealTI")
 	client  *http.Client
-	wait    time.Duration // server-side block per result fetch (0 = pure polling)
-	pollMin time.Duration // poll backoff floor
-	pollMax time.Duration // poll backoff ceiling
-	apiKey  string        // tenant API key, sent as Authorization: Bearer
-	tenant  string        // asserted tenant ID (optional, sent as X-Linq-Tenant)
+	apiKey  string // tenant API key, sent as Authorization: Bearer
+	tenant  string // asserted tenant ID (optional, sent as X-Linq-Tenant)
 	name    string
 }
+
+const (
+	// resultWait is the daemon-side block per result fetch (the daemon caps
+	// it at 60s); a fetch that returns "not ready" is simply reissued.
+	resultWait = 15 * time.Second
+	// A throttled (429) fetch waits the longer of the daemon's Retry-After
+	// hint and a backoff doubling from throttleBackoffMin to
+	// throttleBackoffMax.
+	throttleBackoffMin = 10 * time.Millisecond
+	throttleBackoffMax = time.Second
+)
 
 // RemoteOption configures a RemoteBackend.
 type RemoteOption func(*RemoteBackend)
@@ -52,28 +60,6 @@ func RemoteTarget(backend string) RemoteOption {
 // the caller's context).
 func RemoteHTTPClient(c *http.Client) RemoteOption {
 	return func(b *RemoteBackend) { b.client = c }
-}
-
-// RemoteWait bounds the daemon-side blocking wait per result fetch
-// (default 15s; the daemon caps it at 60s). Zero disables blocking fetches
-// and falls back to pure polling with exponential backoff.
-func RemoteWait(d time.Duration) RemoteOption {
-	return func(b *RemoteBackend) { b.wait = d }
-}
-
-// RemotePollInterval sets the poll backoff range used between result
-// fetches that return "not ready" (defaults 10ms..1s, doubling).
-func RemotePollInterval(min, max time.Duration) RemoteOption {
-	return func(b *RemoteBackend) { b.pollMin, b.pollMax = min, max }
-}
-
-// RemoteMaxPollInterval sets only the poll-backoff ceiling, leaving the
-// floor alone — the knob a fleet operator tunes to bound how long a
-// result sits daemon-side before the client notices. PoolWithHedging(0)
-// derives its hedge trigger from this ceiling, so tightening it also
-// makes hedges fire sooner against this member.
-func RemoteMaxPollInterval(max time.Duration) RemoteOption {
-	return func(b *RemoteBackend) { b.pollMax = max }
 }
 
 // RemoteAPIKey authenticates every request with the tenant API key (sent
@@ -102,9 +88,6 @@ func Remote(addr string, opts ...RemoteOption) *RemoteBackend {
 		base:    base,
 		backend: "TILT",
 		client:  &http.Client{Timeout: 5 * time.Minute},
-		wait:    15 * time.Second,
-		pollMin: 10 * time.Millisecond,
-		pollMax: time.Second,
 	}
 	for _, o := range opts {
 		o(b)
@@ -123,31 +106,17 @@ func init() {
 		if q.Has("backend") {
 			opts = append(opts, RemoteTarget(q.Get("backend")))
 		}
-		if q.Has("wait") {
-			d, err := time.ParseDuration(q.Get("wait"))
-			if err != nil {
-				return nil, fmt.Errorf("parameter wait=%q: %w", q.Get("wait"), err)
-			}
-			opts = append(opts, RemoteWait(d))
-		}
 		if q.Has("key") {
 			opts = append(opts, RemoteAPIKey(q.Get("key")))
 		}
 		if q.Has("tenant") {
 			opts = append(opts, RemoteTenant(q.Get("tenant")))
 		}
-		if q.Has("pollmax") {
-			d, err := time.ParseDuration(q.Get("pollmax"))
-			if err != nil {
-				return nil, fmt.Errorf("parameter pollmax=%q: %w", q.Get("pollmax"), err)
-			}
-			opts = append(opts, RemoteMaxPollInterval(d))
-		}
 		for k := range q {
 			switch k {
-			case "backend", "wait", "key", "tenant", "pollmax":
+			case "backend", "key", "tenant":
 			default:
-				return nil, fmt.Errorf("unknown parameter %q (known: backend, wait, key, tenant, pollmax)", k)
+				return nil, fmt.Errorf("unknown parameter %q (known: backend, key, tenant)", k)
 			}
 		}
 		return Remote(u.Host, opts...), nil
@@ -171,7 +140,7 @@ type RemoteError struct {
 	// Line is the 1-based QASM source line for parse failures (0 otherwise).
 	Line int
 	// RetryAfter is the daemon's Retry-After hint on 429 responses (zero
-	// when the daemon sent none). The poll loop honors it before the next
+	// when the daemon sent none). The result wait honors it before the next
 	// fetch; submit-side callers should too.
 	RetryAfter time.Duration
 	// cause is the underlying transport error, if any.
@@ -218,11 +187,6 @@ func (b *RemoteBackend) Name() string { return b.name }
 
 // Target returns the daemon-side backend pool name jobs run on.
 func (b *RemoteBackend) Target() string { return b.backend }
-
-// MaxPollInterval returns the poll-backoff ceiling — the longest this
-// client sits between result fetches. Pool hedging reads it to derive the
-// auto hedge delay (PoolWithHedging(0)).
-func (b *RemoteBackend) MaxPollInterval() time.Duration { return b.pollMax }
 
 // Addr returns the daemon's base URL.
 func (b *RemoteBackend) Addr() string { return b.base }
@@ -300,54 +264,28 @@ func (b *RemoteBackend) run(ctx context.Context, c *Circuit) (*Result, error) {
 	return res, err
 }
 
-// resetPollTimer re-arms a hoisted poll timer for its next wait: stop it
-// and drain any unconsumed fire before Reset, so a reuse after an
-// abandoned arm (a select that exited on another case) can never consume
-// a stale expiry and cut the new wait short.
-func resetPollTimer(t *time.Timer, d time.Duration) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-	t.Reset(d)
-}
-
-// await polls (or block-fetches) the submitted job to a terminal state.
+// await block-fetches the submitted job until it reaches a terminal state.
 func (b *RemoteBackend) await(ctx context.Context, id string) (*Result, error) {
-	delay := b.pollMin
-	// One timer reused across poll iterations (created stopped and armed
-	// per wait) instead of a fresh time.After timer every round trip.
-	pollTimer := time.NewTimer(delay)
-	if !pollTimer.Stop() {
-		<-pollTimer.C
-	}
-	defer pollTimer.Stop()
+	backoff := throttleBackoffMin
 	for {
 		job, ready, err := b.fetchResult(ctx, id)
-		if err != nil {
+		var re *RemoteError
+		switch {
+		case errors.As(err, &re) && re.Status == http.StatusTooManyRequests:
 			// A 429 is throttling, not failure: the job is still running
 			// daemon-side, so honor Retry-After (or the current backoff,
-			// whichever is longer) and poll again instead of cancelling.
-			var re *RemoteError
-			if errors.As(err, &re) && re.Status == http.StatusTooManyRequests {
-				wait := delay
-				if re.RetryAfter > wait {
-					wait = re.RetryAfter
-				}
-				resetPollTimer(pollTimer, wait)
-				select {
-				case <-ctx.Done():
-					b.cancelRemote(id)
-					return nil, ctx.Err()
-				case <-pollTimer.C:
-				}
-				if delay *= 2; delay > b.pollMax {
-					delay = b.pollMax
-				}
-				continue
+			// whichever is longer) and fetch again instead of cancelling.
+			t := time.NewTimer(max(backoff, re.RetryAfter))
+			select {
+			case <-ctx.Done():
+				t.Stop()
+				b.cancelRemote(id)
+				return nil, ctx.Err()
+			case <-t.C:
 			}
+			backoff = min(2*backoff, throttleBackoffMax)
+			continue
+		case err != nil:
 			// Whatever broke the fetch — caller cancellation or a
 			// transport/HTTP failure — stop the daemon-side work too, or
 			// the submitted job would keep a remote worker busy computing
@@ -357,20 +295,8 @@ func (b *RemoteBackend) await(ctx context.Context, id string) (*Result, error) {
 				return nil, ctx.Err()
 			}
 			return nil, err
-		}
-		if !ready {
-			if b.wait <= 0 { // pure polling: back off between fetches
-				resetPollTimer(pollTimer, delay)
-				select {
-				case <-ctx.Done():
-					b.cancelRemote(id)
-					return nil, ctx.Err()
-				case <-pollTimer.C:
-				}
-				if delay *= 2; delay > b.pollMax {
-					delay = b.pollMax
-				}
-			} else if err := ctx.Err(); err != nil {
+		case !ready:
+			if err := ctx.Err(); err != nil {
 				b.cancelRemote(id)
 				return nil, err
 			}
@@ -395,13 +321,16 @@ func (b *RemoteBackend) await(ctx context.Context, id string) (*Result, error) {
 
 // submit POSTs the circuit and returns the daemon's job ID.
 func (b *RemoteBackend) submit(ctx context.Context, c *Circuit) (string, error) {
-	payload, err := json.Marshal(map[string]any{
-		"backend": b.backend,
-		"circuit": c,
-	})
+	// The body is {"backend":...,"circuit":...} with the circuit's canonical
+	// bytes spliced in: json.Marshal of a map would re-scan and compact
+	// them, which costs more than writing them.
+	name, err := json.Marshal(b.backend)
 	if err != nil {
-		return "", fmt.Errorf("tilt: %s: marshal circuit: %w", b.name, err)
+		return "", fmt.Errorf("tilt: %s: marshal backend name: %w", b.name, err)
 	}
+	payload := append([]byte(`{"backend":`), name...)
+	payload = c.AppendJSON(append(payload, `,"circuit":`...))
+	payload = append(payload, '}')
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.base+"/v1/jobs", bytes.NewReader(payload))
 	if err != nil {
 		return "", err
@@ -425,13 +354,10 @@ func (b *RemoteBackend) submit(ctx context.Context, c *Circuit) (string, error) 
 	return out.ID, nil
 }
 
-// fetchResult GETs the job's result, blocking daemon-side for up to b.wait.
-// ready=false means the job is still queued or running.
+// fetchResult GETs the job's result, blocking daemon-side for up to
+// resultWait. ready=false means the job is still queued or running.
 func (b *RemoteBackend) fetchResult(ctx context.Context, id string) (job remoteJob, ready bool, err error) {
-	u := b.base + "/v1/jobs/" + id + "/result"
-	if b.wait > 0 {
-		u += "?wait=" + b.wait.String()
-	}
+	u := b.base + "/v1/jobs/" + id + "/result?wait=" + resultWait.String()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return remoteJob{}, false, err

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,6 +16,7 @@ import (
 	tilt "repro"
 	"repro/internal/jobs"
 	"repro/internal/linqhttp"
+	"repro/internal/workloads"
 )
 
 // startTestDaemon boots an in-process linqd HTTP API (manager + handlers)
@@ -124,7 +126,7 @@ func TestRemoteParityWithLocalTILT(t *testing.T) {
 func TestOpenRemoteScheme(t *testing.T) {
 	ctx := context.Background()
 	base, _ := startTestDaemon(t)
-	uri := "linqd://" + strings.TrimPrefix(base, "http://") + "?backend=IdealTI&wait=5s"
+	uri := "linqd://" + strings.TrimPrefix(base, "http://") + "?backend=IdealTI"
 	be, err := tilt.Open(ctx, uri)
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +199,7 @@ func TestRemoteCancelPropagates(t *testing.T) {
 	bench := tilt.BenchmarkQFT()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	remote := tilt.Remote(base, tilt.RemoteWait(0), tilt.RemotePollInterval(time.Millisecond, 5*time.Millisecond))
+	remote := tilt.Remote(base)
 	done := make(chan error, 1)
 	go func() {
 		_, err := remote.Execute(ctx, bench.Circuit)
@@ -234,6 +236,37 @@ func TestRemoteCancelPropagates(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatal("daemon never saw the propagated cancel")
+}
+
+// TestRemoteSubmitBody: the submit body spliced around the circuit's
+// canonical bytes equals what json.Marshal of the {backend, circuit} map
+// writes, for every workload circuit and for a backend name that needs
+// escaping.
+func TestRemoteSubmitBody(t *testing.T) {
+	bodies := make(chan []byte, 1)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		bodies <- body
+		http.Error(w, "refused", http.StatusBadRequest)
+	}))
+	defer srv.Close()
+
+	benches := append(workloads.All(), workloads.ShortDistanceSuite()...)
+	for _, target := range []string{"TILT", "a<b"} {
+		be := tilt.Remote(srv.URL, tilt.RemoteTarget(target))
+		for _, bm := range benches {
+			if _, err := be.Execute(context.Background(), bm.Circuit); err == nil {
+				t.Fatalf("%s: Execute against a refusing stub succeeded", bm.Name)
+			}
+			want, err := json.Marshal(map[string]any{"backend": target, "circuit": bm.Circuit})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := <-bodies; !bytes.Equal(got, want) {
+				t.Errorf("backend %q, %s: submit body differs from json.Marshal:\ngot:  %.200s\nwant: %.200s", target, bm.Name, got, want)
+			}
+		}
+	}
 }
 
 // TestRemoteCompileValidates: the client rejects nil and malformed

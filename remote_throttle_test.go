@@ -21,6 +21,7 @@ type throttleStub struct {
 	throttles  int32 // remaining 429 responses
 	retryAfter string
 	fetches    atomic.Int32
+	nonBlock   atomic.Int32 // result fetches without ?wait=15s
 	deletes    atomic.Int32
 	lastAuth   atomic.Value // Authorization header of the latest request
 }
@@ -33,6 +34,9 @@ func (s *throttleStub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(map[string]string{"id": "j-00000001"})
 	case r.Method == http.MethodGet && r.URL.Path == "/v1/jobs/j-00000001/result":
 		s.fetches.Add(1)
+		if r.URL.Query().Get("wait") != "15s" {
+			s.nonBlock.Add(1)
+		}
 		if atomic.AddInt32(&s.throttles, -1) >= 0 {
 			w.Header().Set("Retry-After", s.retryAfter)
 			w.WriteHeader(http.StatusTooManyRequests)
@@ -60,10 +64,7 @@ func TestRemote429PollHonorsRetryAfter(t *testing.T) {
 	srv := httptest.NewServer(stub)
 	defer srv.Close()
 
-	be := tilt.Remote(srv.URL,
-		tilt.RemoteWait(0), // pure polling
-		tilt.RemotePollInterval(time.Millisecond, 2*time.Millisecond),
-		tilt.RemoteAPIKey("key-alice"))
+	be := tilt.Remote(srv.URL, tilt.RemoteAPIKey("key-alice"))
 
 	start := time.Now()
 	res, err := be.Execute(context.Background(), tilt.GHZ(3).Circuit)
@@ -74,15 +75,19 @@ func TestRemote429PollHonorsRetryAfter(t *testing.T) {
 	if res.SuccessRate != 0.75 {
 		t.Errorf("result = %+v", res)
 	}
-	// The 1s Retry-After hint must dominate the 1–2ms poll backoff.
+	// The 1s Retry-After hint must dominate the 10ms throttle backoff.
 	if elapsed < 900*time.Millisecond {
-		t.Errorf("poll resumed after %v, want >= ~1s (Retry-After honored)", elapsed)
+		t.Errorf("fetch resumed after %v, want >= ~1s (Retry-After honored)", elapsed)
 	}
 	if n := stub.deletes.Load(); n != 0 {
 		t.Errorf("client cancelled a merely-throttled job (%d DELETEs)", n)
 	}
 	if n := stub.fetches.Load(); n != 2 {
 		t.Errorf("result fetches = %d, want 2 (one throttled, one served)", n)
+	}
+	// Every result fetch blocks daemon-side: there is no pure-polling path.
+	if n := stub.nonBlock.Load(); n != 0 {
+		t.Errorf("%d result fetches lacked wait=15s", n)
 	}
 	if got := stub.lastAuth.Load(); got != "Bearer key-alice" {
 		t.Errorf("Authorization = %q, want the configured Bearer key", got)
