@@ -88,12 +88,10 @@ type PoolOption func(*PoolBackend)
 // cancelled loser never counts against its member's breaker). A primary
 // that fails outright fires the hedge immediately. A delay <= 0 means 50ms.
 func PoolWithHedging(delay time.Duration) PoolOption {
-	return func(p *PoolBackend) {
-		if delay <= 0 {
-			delay = 50 * time.Millisecond
-		}
-		p.hedging, p.hedgeDelay = true, delay
+	if delay <= 0 {
+		delay = 50 * time.Millisecond
 	}
+	return func(p *PoolBackend) { p.hedging, p.hedgeDelay = true, delay }
 }
 
 // PoolWithAdmissionControl refuses new Compiles with ErrFleetSaturated

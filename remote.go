@@ -324,10 +324,7 @@ func (b *RemoteBackend) submit(ctx context.Context, c *Circuit) (string, error) 
 	// The body is {"backend":...,"circuit":...} with the circuit's canonical
 	// bytes spliced in: json.Marshal of a map would re-scan and compact
 	// them, which costs more than writing them.
-	name, err := json.Marshal(b.backend)
-	if err != nil {
-		return "", fmt.Errorf("tilt: %s: marshal backend name: %w", b.name, err)
-	}
+	name, _ := json.Marshal(b.backend) // marshalling a string cannot fail
 	payload := append([]byte(`{"backend":`), name...)
 	payload = c.AppendJSON(append(payload, `,"circuit":`...))
 	payload = append(payload, '}')

@@ -188,12 +188,12 @@ func (h heldBackend) Compile(ctx context.Context, _ *tilt.Circuit) (*tilt.Artifa
 func TestRemoteCancelPropagates(t *testing.T) {
 	// The daemon holds the job until a cancel reaches it, so the cancel
 	// always lands however fast the real pipeline would have been. The
-	// first result poll shows the client holds the job ID it must DELETE.
-	polling := make(chan struct{})
+	// first result fetch shows the client holds the job ID it must DELETE.
+	fetching := make(chan struct{})
 	var once sync.Once
 	base, mgr := startDaemonWithTILT(t, heldBackend{tilt.NewTILT()}, func(r *http.Request) {
 		if r.Method == http.MethodGet && strings.HasSuffix(r.URL.Path, "/result") {
-			once.Do(func() { close(polling) })
+			once.Do(func() { close(fetching) })
 		}
 	})
 	bench := tilt.BenchmarkQFT()
@@ -206,11 +206,11 @@ func TestRemoteCancelPropagates(t *testing.T) {
 		done <- err
 	}()
 
-	// Wait until the client is polling the accepted job, then cancel it.
+	// Wait until the client is fetching the accepted job's result, then cancel it.
 	select {
-	case <-polling:
+	case <-fetching:
 	case <-time.After(30 * time.Second):
-		t.Fatal("client never polled its submitted job")
+		t.Fatal("client never fetched its submitted job's result")
 	}
 	cancel()
 	select {

@@ -16,7 +16,7 @@ import (
 // throttleStub is a scripted linqd stand-in: it accepts one submission and
 // 429s the first `throttles` result fetches (with a Retry-After hint)
 // before serving the terminal job. It records what the client did so the
-// test can assert the poll loop's behavior, not just its outcome.
+// test can assert the result wait's behavior, not just its outcome.
 type throttleStub struct {
 	throttles  int32 // remaining 429 responses
 	retryAfter string
@@ -85,7 +85,7 @@ func TestRemote429PollHonorsRetryAfter(t *testing.T) {
 	if n := stub.fetches.Load(); n != 2 {
 		t.Errorf("result fetches = %d, want 2 (one throttled, one served)", n)
 	}
-	// Every result fetch blocks daemon-side: there is no pure-polling path.
+	// Every result fetch blocks daemon-side, throttled or not.
 	if n := stub.nonBlock.Load(); n != 0 {
 		t.Errorf("%d result fetches lacked wait=15s", n)
 	}
