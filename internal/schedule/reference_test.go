@@ -3,7 +3,9 @@ package schedule
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/circuit"
@@ -255,6 +257,190 @@ func TestTapeAndSweepMatchReference(t *testing.T) {
 				}
 				checkAgainstReference(t, fmt.Sprintf("%s head=%d maxswaplen=%d", bm.Name, head, msl), r.Physical, dev)
 			}
+		}
+	}
+}
+
+// routed is a corpus circuit after LinQ swap insertion for its device.
+type routed struct {
+	label string
+	phys  *circuit.Circuit
+	dev   device.TILT
+}
+
+// routedCorpus is differentialCorpus routed by LinQ as
+// TestTapeAndSweepMatchReference routes it: head sizes 4, 8 and 16, and
+// MaxSwapLen 1, half the head and the default.
+func routedCorpus(t *testing.T) []routed {
+	t.Helper()
+	var out []routed
+	for _, bm := range differentialCorpus() {
+		n := bm.Circuit.NumQubits()
+		for _, head := range []int{4, 8, 16} {
+			if head > n {
+				continue
+			}
+			dev := device.TILT{NumIons: n, HeadSize: head}
+			m0, err := mapping.Initial(bm.Circuit, n, mapping.ProgramOrderPlacement)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, msl := range []int{0, 1, head / 2} {
+				r, err := (swapins.LinQ{}).Insert(context.Background(), bm.Circuit, m0, dev, swapins.Options{MaxSwapLen: msl})
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, routed{fmt.Sprintf("%s head=%d maxswaplen=%d", bm.Name, head, msl), r.Physical, dev})
+			}
+		}
+	}
+	return out
+}
+
+// TestWindowCountsMatchProbe runs Tape's loop on the routed corpus and
+// requires, before every step, each head position's incrementally kept
+// count to equal the size of the set the ordered probe finds there.
+func TestWindowCountsMatchProbe(t *testing.T) {
+	for _, rc := range routedCorpus(t) {
+		s := newScheduler(rc.phys, rc.dev)
+		s.initWindows()
+		var buf []int
+		cur := -1
+		for step := 0; s.remaining > 0; step++ {
+			for p, n := range s.count {
+				if buf = s.probe(p, buf[:0]); len(buf) != n {
+					t.Fatalf("%s step %d: position %d counts %d, probe finds %d", rc.label, step, p, n, len(buf))
+				}
+			}
+			cur = s.bestPosition(cur)
+			from := len(s.out)
+			s.out = s.probe(cur, s.out)
+			s.advance(s.commit(s.since(from)))
+		}
+	}
+}
+
+// refValidate is Schedule.Validate with the per-qubit order checked against
+// each qubit's gate list: the oracle for the list-free order check.
+func refValidate(sched *Schedule, c *circuit.Circuit, dev device.TILT) error {
+	seen := make([]bool, c.Len())
+	listIdx := make([]int, dev.NumIons)
+	lists := make([][]int, dev.NumIons)
+	for i, g := range c.Gates() {
+		for _, q := range g.Qubits {
+			lists[q] = append(lists[q], i)
+		}
+	}
+	for si, st := range sched.Steps {
+		if st.Pos < 0 || st.Pos > dev.NumIons-dev.HeadSize {
+			return fmt.Errorf("step %d position %d out of range", si, st.Pos)
+		}
+		for _, gi := range st.Gates {
+			if gi < 0 || gi >= c.Len() {
+				return fmt.Errorf("step %d references gate %d", si, gi)
+			}
+			if seen[gi] {
+				return fmt.Errorf("gate %d scheduled twice", gi)
+			}
+			seen[gi] = true
+			for _, q := range c.Gate(gi).Qubits {
+				if q < st.Pos || q > st.Pos+dev.HeadSize-1 {
+					return fmt.Errorf("step %d gate %d qubit %d outside window", si, gi, q)
+				}
+				if lists[q][listIdx[q]] != gi {
+					return fmt.Errorf("gate %d violates program order on qubit %d", gi, q)
+				}
+				listIdx[q]++
+			}
+		}
+	}
+	for gi, ok := range seen {
+		if !ok {
+			return fmt.Errorf("gate %d never scheduled", gi)
+		}
+	}
+	return nil
+}
+
+// cloneSchedule deep-copies a schedule so a mutation cannot reach the
+// original's shared gate buffer.
+func cloneSchedule(s *Schedule) *Schedule {
+	out := &Schedule{Moves: s.Moves, Dist: s.Dist, Steps: make([]Step, len(s.Steps))}
+	for i, st := range s.Steps {
+		out.Steps[i] = Step{Pos: st.Pos, Gates: slices.Clone(st.Gates)}
+	}
+	return out
+}
+
+// TestValidateMatchesListValidator mutates Tape's schedules of the routed
+// corpus — two gates swapped across steps, a gate duplicated, a gate
+// dropped, a window shifted by one, a gate index out of range — and
+// requires Validate to accept exactly what the list-based validator
+// accepts. Duplicates, drops and out-of-range indices must be rejected.
+func TestValidateMatchesListValidator(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	type mutation struct {
+		name      string
+		mustFail  bool
+		transform func(s *Schedule, nGates int)
+	}
+	pick := func(s *Schedule) (int, int) {
+		si := rng.Intn(len(s.Steps))
+		return si, rng.Intn(len(s.Steps[si].Gates))
+	}
+	mutations := []mutation{
+		{"swap across steps", false, func(s *Schedule, _ int) {
+			si, i := pick(s)
+			sj, j := pick(s)
+			s.Steps[si].Gates[i], s.Steps[sj].Gates[j] = s.Steps[sj].Gates[j], s.Steps[si].Gates[i]
+		}},
+		{"duplicate", true, func(s *Schedule, _ int) {
+			si, i := pick(s)
+			sj, _ := pick(s)
+			s.Steps[sj].Gates = append(s.Steps[sj].Gates, s.Steps[si].Gates[i])
+		}},
+		{"drop", true, func(s *Schedule, _ int) {
+			si, i := pick(s)
+			s.Steps[si].Gates = slices.Delete(s.Steps[si].Gates, i, i+1)
+		}},
+		{"shift window", false, func(s *Schedule, _ int) {
+			si, _ := pick(s)
+			s.Steps[si].Pos += 1 - 2*rng.Intn(2)
+		}},
+		{"out of range", true, func(s *Schedule, n int) {
+			si, i := pick(s)
+			s.Steps[si].Gates[i] = []int{-1, n}[rng.Intn(2)]
+		}},
+	}
+	rejected := map[string]int{}
+	for _, rc := range routedCorpus(t) {
+		sched, err := Tape(context.Background(), rc.phys, rc.dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sched.Steps) == 0 {
+			continue
+		}
+		for _, mu := range mutations {
+			for rep := 0; rep < 8; rep++ {
+				bad := cloneSchedule(sched)
+				mu.transform(bad, rc.phys.Len())
+				got, want := bad.Validate(rc.phys, rc.dev), refValidate(bad, rc.phys, rc.dev)
+				if (got == nil) != (want == nil) {
+					t.Fatalf("%s, %s: Validate says %v, list validator %v", rc.label, mu.name, got, want)
+				}
+				if mu.mustFail && got == nil {
+					t.Fatalf("%s, %s: accepted", rc.label, mu.name)
+				}
+				if got != nil {
+					rejected[mu.name]++
+				}
+			}
+		}
+	}
+	for _, mu := range mutations {
+		if rejected[mu.name] == 0 {
+			t.Errorf("%s: no mutated schedule was rejected", mu.name)
 		}
 	}
 }

@@ -4,14 +4,17 @@
 // set, and move on, until every gate has run. Minimizing head placements
 // minimizes shuttle-induced heating, the dominant error source of Eq. 4.
 //
-// The scheduler caches the executable set of every head position. The set
-// at position p depends only on the frontier of the qubits inside its
-// window [p, p+HeadSize-1]: the probe reads no other pointer. A step
-// advances the frontier only on the qubits of the gates it executes, so
-// after it only the positions whose window holds one of those qubits are
-// stale, and every other cached set is still exact. Each step therefore
-// re-probes at most 2·HeadSize−1 positions instead of all of them, and the
-// schedule is identical to a full rescan.
+// The executable set at a head position is unique — the largest set of
+// pending gates inside the window that is closed under program order — so
+// its size does not depend on the order it is found in. Tape keeps, for
+// every position, the window's local frontier past that set and the set's
+// size. A step advances the real frontier only on the qubits of the gates
+// it executes, so only the windows holding one of those qubits change:
+// each raises the local pointers that fell behind and extends its set from
+// just those qubits. A gate joins a window's set at most once, so the
+// closure work of a whole schedule is at most HeadSize × gates. Choosing a
+// position reads the sizes; the ordered probe runs once per step, at the
+// chosen position, to put Step.Gates in execution order.
 package schedule
 
 //lint:deterministic-package
@@ -76,6 +79,7 @@ func Tape(ctx context.Context, c *circuit.Circuit, dev device.TILT) (*Schedule, 
 		return nil, err
 	}
 	s := newScheduler(c, dev)
+	s.initWindows()
 	sched := &Schedule{}
 	cur := -1
 	for s.remaining > 0 {
@@ -83,13 +87,17 @@ func Tape(ctx context.Context, c *circuit.Circuit, dev device.TILT) (*Schedule, 
 			return nil, err
 		}
 		pos := s.bestPosition(cur)
-		gates := s.setAt(pos)
+		from := len(s.out)
+		s.out = s.probe(pos, s.out)
+		gates := s.since(from)
 		if len(gates) == 0 {
 			// Cannot happen when every gate fits some window; defensive.
 			return nil, fmt.Errorf("schedule: no executable gates at any head position (%d remaining)", s.remaining)
 		}
-		gates = s.take(len(s.out), gates)
-		s.commit(gates)
+		if len(gates) != s.count[pos] {
+			return nil, fmt.Errorf("schedule: position %d executes %d gates but its window counted %d", pos, len(gates), s.count[pos])
+		}
+		s.advance(s.commit(gates))
 		sched.Steps = append(sched.Steps, Step{Pos: pos, Gates: gates})
 		if cur >= 0 {
 			d := pos - cur
@@ -105,75 +113,144 @@ func Tape(ctx context.Context, c *circuit.Circuit, dev device.TILT) (*Schedule, 
 }
 
 // scheduler holds the frontier state — for each qubit, the index into its
-// gate list of the next unexecuted gate — and the per-position cache of
-// executable sets.
+// gate list of the next unexecuted gate — and, for Tape, every head
+// position's window state.
+//
+// Qubit q's gate list is the entries first[q] to first[q+1]-1 of the flat
+// per-entry arrays, in program order. Entry e is gate gate[e]; partner[e]
+// is that gate's other operand (-1 for a one-qubit gate) and partnerIdx[e]
+// the gate's index in the partner's list, so neither the closure nor the
+// probe reads Gate.Qubits. Both schedulers reject gates of arity above two.
 type scheduler struct {
-	gates []circuit.Gate
-	dev   device.TILT
-	// lists[q] is qubit q's gate indices in program order; all lists share
-	// one backing array.
-	lists [][]int
-	// listPos[2*gi+j] is the index of gate gi within the list of its j-th
-	// operand. Both schedulers reject gates of arity above two.
-	listPos   []int
-	ptr       []int // per-qubit frontier
+	gates      []circuit.Gate
+	dev        device.TILT
+	first      []int32
+	gate       []int32
+	partner    []int32
+	partnerIdx []int32
+	// owned[first[q]+q+i] counts the gates among qubit q's first i whose
+	// first operand is q: a prefix sum per qubit, so a window's set size is
+	// a sum of differences over its qubits and each gate counts once.
+	owned     []int32
+	ptr       []int32 // per-qubit frontier
 	remaining int
-	scratch   []int // probe frontier; only the probed window is read
-	// sets[p] is the executable set at head position p, valid unless
-	// dirty[p]. Each is reused as the probe buffer for its position.
-	sets  [][]int
-	dirty []bool
+	scratch   []int32 // probe frontier; only the probed window is read
 	// out backs every Step.Gates. Each gate is scheduled exactly once, so
 	// it is allocated once at its final size.
 	out []int
+
+	// Window state, built by initWindows (Tape only). loc[p*HeadSize+k] is
+	// window p's local frontier on qubit p+k: the real frontier advanced
+	// past the window's executable set. count[p] is that set's size.
+	loc   []int32
+	count []int
+	stack []int32 // closure worklist of qubits whose local frontier moved
 }
 
 func newScheduler(c *circuit.Circuit, dev device.TILT) *scheduler {
-	positions := dev.NumPositions()
+	n := dev.NumIons
+	gates := c.Gates()
 	s := &scheduler{
-		gates:     c.Gates(),
+		gates:     gates,
 		dev:       dev,
-		lists:     make([][]int, dev.NumIons),
-		listPos:   make([]int, 2*c.Len()),
-		ptr:       make([]int, dev.NumIons),
-		remaining: c.Len(),
-		scratch:   make([]int, dev.NumIons),
-		sets:      make([][]int, positions),
-		dirty:     make([]bool, positions),
-		out:       make([]int, 0, c.Len()),
+		first:     make([]int32, n+1),
+		ptr:       make([]int32, n),
+		remaining: len(gates),
+		scratch:   make([]int32, n),
+		out:       make([]int, 0, len(gates)),
 	}
-	// Count each qubit's gates (in scratch) to carve the lists out of one
-	// array, then fill them in program order.
-	total := 0
-	for _, g := range s.gates {
+	for _, g := range gates {
 		for _, q := range g.Qubits {
-			s.scratch[q]++
-		}
-		total += len(g.Qubits)
-	}
-	backing := make([]int, total)
-	for q, n := range s.scratch {
-		s.lists[q], backing = backing[:0:n], backing[n:]
-	}
-	for i, g := range s.gates {
-		for j, q := range g.Qubits {
-			s.listPos[2*i+j] = len(s.lists[q])
-			s.lists[q] = append(s.lists[q], i)
+			s.first[q+1]++
 		}
 	}
-	for p := range s.dirty {
-		s.dirty[p] = true
+	for q := range n {
+		s.first[q+1] += s.first[q]
 	}
+	entries := s.first[n]
+	s.gate = make([]int32, entries)
+	s.partner = make([]int32, entries)
+	s.partnerIdx = make([]int32, entries)
+	s.owned = make([]int32, int(entries)+n)
+	// Fill the lists in program order, counting each qubit's entries so far
+	// in scratch.
+	fill := s.scratch
+	for i, g := range gates {
+		q0 := g.Qubits[0]
+		i0 := fill[q0]
+		e0 := s.first[q0] + i0
+		s.gate[e0] = int32(i)
+		s.partner[e0] = -1
+		s.owned[e0+int32(q0)+1] = s.owned[e0+int32(q0)] + 1
+		if len(g.Qubits) == 2 {
+			q1 := g.Qubits[1]
+			i1 := fill[q1]
+			e1 := s.first[q1] + i1
+			s.gate[e1] = int32(i)
+			s.partner[e0], s.partnerIdx[e0] = int32(q1), i1
+			s.partner[e1], s.partnerIdx[e1] = int32(q0), i0
+			s.owned[e1+int32(q1)+1] = s.owned[e1+int32(q1)]
+			fill[q1]++
+		}
+		fill[q0]++
+	}
+	clear(s.scratch)
 	return s
 }
 
-// bestPosition evaluates every head position and returns the one executing
-// the most gates (Eq. 2 score), tie-breaking toward the nearest position to
-// cur and then the leftmost — both deterministic.
+// initWindows builds every head position's executable set from the
+// initial frontier.
+func (s *scheduler) initWindows() {
+	h := s.dev.HeadSize
+	positions := s.dev.NumPositions()
+	s.loc = make([]int32, positions*h)
+	s.count = make([]int, positions)
+	s.stack = make([]int32, 0, 2*h)
+	for p := range positions {
+		for q := p; q < p+h; q++ {
+			s.stack = append(s.stack, int32(q))
+		}
+		s.extend(p)
+	}
+}
+
+// extend grows window p's executable set from the qubits on the worklist
+// until no gate in the window is ready, then recounts the set. A gate is
+// ready when it is the next pending gate on every operand and all of them
+// lie inside the window; running it moves its partner, which is pushed.
+func (s *scheduler) extend(p int) {
+	h := s.dev.HeadSize
+	loc := s.loc[p*h : p*h+h]
+	for len(s.stack) > 0 {
+		q := s.stack[len(s.stack)-1]
+		s.stack = s.stack[:len(s.stack)-1]
+		k := int(q) - p
+		for e := s.first[q] + loc[k]; e < s.first[q+1]; e = s.first[q] + loc[k] {
+			if r := s.partner[e]; r >= 0 {
+				kr := int(r) - p
+				if uint(kr) >= uint(h) || loc[kr] != s.partnerIdx[e] {
+					break
+				}
+				loc[kr]++
+				s.stack = append(s.stack, r)
+			}
+			loc[k]++
+		}
+	}
+	n := 0
+	for k, i := range loc {
+		base := s.first[p+k] + int32(p+k)
+		n += int(s.owned[base+i] - s.owned[base+s.ptr[p+k]])
+	}
+	s.count[p] = n
+}
+
+// bestPosition returns the head position executing the most gates (Eq. 2
+// score), tie-breaking toward the nearest position to cur and then the
+// leftmost — both deterministic.
 func (s *scheduler) bestPosition(cur int) int {
 	bestPos, bestLen, bestDist := 0, 0, 1<<30
-	for p := range s.sets {
-		n := len(s.setAt(p))
+	for p, n := range s.count {
 		d := 0
 		if cur >= 0 {
 			d = p - cur
@@ -188,17 +265,6 @@ func (s *scheduler) bestPosition(cur int) int {
 	return bestPos
 }
 
-// setAt returns the executable set at head position p, re-probing it only
-// when a commit since the last probe touched a qubit under its window. The
-// slice is the cache's: it is valid until the next commit.
-func (s *scheduler) setAt(p int) []int {
-	if s.dirty[p] {
-		s.sets[p] = s.probe(p, s.sets[p][:0])
-		s.dirty[p] = false
-	}
-	return s.sets[p]
-}
-
 // probe appends to out the maximal dependency-closed set of pending gates
 // that fit under the head at position p, in a valid execution order.
 // It simulates frontier consumption on a scratch copy of the window's
@@ -211,23 +277,15 @@ func (s *scheduler) probe(p int, out []int) []int {
 	for {
 		progressed := false
 		for q := p; q <= hi; q++ {
-			for local[q] < len(s.lists[q]) {
-				gi := s.lists[q][local[q]]
-				qs := s.gates[gi].Qubits
-				ready := true
-				for j, oq := range qs {
-					if oq < p || oq > hi || local[oq] != s.listPos[2*gi+j] {
-						ready = false
+			for e := s.first[q] + local[q]; e < s.first[q+1]; e = s.first[q] + local[q] {
+				if r := s.partner[e]; r >= 0 {
+					if int(r) < p || int(r) > hi || local[r] != s.partnerIdx[e] {
 						break
 					}
+					local[r]++
 				}
-				if !ready {
-					break
-				}
-				for _, oq := range qs {
-					local[oq]++
-				}
-				out = append(out, gi)
+				local[q]++
+				out = append(out, int(s.gate[e]))
 				progressed = true
 			}
 		}
@@ -237,20 +295,17 @@ func (s *scheduler) probe(p int, out []int) []int {
 	}
 }
 
-// take copies gates onto the end of the schedule's gate buffer and returns
-// the buffer from index from on, capacity-limited so that appending to one
-// step's Gates can never overwrite the next step's.
-func (s *scheduler) take(from int, gates []int) []int {
-	s.out = append(s.out, gates...)
+// since returns the schedule's gate buffer from index from on,
+// capacity-limited so that appending to one step's Gates can never
+// overwrite the next step's.
+func (s *scheduler) since(from int) []int {
 	return s.out[from:len(s.out):len(s.out)]
 }
 
-// commit advances the real frontier over the chosen gate set and marks
-// stale every cached position whose window holds a touched qubit. A set
-// depends only on the frontier inside its window, so every other cached
-// set stays exact.
-func (s *scheduler) commit(gates []int) {
-	lo, hi := s.dev.NumIons, -1
+// commit advances the real frontier over the chosen gate set and returns
+// the lowest and highest qubit it moved.
+func (s *scheduler) commit(gates []int) (lo, hi int) {
+	lo, hi = s.dev.NumIons, -1
 	for _, gi := range gates {
 		for _, q := range s.gates[gi].Qubits {
 			s.ptr[q]++
@@ -258,10 +313,28 @@ func (s *scheduler) commit(gates []int) {
 		}
 	}
 	s.remaining -= len(gates)
-	// Windows [p, p+HeadSize-1] meeting [lo, hi]. The gates come from one
-	// window, so hi-lo < HeadSize and each of these windows holds lo or hi.
-	for p := max(lo-s.dev.HeadSize+1, 0); p <= min(hi, len(s.dirty)-1); p++ {
-		s.dirty[p] = true
+	return lo, hi
+}
+
+// advance updates every window holding a qubit in [lo, hi] after a commit
+// moved the frontier there; every other window's set is unchanged, since a
+// set depends only on the frontier inside its window. A window's old set
+// minus the committed gates is still executable, so its local frontier is
+// raised to the real one where it fell behind and the set grows from the
+// raised qubits only.
+func (s *scheduler) advance(lo, hi int) {
+	h := s.dev.HeadSize
+	// The gates come from one window, so at most 2·HeadSize−1 windows meet
+	// [lo, hi].
+	for p := max(lo-h+1, 0); p <= min(hi, len(s.count)-1); p++ {
+		loc := s.loc[p*h : p*h+h]
+		for q := max(p, lo); q <= min(p+h-1, hi); q++ {
+			if loc[q-p] < s.ptr[q] {
+				loc[q-p] = s.ptr[q]
+				s.stack = append(s.stack, int32(q))
+			}
+		}
+		s.extend(p)
 	}
 }
 
@@ -270,13 +343,12 @@ func (s *scheduler) commit(gates []int) {
 // program order. Exposed for tests and for defensive callers.
 func (sched *Schedule) Validate(c *circuit.Circuit, dev device.TILT) error {
 	seen := make([]bool, c.Len())
-	// Per-qubit order check uses each qubit's list index.
-	listIdx := make([]int, dev.NumIons)
-	lists := make([][]int, dev.NumIons)
-	for i, g := range c.Gates() {
-		for _, q := range g.Qubits {
-			lists[q] = append(lists[q], i)
-		}
+	// last[q] is the latest gate executed on qubit q so far. With every
+	// gate scheduled exactly once (checked here), a qubit's gates run in
+	// program order exactly when their indices increase.
+	last := make([]int, dev.NumIons)
+	for q := range last {
+		last[q] = -1
 	}
 	for si, st := range sched.Steps {
 		if st.Pos < 0 || st.Pos > dev.NumIons-dev.HeadSize {
@@ -296,10 +368,10 @@ func (sched *Schedule) Validate(c *circuit.Circuit, dev device.TILT) error {
 					return fmt.Errorf("schedule: step %d gate %d qubit %d outside window [%d,%d]",
 						si, gi, q, st.Pos, st.Pos+dev.HeadSize-1)
 				}
-				if lists[q][listIdx[q]] != gi {
+				if gi < last[q] {
 					return fmt.Errorf("schedule: gate %d violates program order on qubit %d", gi, q)
 				}
-				listIdx[q]++
+				last[q] = gi
 			}
 		}
 	}

@@ -41,17 +41,13 @@ func Sweep(ctx context.Context, c *circuit.Circuit, dev device.TILT) (*Schedule,
 	// Stops: every head position, so even a gate with a single valid
 	// placement (span = head−1) is reachable. Stops that execute nothing
 	// record no step and count no move.
-	maxPos := dev.NumIons - dev.HeadSize
-	stops := make([]int, maxPos+1)
-	for p := range stops {
-		stops[p] = p
-	}
+	stops := dev.NumPositions()
 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	cur := -1
-	idx := 0
+	p := 0
 	dir := 1
 	stalls := 0
 	visited := 0
@@ -62,10 +58,11 @@ func Sweep(ctx context.Context, c *circuit.Circuit, dev device.TILT) (*Schedule,
 				return nil, err
 			}
 		}
-		p := stops[idx]
-		if gates := s.setAt(p); len(gates) > 0 {
+		from := len(s.out)
+		s.out = s.probe(p, s.out)
+		if gates := s.since(from); len(gates) > 0 {
 			if p != cur {
-				sched.Steps = append(sched.Steps, Step{Pos: p, Gates: s.take(len(s.out), gates)})
+				sched.Steps = append(sched.Steps, Step{Pos: p, Gates: gates})
 				if cur >= 0 {
 					d := p - cur
 					if d < 0 {
@@ -79,23 +76,23 @@ func Sweep(ctx context.Context, c *circuit.Circuit, dev device.TILT) (*Schedule,
 				// unblocked dependencies; append to the last step, which
 				// ends the gate buffer.
 				last := &sched.Steps[len(sched.Steps)-1]
-				last.Gates = s.take(len(s.out)-len(last.Gates), gates)
+				last.Gates = s.since(from - len(last.Gates))
 			}
 			s.commit(gates)
 			stalls = 0
 		} else {
 			stalls++
-			if stalls > 2*len(stops) {
+			if stalls > 2*stops {
 				return nil, fmt.Errorf("schedule: sweep stalled with %d gates remaining", s.remaining)
 			}
 		}
 		// Bounce at the ends.
-		if idx+dir < 0 || idx+dir >= len(stops) {
+		if p+dir < 0 || p+dir >= stops {
 			dir = -dir
 		}
-		idx += dir
-		if len(stops) == 1 {
-			idx = 0
+		p += dir
+		if stops == 1 {
+			p = 0
 		}
 	}
 	sched.Moves = len(sched.Steps)

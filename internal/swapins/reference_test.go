@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/circuit"
@@ -56,6 +58,84 @@ func refPickBest(c *circuit.Circuit, m *mapping.Mapping, depths []int, remaining
 		}
 	}
 	return best
+}
+
+// fullScanPickBest is pickBest before the δ filter: every candidate scored
+// over every term in order. The oracle for the filter's exactness.
+func fullScanPickBest(c *circuit.Circuit, m *mapping.Mapping, terms []lookTerm, current int, cand []swapOp) swapOp {
+	for i := range terms {
+		qs := c.Gate(terms[i].gi).Qubits
+		terms[i].p0, terms[i].p1 = m.Phys(qs[0]), m.Phys(qs[1])
+	}
+	best := cand[0]
+	bestScore := math.Inf(1)
+	bestCur := math.MaxInt32
+	for _, sw := range cand {
+		score := 0.0
+		curAfter := 0
+		for _, t := range terms {
+			d := sw.distAfter(t.p0, t.p1)
+			score += float64(d) * t.w
+			if t.gi == current {
+				curAfter = d
+			}
+		}
+		if score < bestScore-1e-12 ||
+			(math.Abs(score-bestScore) <= 1e-12 && betterTie(sw, curAfter, best, bestCur)) {
+			best = sw
+			bestScore = score
+			bestCur = curAfter
+		}
+	}
+	return best
+}
+
+// TestPickBestMatchesFullScan drives pickBest on random mappings and term
+// lists whose weights sit within 1.8e-12 of one another (or are powers of
+// two), so candidate scores form chains of near-ties, each link inside the
+// 1e-12 tie rule and the chain wider, and requires the same swap as the
+// full scan.
+func TestPickBestMatchesFullScan(t *testing.T) {
+	weights := []float64{1, 1 + 2e-13, 1 - 3e-13, 1 + 7e-13, 1 + 9e-13, 1 - 9e-13, 1 + 1.8e-12, 0.5, 0.25, 0.7}
+	rng := rand.New(rand.NewSource(1))
+	filtered := 0
+	for trial := 0; trial < 20000; trial++ {
+		n := 6 + rng.Intn(20)
+		m, err := mapping.FromLogicalToPhysical(rng.Perm(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := circuit.New(n)
+		terms := make([]lookTerm, 1+rng.Intn(40))
+		for i := range terms {
+			a := rng.Intn(n)
+			b := (a + 1 + rng.Intn(n-1)) % n
+			c.ApplyXX(0.1, a, b)
+			terms[i] = lookTerm{gi: i, w: weights[rng.Intn(len(weights))]}
+		}
+		terms[0].w = 1
+		g := c.Gate(0)
+		maxLen := 1 + rng.Intn(n-2)
+		if m.GateDistance(g.Qubits[0], g.Qubits[1]) <= maxLen {
+			continue
+		}
+		cand := appendCandidates(nil, m, g, maxLen)
+		sc := newScorer(n, len(terms))
+		got := sc.pickBest(c, m, terms, 0, cand)
+		if want := fullScanPickBest(c, m, terms, 0, cand); got != want {
+			t.Fatalf("trial %d: pickBest %+v, full scan %+v (candidates %v)", trial, got, want, cand)
+		}
+		minDelta := slices.Min(sc.delta)
+		for _, d := range sc.delta {
+			if d > minDelta+1e-9 {
+				filtered++
+				break
+			}
+		}
+	}
+	if filtered == 0 {
+		t.Error("no trial had a candidate outside the margin; the filter went untested")
+	}
 }
 
 // refLinQInsert is Algorithm 1 driven by refPickBest, emitting every gate

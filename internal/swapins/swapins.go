@@ -174,6 +174,7 @@ func (LinQ) Insert(ctx context.Context, c *circuit.Circuit, m0 *mapping.Mapping,
 	// Reused across resolutions; nothing retains them.
 	var candBuf []swapOp
 	var terms []lookTerm
+	sc := newScorer(dev.NumIons, min(opt.Lookahead, len(twoQ)))
 
 	for gi, g := range c.Gates() {
 		if err := cc.check(); err != nil {
@@ -198,7 +199,7 @@ func (LinQ) Insert(ctx context.Context, c *circuit.Circuit, m0 *mapping.Mapping,
 			if len(cand) == 0 {
 				return nil, fmt.Errorf("swapins: no candidate swap for gate %d (%s)", gi, g)
 			}
-			best := pickBest(c, m, terms, gi, cand)
+			best := sc.pickBest(c, m, terms, gi, cand)
 			opposing := isOpposing(c, m, twoQ[nextTwoQ:], best, opt.Lookahead)
 			applySwap(out, m, best)
 			res.SwapCount++
@@ -449,6 +450,15 @@ type lookTerm struct {
 	p0, p1 int
 }
 
+// dist returns D(g, M): the distance between the term's operand slots.
+func (t lookTerm) dist() int {
+	d := t.p0 - t.p1
+	if d < 0 {
+		d = -d
+	}
+	return d
+}
+
 // appendTerms appends to buf the Eq. 1 terms for resolving gate current:
 // the first Lookahead of the remaining two-qubit gates, in order, each
 // weighted α^Δ(g) with Δ(g) the layer distance from current (clamped at
@@ -475,21 +485,114 @@ func appendTerms(buf []lookTerm, c *circuit.Circuit, depths []int, remaining []i
 	return buf
 }
 
-// pickBest scores every candidate with Eq. 1, Σ D(g, M)·α^Δ(g) over the
-// lookahead terms in order, and returns the minimum. Ties break toward the
-// swap that shortens the current gate most, then the shorter swap, then
-// slot order — all deterministic.
-func pickBest(c *circuit.Circuit, m *mapping.Mapping, terms []lookTerm, current int, cand []swapOp) swapOp {
-	gates := c.Gates()
-	for i := range terms {
-		qs := gates[terms[i].gi].Qubits
-		terms[i].p0, terms[i].p1 = m.Phys(qs[0]), m.Phys(qs[1])
+// scorer holds pickBest's buffers, sized once per Insert and reused by
+// every call.
+type scorer struct {
+	// The terms with an operand in slot s are bySlot[start[s]:start[s+1]],
+	// as indices into the call's terms.
+	start  []int32
+	bySlot []int32
+	delta  []float64 // per candidate
+}
+
+// newScorer sizes a scorer for a chain of ions slots and at most terms
+// lookahead terms. A gate's candidates pair slots of the chain, two per
+// slot strictly between its endpoints at most.
+func newScorer(ions, terms int) *scorer {
+	return &scorer{
+		start:  make([]int32, ions+2),
+		bySlot: make([]int32, 0, 2*terms),
+		delta:  make([]float64, 0, 2*ions),
 	}
+}
+
+// pickBest returns the candidate with the lowest Eq. 1 score, Σ D(g, M)·α^Δ(g)
+// summed over the lookahead terms in order. Scores within 1e-12 tie, and
+// ties break toward the swap that shortens the current gate most, then the
+// shorter swap, then slot order — all deterministic.
+//
+// The result is what a full scan gives — every candidate's in-order score
+// S(c) folded through that comparator in candidate order, from a +Inf
+// start — but only near-best candidates are fully scored. Swapping slots a
+// and b moves only the terms with an operand in a or b, so δ(c), the score
+// change summed over just those terms, ranks the candidates cheaply.
+// Candidates with δ(c) ≤ min δ + margin are the finalists; the full scan
+// runs over them alone.
+//
+// Why that is exact. Let E(c) be the exact real score, N the number of
+// terms, u = 2⁻⁵³ and γ_k = k·u/(1−k·u). S(c) is an in-order sum of N
+// rounded products d·w, so |S(c) − E(c)| ≤ γ_N·Σ d·w (Higham, Eq. 3.5; the
+// weights are ≥ 1e-9, so nothing underflows). δ(c) sums at most 2N rounded
+// products (d′−d)·w with |d′−d| ≤ span(c), so it is within γ_2N·span·W of
+// its exact value E(c) − E(base), where W = Σ w. As d′ ≤ d + span, the two
+// errors add up to at most G = γ_2N·(Σ d·w + 2·span·W), and for any two
+// candidates |(S(c) − S(c′)) − (δ(c) − δ(c′))| ≤ 2G.
+//
+// Sort the n candidates' scores and cut at the first gap wider than 1e-12.
+// The cluster L below the cut holds the minimum m, lies within
+// (n−1)·1e-12 of it, and every candidate outside L scores more than 1e-12
+// above every member of L. In a scan over any sequence that contains L,
+// the first member of L displaces whatever is held (+Inf, or a candidate
+// more than 1e-12 higher), and after that no candidate outside L can
+// displace a member of L; so the scan ends exactly as the scan over L
+// alone does. And every member of L is a finalist: with c* the candidate
+// of least δ, δ(c) − δ(c*) ≤ S(c) − S(c*) + 2G ≤ S(c) − m + 2G ≤
+// (n−1)·1e-12 + 2G, below the margin (n+1)·1e-12 + 4G, which leaves room
+// for the rounding of the bound itself. Both the full scan and the
+// finalist scan therefore equal the scan over L.
+func (sc *scorer) pickBest(c *circuit.Circuit, m *mapping.Mapping, terms []lookTerm, current int, cand []swapOp) swapOp {
+	gates := c.Gates()
+	// Index the terms by slot: count into start[s+2], prefix-sum, then
+	// fill with start[s+1] as slot s's cursor, which leaves slot s's
+	// entries at start[s]:start[s+1].
+	clear(sc.start)
+	base, weight := 0.0, 0.0
+	for i := range terms {
+		t := &terms[i]
+		qs := gates[t.gi].Qubits
+		t.p0, t.p1 = m.Phys(qs[0]), m.Phys(qs[1])
+		sc.start[t.p0+2]++
+		sc.start[t.p1+2]++
+		base += float64(t.dist()) * t.w
+		weight += t.w
+	}
+	for s := 2; s < len(sc.start); s++ {
+		sc.start[s] += sc.start[s-1]
+	}
+	sc.bySlot = sc.bySlot[:2*len(terms)]
+	for i, t := range terms {
+		for _, p := range [2]int{t.p0, t.p1} {
+			sc.bySlot[sc.start[p+1]] = int32(i)
+			sc.start[p+1]++
+		}
+	}
+
+	// δ per candidate. A term with operands in both a and b keeps its
+	// distance, so visiting it from both slots adds zero twice.
+	sc.delta = sc.delta[:0]
+	minDelta, span := math.Inf(1), 0
+	for _, sw := range cand {
+		d := 0.0
+		for _, p := range [2]int{sw.a, sw.b} {
+			for _, i := range sc.bySlot[sc.start[p]:sc.start[p+1]] {
+				t := terms[i]
+				d += float64(sw.distAfter(t.p0, t.p1)-t.dist()) * t.w
+			}
+		}
+		sc.delta = append(sc.delta, d)
+		minDelta = min(minDelta, d)
+		span = max(span, sw.span())
+	}
+	k := float64(2*len(terms)) * 0x1p-53
+	margin := float64(len(cand)+1)*1e-12 + 4*k/(1-k)*(base+2*float64(span)*weight)
 
 	best := cand[0]
 	bestScore := math.Inf(1)
 	bestCur := math.MaxInt32
-	for _, sw := range cand {
+	for ci, sw := range cand {
+		if sc.delta[ci] > minDelta+margin {
+			continue
+		}
 		score := 0.0
 		curAfter := 0
 		for _, t := range terms {
