@@ -204,6 +204,14 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	if err := bad.Validate(c, dev); err == nil {
 		t.Error("bad position not caught")
 	}
+	// A qubit past the chain is outside every window: an error, not an
+	// index panic.
+	wide := circuit.New(10)
+	wide.ApplyH(9)
+	bad = &Schedule{Steps: []Step{{Pos: 0, Gates: []int{0}}}}
+	if err := bad.Validate(wide, dev); err == nil {
+		t.Error("qubit past the chain not caught")
+	}
 	_ = s
 }
 

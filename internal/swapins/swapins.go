@@ -520,13 +520,15 @@ func newScorer(ions, terms int) *scorer {
 // runs over them alone.
 //
 // Why that is exact. Let E(c) be the exact real score, N the number of
-// terms, u = 2⁻⁵³ and γ_k = k·u/(1−k·u). S(c) is an in-order sum of N
-// rounded products d·w, so |S(c) − E(c)| ≤ γ_N·Σ d·w (Higham, Eq. 3.5; the
-// weights are ≥ 1e-9, so nothing underflows). δ(c) sums at most 2N rounded
-// products (d′−d)·w with |d′−d| ≤ span(c), so it is within γ_2N·span·W of
-// its exact value E(c) − E(base), where W = Σ w. As d′ ≤ d + span, the two
-// errors add up to at most G = γ_2N·(Σ d·w + 2·span·W), and for any two
-// candidates |(S(c) − S(c′)) − (δ(c) − δ(c′))| ≤ 2G.
+// terms, u = 2⁻⁵³ and γ_k = k·u/(1−k·u); let d and d′ be a term's distance
+// before and after the swap, W = Σ w, and span the longest candidate swap.
+// S(c) is an in-order sum of N rounded products d′·w, so |S(c) − E(c)| ≤
+// γ_N·Σ d′·w (Higham, Eq. 3.5; the weights are ≥ 1e-9, so nothing
+// underflows). δ(c) sums at most 2N rounded products (d′−d)·w with
+// |d′−d| ≤ span, so it is within γ_2N·span·W of its exact value
+// E(c) − Σ d·w. As d′ ≤ d + span, the two errors add up to at most
+// G = γ_2N·(Σ d·w + 2·span·W), and for any two candidates
+// |(S(c) − S(c′)) − (δ(c) − δ(c′))| ≤ 2G.
 //
 // Sort the n candidates' scores and cut at the first gap wider than 1e-12.
 // The cluster L below the cut holds the minimum m, lies within
