@@ -49,8 +49,8 @@ type Backend interface {
 // produced it.
 //
 // An Artifact must be passed by pointer, never copied: it embeds the
-// synchronization for the backend's Monte-Carlo cache, and a by-value copy
-// would silently fork that cache (go vet's copylocks check flags copies).
+// synchronization of its evaluation memo, and a by-value copy would
+// silently fork that memo (go vet's copylocks check flags copies).
 type Artifact struct {
 	noCopy noCopy //nolint:unused // vet copylocks guard
 
@@ -79,13 +79,13 @@ type Artifact struct {
 	via   *poolMember
 	inner *Artifact
 
-	// mcStats caches the finished Monte-Carlo estimates: (shots, seed) are
-	// fixed per backend, so repeated Simulate calls on one artifact do not
-	// rerun the batch. The engine itself is not kept, so a cached artifact
-	// holds no event stream or statevector. (Sweeps over shots or seeds
+	// eval memoizes the finished evaluation (see evaluate): noise, shots
+	// and seed are fixed per artifact, so a repeated Simulate, as on a
+	// compile-cache hit, neither validates nor walks the schedule again.
+	// It holds no event list or statevector. (Sweeps over shots or seeds
 	// build an mc.Engine directly.)
-	mcMu    sync.Mutex
-	mcStats *MCStats
+	evalMu sync.Mutex
+	eval   *Result
 }
 
 // Result is the unified metrics type every backend returns: success rate,
@@ -321,19 +321,10 @@ func (b *TILTBackend) Simulate(ctx context.Context, a *Artifact) (*Result, error
 	}
 	ctx, span := tracing.StartSpan(ctx, "simulate")
 	start := time.Now()
-	sr, err := a.Compile.Simulate(ctx, a.cfg.core)
+	res, err := a.evaluate(ctx)
 	if err != nil {
 		span.EndErr(err)
 		return nil, err
-	}
-	res := resultFromSim(b.Name(), sr)
-	if a.cfg.shots > 0 {
-		mcStats, err := runMC(ctx, a)
-		if err != nil {
-			span.EndErr(err)
-			return nil, err
-		}
-		res.MC = mcStats
 	}
 	defer span.End()
 	res.TILT = &TILTStats{
@@ -356,44 +347,66 @@ func (b *TILTBackend) Simulate(ctx context.Context, a *Artifact) (*Result, error
 	return res, nil
 }
 
-// runMC runs the Monte-Carlo cross-check over a compiled TILT artifact: the
-// clean-trajectory probability always, and the statevector fidelity estimate
-// when the chain fits the dense simulator, both in one pool of MC workers.
-func runMC(ctx context.Context, a *Artifact) (*MCStats, error) {
-	a.mcMu.Lock()
-	cached := a.mcStats
-	a.mcMu.Unlock()
-	if cached != nil {
-		out := *cached // copy so callers can't alias each other's Result
-		return &out, nil
+// evaluate returns a copy of the artifact's evaluation (its TILT and Cache
+// fields nil), computing it on the first call.
+func (a *Artifact) evaluate(ctx context.Context) (*Result, error) {
+	a.evalMu.Lock()
+	memo := a.eval
+	a.evalMu.Unlock()
+	if memo == nil {
+		var err error
+		if memo, err = a.evaluateOnce(ctx); err != nil {
+			return nil, err
+		}
+		// Concurrent first calls may both compute; evaluations are
+		// bit-identical, so last-write-wins is safe. Errors (cancellation)
+		// are never memoized.
+		a.evalMu.Lock()
+		a.eval = memo
+		a.evalMu.Unlock()
 	}
+	res := *memo
+	if res.MC != nil { // so no two Results alias one MCStats
+		stats := *res.MC
+		res.MC = &stats
+	}
+	return &res, nil
+}
 
-	eng, err := mc.NewEngine(a.Compile.Physical, a.Compile.Schedule,
-		a.cfg.core.Device, a.cfg.core.NoiseParams(),
-		mc.WithWorkers(a.cfg.mcWorkers),
+// evaluateOnce makes the evaluation's only schedule validation and walk.
+// Without Monte Carlo that is sim.Simulate, which keeps no event list. With
+// it, sim.Prepare's program is folded into the analytic metrics and sampled
+// by an engine built from it: the clean-trajectory probability, plus the
+// statevector fidelity when the chain fits the dense simulator.
+func (a *Artifact) evaluateOnce(ctx context.Context) (*Result, error) {
+	c, sched, dev, p := a.Compile.Physical, a.Compile.Schedule, a.cfg.core.Device, a.cfg.core.NoiseParams()
+	if a.cfg.shots == 0 {
+		sr, err := sim.Simulate(ctx, c, sched, dev, p)
+		if err != nil {
+			return nil, err
+		}
+		return resultFromSim(a.Backend, sr), nil
+	}
+	prog, err := sim.Prepare(ctx, c, sched, dev, p)
+	if err != nil {
+		return nil, err
+	}
+	res := resultFromSim(a.Backend, prog.Result())
+	eng := mc.FromProgram(prog, mc.WithWorkers(a.cfg.mcWorkers),
 		mc.WithShardObserver(func(shots int, elapsed time.Duration) {
 			a.cfg.mx.mcShots.Add(int64(shots))
 			a.cfg.mx.mcShardSec.Observe(elapsed.Seconds())
 		}))
-	if err != nil {
-		return nil, err
-	}
-	withState := a.cfg.core.Device.NumIons <= mc.MaxStateFidelityIons
+	withState := dev.NumIons <= mc.MaxStateFidelityIons
 	est, err := eng.Estimate(ctx, a.cfg.shots, a.cfg.seed, withState)
 	if err != nil {
 		return nil, err
 	}
-	stats := &MCStats{Shots: a.cfg.shots, Seed: a.cfg.seed,
+	res.MC = &MCStats{Shots: a.cfg.shots, Seed: a.cfg.seed,
 		CleanProbability: est.Clean, CleanStderr: est.CleanStderr,
 		StateFidelity: est.State, StateFidelityStderr: est.StateStderr,
 		HasStateFidelity: withState}
-	// Concurrent first calls may both compute; estimates are bit-identical,
-	// so last-write-wins is safe. Errors (cancellation) are never cached.
-	a.mcMu.Lock()
-	a.mcStats = stats
-	a.mcMu.Unlock()
-	out := *stats
-	return &out, nil
+	return res, nil
 }
 
 // CacheStats snapshots the compile cache's counters. ok is false when the

@@ -1,7 +1,7 @@
 // Monte-Carlo cross-validation of the analytic success-rate model: the
-// trajectory sampler of internal/mc reruns the paper's error bookkeeping by
-// drawing per-gate error events, so its clean-shot fraction must agree with
-// sim.Simulate's product of fidelities within sampling error. The study
+// trajectory sampler of internal/mc draws the per-gate error events that
+// sim.Simulate multiplies out, so its clean-shot fraction must agree with
+// the product of fidelities within sampling error. The study
 // drives the public Backend API (WithShots/WithSeed) through the batch
 // runner, exercising the same path a service endpoint would.
 package experiments

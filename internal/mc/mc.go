@@ -1,15 +1,16 @@
 // Package mc is a Monte-Carlo trajectory simulator that cross-validates the
-// analytic success-rate model of internal/sim through an independent path.
+// analytic success-rate model of internal/sim by sampling it. An Engine
+// samples the event list of a sim.Program (per noisy gate, its Eq. 3/4
+// error probability and repetitions), the list whose product is sim's
+// LogSuccess; the sampling is this package's own, and sim's reference tests
+// hold the shared list to an independent walk of the schedule bit for bit.
 //
 // Two estimators are provided:
 //
-//   - CleanProbability samples per-gate error events at the Eq. 3/4 rates the
-//     schedule implies (the same move-indexed heating the analytic model
-//     uses) and reports the fraction of shots in which no event fired. Its
-//     expectation is exactly the analytic product of fidelities, so agreement
-//     within sampling error validates the whole schedule→error bookkeeping —
-//     move counting, per-gate distances, SWAP tripling, cooling intervals —
-//     without sharing any code path with sim.Simulate's accumulation.
+//   - CleanProbability reports the fraction of shots in which no event
+//     fired. Its expectation is exactly exp(LogSuccess), so agreement within
+//     sampling error checks the analytic fold and the sampler against each
+//     other.
 //
 //   - StateFidelity additionally injects a uniform random Pauli on the
 //     gate's qubits whenever an event fires and measures |<ψ_ideal|ψ_noisy>|²
@@ -22,8 +23,8 @@
 // (seed, shard index), and shard statistics are merged in shard order — so
 // estimates are bit-identical for any worker count and any interleaving.
 // Estimate runs both over one pool, so the clean-probability shards
-// overlap the statevector work. Build an Engine once to amortize schedule
-// compilation across sweeps over shots and seeds.
+// overlap the statevector work. Build an Engine once to amortize the
+// program's preparation across sweeps over shots and seeds.
 //
 // StateFidelity costs about one ideal pass plus the suffixes of the shots
 // that err, not shots × gates. A shot's error draws never depend on the
@@ -63,7 +64,6 @@ package mc
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -73,6 +73,7 @@ import (
 	"repro/internal/noise"
 	"repro/internal/qsim"
 	"repro/internal/schedule"
+	"repro/internal/sim"
 )
 
 // MaxStateFidelityIons bounds StateFidelity's statevector width.
@@ -87,17 +88,16 @@ const shardSize = 256
 // runs between context checks. A replay checks once before it starts.
 const cancelStride = 64
 
-// gateEvent is one scheduled gate with its error probability.
+// gateEvent is one event of the program's list with its gate resolved.
 type gateEvent struct {
 	gate circuit.Gate
 	p    float64 // error probability per application
 	reps int     // 3 for SWAP, 1 otherwise
 }
 
-// Engine is a compiled Monte-Carlo workload: the schedule flattened once
-// into per-gate error probabilities, reusable across any number of
-// CleanProbability / StateFidelity calls (sweeps over shots and seeds do not
-// recompile the schedule).
+// Engine is a compiled Monte-Carlo workload: a program's event list,
+// reusable across any number of CleanProbability / StateFidelity calls
+// (sweeps over shots and seeds do not prepare the program again).
 type Engine struct {
 	evs     []gateEvent
 	ions    int
@@ -128,38 +128,28 @@ func WithShardObserver(fn func(shots int, elapsed time.Duration)) EngineOption {
 	return func(e *Engine) { e.obs = fn }
 }
 
-// NewEngine validates the schedule and flattens it into per-gate error
-// probabilities using exactly the paper's models: Eq. 3 gate times, Eq. 4
-// heating after m moves (with the shared sympathetic-cooling accounting),
-// constant 1Q error, SWAP = 3 two-qubit applications.
+// NewEngine prepares the program (sim.Prepare: noise, device and schedule
+// validated, the schedule walked once) and builds its engine.
 func NewEngine(c *circuit.Circuit, sched *schedule.Schedule, dev device.TILT, p noise.Params, opts ...EngineOption) (*Engine, error) {
-	if err := sched.Validate(c, dev); err != nil {
-		return nil, fmt.Errorf("mc: invalid schedule: %w", err)
+	prog, err := sim.Prepare(context.TODO(), c, sched, dev, p)
+	if err != nil {
+		return nil, err
 	}
-	k := p.ShuttleQuanta(dev.NumIons)
-	logEps := math.Log1p(p.Epsilon)
-	e := &Engine{ions: dev.NumIons}
-	for i, st := range sched.Steps {
-		quanta := p.EffectiveQuanta(i+1, k)
-		for _, gi := range st.Gates {
-			g := c.Gate(gi)
-			switch {
-			case g.Kind == circuit.Measure:
-			case !g.IsTwoQubit():
-				e.evs = append(e.evs, gateEvent{gate: g, p: p.OneQubitError, reps: 1})
-			case g.Kind == circuit.SWAP:
-				p2q := p.TwoQubitErrorLog(p.GateTime(g.Distance()), quanta, logEps)
-				e.evs = append(e.evs, gateEvent{gate: g, p: p2q, reps: 3})
-			default:
-				p2q := p.TwoQubitErrorLog(p.GateTime(g.Distance()), quanta, logEps)
-				e.evs = append(e.evs, gateEvent{gate: g, p: p2q, reps: 1})
-			}
-		}
+	return FromProgram(prog, opts...), nil
+}
+
+// FromProgram builds the engine of a prepared program: one gateEvent per
+// event of its list, with the gate it applies.
+func FromProgram(prog *sim.Program, opts ...EngineOption) *Engine {
+	c := prog.Circuit()
+	e := &Engine{ions: prog.Ions(), evs: make([]gateEvent, len(prog.Events()))}
+	for i, ev := range prog.Events() {
+		e.evs[i] = gateEvent{gate: c.Gate(ev.Gate), p: ev.P, reps: ev.Reps}
 	}
 	for _, o := range opts {
 		o(e)
 	}
-	return e, nil
+	return e
 }
 
 // shardSeed derives the RNG seed of one shard from the caller's seed via a
@@ -263,21 +253,6 @@ func (e *Engine) drawErrors(rng *rand.Rand, buf []pauliError) []pauliError {
 	return buf
 }
 
-// AnalyticClean returns the analytic zero-event probability for the same
-// event stream: Π (1-p_i)^reps_i. This mirrors sim.Simulate's product but is
-// derived from the mc event stream, so CleanProbability can be compared to
-// either.
-func (e *Engine) AnalyticClean() float64 {
-	logF := 0.0
-	for _, ev := range e.evs {
-		if ev.p >= 1 {
-			return 0
-		}
-		logF += float64(ev.reps) * math.Log1p(-ev.p)
-	}
-	return math.Exp(logF)
-}
-
 // welford accumulates a running mean and sum of squared deviations (M2).
 // Per-shard accumulators merge with Chan et al.'s parallel combination, so
 // the sharded result matches a serial pass up to the fixed merge order.
@@ -324,32 +299,4 @@ func wilsonHalfWidth(p float64, n int) float64 {
 	nf := float64(n)
 	const z = 1.0
 	return (z / (1 + z*z/nf)) * math.Sqrt(p*(1-p)/nf+z*z/(4*nf*nf))
-}
-
-// CleanProbability is the one-shot form of Engine.CleanProbability: compile
-// the schedule, estimate, discard the engine. Sweeps should build an Engine.
-func CleanProbability(ctx context.Context, c *circuit.Circuit, sched *schedule.Schedule, dev device.TILT, p noise.Params, shots int, seed int64) (estimate, stderr float64, err error) {
-	e, err := NewEngine(c, sched, dev, p)
-	if err != nil {
-		return 0, 0, err
-	}
-	return e.CleanProbability(ctx, shots, seed)
-}
-
-// StateFidelity is the one-shot form of Engine.StateFidelity.
-func StateFidelity(ctx context.Context, c *circuit.Circuit, sched *schedule.Schedule, dev device.TILT, p noise.Params, shots int, seed int64) (estimate, stderr float64, err error) {
-	e, err := NewEngine(c, sched, dev, p)
-	if err != nil {
-		return 0, 0, err
-	}
-	return e.StateFidelity(ctx, shots, seed)
-}
-
-// AnalyticClean is the one-shot form of Engine.AnalyticClean.
-func AnalyticClean(c *circuit.Circuit, sched *schedule.Schedule, dev device.TILT, p noise.Params) (float64, error) {
-	e, err := NewEngine(c, sched, dev, p)
-	if err != nil {
-		return 0, err
-	}
-	return e.AnalyticClean(), nil
 }

@@ -18,6 +18,7 @@ import (
 	"repro/internal/mapping"
 	"repro/internal/noise"
 	"repro/internal/qsim"
+	"repro/internal/sim"
 	"repro/internal/swapins"
 	"repro/internal/workloads"
 )
@@ -36,20 +37,48 @@ func compileSmall(t *testing.T, n, head int, bm workloads.Benchmark) (*core.Comp
 	return cr, cfg
 }
 
+// newEngine builds the engine of a compiled program.
+func newEngine(t *testing.T, cr *core.CompileResult, dev device.TILT, p noise.Params) *Engine {
+	t.Helper()
+	e, err := NewEngine(cr.Physical, cr.Schedule, dev, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// analyticClean returns the analytic zero-event probability of a program:
+// sim.Simulate's SuccessRate.
+func analyticClean(t *testing.T, cr *core.CompileResult, dev device.TILT, p noise.Params) float64 {
+	t.Helper()
+	res, err := sim.Simulate(context.Background(), cr.Physical, cr.Schedule, dev, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.SuccessRate
+}
+
+// eventProduct multiplies out an engine's event stream, Π (1-p)^reps in
+// log space, in stream order.
+func eventProduct(e *Engine) float64 {
+	logF := 0.0
+	for _, ev := range e.evs {
+		logF += float64(ev.reps) * math.Log1p(-ev.p)
+	}
+	return math.Exp(logF)
+}
+
 func TestCleanProbabilityMatchesAnalytic(t *testing.T) {
 	// A deep small circuit with real heating: the MC estimate must land
 	// within ~4 standard errors of the analytic product.
 	cr, cfg := compileSmall(t, 12, 4, workloads.QFTN(12))
 	p := noise.Default()
 	p.Epsilon = 2e-4 // mild inflation keeps the clean probability mid-range
-	analytic, err := AnalyticClean(cr.Physical, cr.Schedule, cfg.Device, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	analytic := analyticClean(t, cr, cfg.Device, p)
 	if analytic < 0.05 || analytic > 0.95 {
 		t.Fatalf("test wants a mid-range clean probability, got %g", analytic)
 	}
-	est, se, err := CleanProbability(context.Background(), cr.Physical, cr.Schedule, cfg.Device, p, 4000, 7)
+	est, se, err := newEngine(t, cr, cfg.Device, p).CleanProbability(context.Background(), 4000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,23 +88,17 @@ func TestCleanProbabilityMatchesAnalytic(t *testing.T) {
 }
 
 func TestCleanProbabilityAgreesWithSimSimulate(t *testing.T) {
-	// The independent event-stream accounting must reproduce the analytic
-	// simulator's success rate (the cross-validation this package exists
-	// for). sim's product includes the same per-gate fidelities.
+	// The engine samples the events sim folds: multiplied out in stream
+	// order, its event stream must give sim.Simulate's success rate bit
+	// for bit.
 	cr, cfg := compileSmall(t, 12, 4, workloads.QFTN(12))
 	p := noise.Default()
-	simRes, err := cr.Simulate(context.Background(), core.Config{Device: cfg.Device, Noise: &p,
-		Placement: cfg.Placement, Inserter: cfg.Inserter})
+	eng, err := NewEngine(cr.Physical, cr.Schedule, cfg.Device, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	analytic, err := AnalyticClean(cr.Physical, cr.Schedule, cfg.Device, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel := math.Abs(analytic-simRes.SuccessRate) / simRes.SuccessRate; rel > 1e-9 {
-		t.Errorf("event-stream analytic %g != sim.Simulate %g (rel %g)",
-			analytic, simRes.SuccessRate, rel)
+	if got, want := eventProduct(eng), analyticClean(t, cr, cfg.Device, p); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("event-stream product %g != sim.Simulate %g", got, want)
 	}
 }
 
@@ -86,18 +109,12 @@ func TestCleanProbabilityAgreesWithSimUnderCooling(t *testing.T) {
 	for _, iv := range []int{1, 2, 3, 7} {
 		p := noise.Default()
 		p.CoolingInterval = iv
-		simRes, err := cr.Simulate(context.Background(), core.Config{Device: cfg.Device, Noise: &p,
-			Placement: cfg.Placement, Inserter: cfg.Inserter})
+		eng, err := NewEngine(cr.Physical, cr.Schedule, cfg.Device, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		analytic, err := AnalyticClean(cr.Physical, cr.Schedule, cfg.Device, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rel := math.Abs(analytic-simRes.SuccessRate) / simRes.SuccessRate; rel > 1e-9 {
-			t.Errorf("interval %d: event-stream analytic %g != sim.Simulate %g (rel %g)",
-				iv, analytic, simRes.SuccessRate, rel)
+		if got, want := eventProduct(eng), analyticClean(t, cr, cfg.Device, p); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("interval %d: event-stream product %g != sim.Simulate %g", iv, got, want)
 		}
 	}
 }
@@ -107,14 +124,8 @@ func TestCleanProbabilityHonorsCooling(t *testing.T) {
 	base := noise.Default()
 	cooled := noise.Default()
 	cooled.CoolingInterval = 1
-	aBase, err := AnalyticClean(cr.Physical, cr.Schedule, cfg.Device, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aCooled, err := AnalyticClean(cr.Physical, cr.Schedule, cfg.Device, cooled)
-	if err != nil {
-		t.Fatal(err)
-	}
+	aBase := analyticClean(t, cr, cfg.Device, base)
+	aCooled := analyticClean(t, cr, cfg.Device, cooled)
 	if aCooled <= aBase {
 		t.Errorf("cooling should raise clean probability: %g vs %g", aCooled, aBase)
 	}
@@ -127,11 +138,8 @@ func TestStateFidelityTracksAnalytic(t *testing.T) {
 	cr, cfg := compileSmall(t, 10, 4, workloads.GHZ(10))
 	p := noise.Default()
 	p.Epsilon = 5e-3
-	analytic, err := AnalyticClean(cr.Physical, cr.Schedule, cfg.Device, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, se, err := StateFidelity(context.Background(), cr.Physical, cr.Schedule, cfg.Device, p, 300, 11)
+	analytic := analyticClean(t, cr, cfg.Device, p)
+	est, se, err := newEngine(t, cr, cfg.Device, p).StateFidelity(context.Background(), 300, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +155,7 @@ func TestStateFidelityPerfectWithoutNoise(t *testing.T) {
 	cr, cfg := compileSmall(t, 8, 4, workloads.GHZ(8))
 	p := noise.Default()
 	p.Gamma, p.Epsilon, p.K0, p.OneQubitError = 0, 0, 0, 0
-	est, se, err := StateFidelity(context.Background(), cr.Physical, cr.Schedule, cfg.Device, p, 50, 3)
+	est, se, err := newEngine(t, cr, cfg.Device, p).StateFidelity(context.Background(), 50, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +171,7 @@ func TestCleanStderrPositiveAtBoundary(t *testing.T) {
 	cr, cfg := compileSmall(t, 8, 4, workloads.GHZ(8))
 	p := noise.Default()
 	p.Gamma, p.Epsilon, p.K0, p.OneQubitError = 0, 0, 0, 0
-	est, se, err := CleanProbability(context.Background(), cr.Physical, cr.Schedule, cfg.Device, p, 200, 5)
+	est, se, err := newEngine(t, cr, cfg.Device, p).CleanProbability(context.Background(), 200, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +184,7 @@ func TestCleanStderrPositiveAtBoundary(t *testing.T) {
 	// And symmetrically at 0: a schedule that always fails.
 	p = noise.Default()
 	p.OneQubitError = 0.999999
-	est, se, err = CleanProbability(context.Background(), cr.Physical, cr.Schedule, cfg.Device, p, 200, 5)
+	est, se, err = newEngine(t, cr, cfg.Device, p).CleanProbability(context.Background(), 200, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,10 +232,10 @@ func TestInputValidation(t *testing.T) {
 	cr, cfg := compileSmall(t, 8, 4, workloads.GHZ(8))
 	p := noise.Default()
 	ctx := context.Background()
-	if _, _, err := CleanProbability(ctx, cr.Physical, cr.Schedule, cfg.Device, p, 0, 1); err == nil {
+	if _, _, err := newEngine(t, cr, cfg.Device, p).CleanProbability(ctx, 0, 1); err == nil {
 		t.Error("zero shots should fail")
 	}
-	if _, _, err := StateFidelity(ctx, cr.Physical, cr.Schedule, cfg.Device, p, 0, 1); err == nil {
+	if _, _, err := newEngine(t, cr, cfg.Device, p).StateFidelity(ctx, 0, 1); err == nil {
 		t.Error("zero shots should fail")
 	}
 	wide := device.TILT{NumIons: 32, HeadSize: 8}
@@ -237,7 +245,7 @@ func TestInputValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := StateFidelity(ctx, crWide.Physical, crWide.Schedule, wide, p, 10, 1); err == nil {
+	if _, _, err := newEngine(t, crWide, wide, p).StateFidelity(ctx, 10, 1); err == nil {
 		t.Error("StateFidelity above 16 ions should fail")
 	}
 }
@@ -246,11 +254,11 @@ func TestDeterministicForSeed(t *testing.T) {
 	cr, cfg := compileSmall(t, 10, 4, workloads.GHZ(10))
 	p := noise.Default()
 	ctx := context.Background()
-	a, _, err := CleanProbability(ctx, cr.Physical, cr.Schedule, cfg.Device, p, 500, 9)
+	a, _, err := newEngine(t, cr, cfg.Device, p).CleanProbability(ctx, 500, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := CleanProbability(ctx, cr.Physical, cr.Schedule, cfg.Device, p, 500, 9)
+	b, _, err := newEngine(t, cr, cfg.Device, p).CleanProbability(ctx, 500, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +319,7 @@ func TestEngineReuseAcrossSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	analytic := eng.AnalyticClean()
+	analytic := analyticClean(t, cr, cfg.Device, p)
 	distinct := map[float64]bool{}
 	for seed := int64(0); seed < 4; seed++ {
 		est, se, err := eng.CleanProbability(context.Background(), 2000, seed)
@@ -333,10 +341,10 @@ func TestCancellationBeforeStart(t *testing.T) {
 	p := noise.Default()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := CleanProbability(ctx, cr.Physical, cr.Schedule, cfg.Device, p, 10000, 1); !errors.Is(err, context.Canceled) {
+	if _, _, err := newEngine(t, cr, cfg.Device, p).CleanProbability(ctx, 10000, 1); !errors.Is(err, context.Canceled) {
 		t.Errorf("CleanProbability on cancelled ctx: err = %v, want context.Canceled", err)
 	}
-	if _, _, err := StateFidelity(ctx, cr.Physical, cr.Schedule, cfg.Device, p, 10000, 1); !errors.Is(err, context.Canceled) {
+	if _, _, err := newEngine(t, cr, cfg.Device, p).StateFidelity(ctx, 10000, 1); !errors.Is(err, context.Canceled) {
 		t.Errorf("StateFidelity on cancelled ctx: err = %v, want context.Canceled", err)
 	}
 }
@@ -349,11 +357,11 @@ func TestCancellationMidBatch(t *testing.T) {
 
 	for name, run := range map[string]func(ctx context.Context) error{
 		"CleanProbability": func(ctx context.Context) error {
-			_, _, err := CleanProbability(ctx, cr.Physical, cr.Schedule, cfg.Device, p, 50_000_000, 1)
+			_, _, err := newEngine(t, cr, cfg.Device, p).CleanProbability(ctx, 50_000_000, 1)
 			return err
 		},
 		"StateFidelity": func(ctx context.Context) error {
-			_, _, err := StateFidelity(ctx, cr.Physical, cr.Schedule, cfg.Device, p, 1_000_000, 1)
+			_, _, err := newEngine(t, cr, cfg.Device, p).StateFidelity(ctx, 1_000_000, 1)
 			return err
 		},
 	} {
@@ -498,7 +506,7 @@ func TestStateFidelityMatchesFullReplay(t *testing.T) {
 			if tc.name == "measure-only" && len(ref.evs) != 0 {
 				t.Fatalf("measure-only circuit compiled to %d events, want 0", len(ref.evs))
 			}
-			if a := ref.AnalyticClean(); tc.p == inflated && tc.tweak == nil && len(ref.evs) > 0 && (a < 0.05 || a > 0.95) {
+			if a := eventProduct(ref); tc.p == inflated && tc.tweak == nil && len(ref.evs) > 0 && (a < 0.05 || a > 0.95) {
 				t.Fatalf("clean probability %g: want both clean and errored shots", a)
 			}
 			for _, seed := range tc.seeds {
@@ -703,5 +711,31 @@ func TestCancellationAtEveryCheck(t *testing.T) {
 				t.Fatalf("workers=%d, cancelled at check %d: %d goroutines, baseline %d", workers, k, n, base)
 			}
 		}
+	}
+}
+
+func TestNewEngineRejectsInvalidNoise(t *testing.T) {
+	// The engine validates the noise sim.Simulate validates: each set
+	// below is rejected by both, with the same error, before any shot.
+	cr, cfg := compileSmall(t, 8, 4, workloads.QFTN(8))
+	for _, tc := range []struct {
+		name  string
+		tweak func(*noise.Params)
+	}{
+		{"OneQubitError 1.5", func(p *noise.Params) { p.OneQubitError = 1.5 }},
+		{"Gamma NaN", func(p *noise.Params) { p.Gamma = math.NaN() }},
+		{"Epsilon -1e-3", func(p *noise.Params) { p.Epsilon = -1e-3 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := noise.Default()
+			tc.tweak(&p)
+			_, simErr := sim.Simulate(context.Background(), cr.Physical, cr.Schedule, cfg.Device, p)
+			if simErr == nil {
+				t.Fatal("sim.Simulate accepted the noise")
+			}
+			if _, err := NewEngine(cr.Physical, cr.Schedule, cfg.Device, p); err == nil || err.Error() != simErr.Error() {
+				t.Errorf("NewEngine err = %v, want %v", err, simErr)
+			}
+		})
 	}
 }

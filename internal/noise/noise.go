@@ -142,8 +142,9 @@ func (p *Params) ShuttleQuanta(n int) float64 {
 // (k = ShuttleQuanta(n)). With sympathetic cooling enabled
 // (CoolingInterval = C > 0) the chain is re-cooled *after* every C-th move:
 // the gates of move C still see the full C·k quanta, and move C+1 starts a
-// fresh accumulation at 1·k. All simulators (sim, mc, trace) share this
-// accounting so cross-validation stays exact.
+// fresh accumulation at 1·k. The TILT models read it through one walk,
+// sim.Prepare, whose event list the analytic fold, the Monte-Carlo engine
+// and the fidelity profile share.
 func (p *Params) EffectiveQuanta(moves int, k float64) float64 {
 	if p.CoolingInterval > 0 && moves > 0 {
 		moves = (moves-1)%p.CoolingInterval + 1

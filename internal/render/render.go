@@ -5,6 +5,7 @@
 package render
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/noise"
 	"repro/internal/schedule"
+	"repro/internal/sim"
 )
 
 // Timeline renders the tape itinerary as one row per head placement: the
@@ -60,28 +62,25 @@ type FidelityProfile struct {
 }
 
 // Profile computes the per-step fidelity profile of a schedule under the
-// given noise parameters.
+// given noise parameters by grouping the program's event list (sim.Prepare)
+// by placement. It returns nil when the program does not validate.
 func Profile(c *circuit.Circuit, sched *schedule.Schedule, dev device.TILT, p noise.Params) []FidelityProfile {
-	k := p.ShuttleQuanta(dev.NumIons)
-	out := make([]FidelityProfile, 0, len(sched.Steps))
-	for i, st := range sched.Steps {
-		quanta := p.EffectiveQuanta(i+1, k)
+	prog, err := sim.Prepare(context.TODO(), c, sched, dev, p)
+	if err != nil {
+		return nil
+	}
+	evs := prog.Events()
+	out := make([]FidelityProfile, 0, len(prog.Steps()))
+	for i, st := range prog.Steps() {
 		var fidSum float64
 		var n int
-		for _, gi := range st.Gates {
-			g := c.Gate(gi)
-			if !g.IsTwoQubit() {
-				continue
+		for ; len(evs) > 0 && evs[0].Step == i; evs = evs[1:] {
+			if ev := &evs[0]; c.Gate(ev.Gate).IsTwoQubit() {
+				fidSum += float64(ev.Reps) * (1 - ev.P)
+				n += ev.Reps
 			}
-			reps := 1
-			if g.Kind == circuit.SWAP {
-				reps = 3
-			}
-			fid := p.TwoQubitFidelity(g.Distance(), quanta)
-			fidSum += float64(reps) * fid
-			n += reps
 		}
-		prof := FidelityProfile{Step: i + 1, Pos: st.Pos, Quanta: quanta, MeanFid: 1, TwoQubit: n}
+		prof := FidelityProfile{Step: i + 1, Pos: st.Pos, Quanta: st.Quanta, MeanFid: 1, TwoQubit: n}
 		if n > 0 {
 			prof.MeanFid = fidSum / float64(n)
 		}
