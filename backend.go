@@ -224,11 +224,12 @@ func checkArtifact(a *Artifact, name string) error {
 	return nil
 }
 
-// TILTBackend compiles circuits with the LinQ pass pipeline and simulates
-// them on a Trapped-Ion Linear-Tape device (the paper's proposed
-// architecture). The pass list is customizable (WithPasses, WithExtraPass),
-// observable (WithPassObserver), and compilation can be memoized behind a
-// content-addressed cache (WithCompileCache).
+// TILTBackend compiles circuits with the LinQ toolflow and simulates them on
+// a Trapped-Ion Linear-Tape device (the paper's proposed architecture).
+// Every compile runs the one stock pass list, decompose → (optimize, with
+// WithOptimize) → place → insert-swaps → schedule, and reports one
+// PassTiming record and one trace span per pass. Compilation can be
+// memoized behind a content-addressed cache (WithCompileCache).
 type TILTBackend struct {
 	cfg config
 	// cache memoizes compiled artifacts by Circuit.Fingerprint (nil unless
@@ -252,10 +253,9 @@ func NewTILT(opts ...Option) *TILTBackend {
 func (b *TILTBackend) Name() string { return "TILT" }
 
 // Compile implements Backend: the stock decompose → place → insert swaps →
-// schedule pass pipeline, or the custom pass list the backend was built
-// with. When the backend has a compile cache and an identical circuit
-// (by Fingerprint) was already compiled, the cached artifact is returned
-// without recompiling.
+// schedule pass list. When the backend has a compile cache and an identical
+// circuit (by Fingerprint) was already compiled, the cached artifact is
+// returned without recompiling.
 func (b *TILTBackend) Compile(ctx context.Context, c *Circuit) (*Artifact, error) {
 	mx := b.cfg.mx
 	// When the context carries a trace span (jobs.Manager's execution
@@ -276,16 +276,11 @@ func (b *TILTBackend) Compile(ctx context.Context, c *Circuit) (*Artifact, error
 	}
 	start := time.Now()
 	cfg := b.cfg.resolved(c)
-	passes, err := cfg.passList()
-	if err != nil {
-		span.EndErr(err)
-		return nil, err
-	}
-	obs := cfg.observer
+	var obs pipeline.Observer
 	if span != nil {
-		obs = &passSpanObserver{inner: cfg.observer, parent: span}
+		obs = &passSpanObserver{parent: span}
 	}
-	cr, err := core.CompileWith(ctx, c, cfg.core, passes, obs)
+	cr, err := core.CompileWith(ctx, c, cfg.core, nil, obs)
 	if err != nil {
 		span.EndErr(err)
 		return nil, err
@@ -306,8 +301,10 @@ func (b *TILTBackend) Compile(ctx context.Context, c *Circuit) (*Artifact, error
 	if b.cache != nil {
 		// A cached artifact outlives this call, so it must not alias the
 		// caller's mutable circuit: a later c.Apply* would silently poison
-		// the Circuit field of every future hit for this fingerprint.
+		// the Circuit and Compile.Input fields of every future hit for this
+		// fingerprint.
 		a.Circuit = c.Clone()
+		cr.Input = a.Circuit
 		b.cache.Add(key, a)
 	}
 	return a, nil

@@ -65,7 +65,7 @@ var uriFlags = []string{"ions", "head", "maxswaplen", "alpha", "inserter", "seed
 func run(ctx context.Context, args []string, out io.Writer) error {
 	def := noise.Default()
 	fs := flag.NewFlagSet("linq", flag.ContinueOnError)
-	// These ten only feed the tilt:// URI, read back through uriFlags.
+	// These eleven only feed the tilt:// URI, read back through uriFlags.
 	fs.Int("ions", 0, "chain length (0 = circuit width)")
 	fs.Int("head", 16, "tape head size")
 	fs.Int("maxswaplen", 0, "max swap span (0 = head-1)")
@@ -76,11 +76,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	fs.Float64("epsilon", def.Epsilon, "two-qubit residual error")
 	fs.Float64("k0", def.K0, "per-shuttle heating scale")
 	fs.Int("cooling", 0, "sympathetic cooling interval in moves (0 = off)")
+	fs.Bool("optimize", false, "run the peephole optimizer")
 	var (
 		bench      = fs.String("bench", "QFT", "benchmark name (ADDER, BV, QAOA, RCS, QFT, SQRT)")
 		qasmPath   = fs.String("qasm", "", "OpenQASM 2.0 input file (instead of -bench)")
 		backendURI = fs.String("backend", "", "backend URI for tilt.Open (e.g. tilt://?ions=64&head=16, linqd://127.0.0.1:8080); replaces the device and noise flags")
-		optimize   = fs.Bool("optimize", false, "run the peephole optimizer")
 		compare    = fs.Bool("compare", false, "also simulate IdealTI and QCCD with the same query")
 		emit       = fs.String("emit", "", "write the compiled physical program as QASM")
 		passes     = fs.Bool("passes", false, "print per-pass compile stats")
@@ -136,10 +136,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if ts := res.TILT; ts != nil {
 		fmt.Fprintf(out, "qubits         %d on a %d-ion chain, head %d\n",
 			c.NumQubits(), ts.Device.NumIons, ts.Device.HeadSize)
-		if *optimize {
-			st := ts.OptStats
-			fmt.Fprintf(out, "optimizer      removed %d gates (%d merges, %d cancellations, %d identities)\n",
-				st.Total(), st.MergedRotations, st.CancelledPairs, st.DroppedIdentity)
+		for _, p := range ts.Passes {
+			if p.Pass == tilt.PassOptimize {
+				st := ts.OptStats
+				fmt.Fprintf(out, "optimizer      removed %d gates (%d merges, %d cancellations, %d identities)\n",
+					st.Total(), st.MergedRotations, st.CancelledPairs, st.DroppedIdentity)
+			}
 		}
 		fmt.Fprintf(out, "swaps          %d (opposing %d, ratio %.2f)\n",
 			ts.SwapCount, ts.OpposingSwaps, ts.OpposingRatio())

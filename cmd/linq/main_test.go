@@ -228,9 +228,28 @@ func TestRunNoiseFlags(t *testing.T) {
 	runErr(t, "swapins: Alpha NaN outside (0,1)", "-bench", "BV", "-alpha", "NaN")
 }
 
+// TestRunOptimize: the optimizer line follows the optimize pass, so a
+// -backend URI that enables it prints the same line as the flag, and a run
+// without it prints none.
 func TestRunOptimize(t *testing.T) {
-	if got := runOK(t, "-bench", "BV", "-optimize"); !strings.Contains(got, "optimizer      removed") {
-		t.Errorf("-optimize printed no optimizer line:\n%s", got)
+	line := func(args ...string) string {
+		t.Helper()
+		for _, l := range strings.Split(runOK(t, args...), "\n") {
+			if strings.HasPrefix(l, "optimizer ") {
+				return l
+			}
+		}
+		return ""
+	}
+	flag := line("-bench", "BV", "-ions", "64", "-head", "16", "-optimize")
+	if !strings.HasPrefix(flag, "optimizer      removed") {
+		t.Fatal("-optimize printed no optimizer line")
+	}
+	if got := line("-bench", "BV", "-backend", "tilt://?ions=64&head=16&optimize=1"); got != flag {
+		t.Errorf("URI optimizer line %q, want %q", got, flag)
+	}
+	if got := line("-bench", "BV"); got != "" {
+		t.Errorf("run without optimize printed %q", got)
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package core implements LinQ, the paper's compiler + simulator toolflow
 // for the TILT architecture (Fig. 4): native-gate decomposition, initial
 // qubit placement, swap insertion, tape-movement scheduling, and noisy
-// simulation. Compilation runs on the internal/pipeline pass framework, so
-// every phase carries a per-pass timing record (Table III's t_swap/t_move
-// fall out of the insert-swaps and schedule records) and callers can swap in
-// custom pass lists through CompileWith.
+// simulation. Compilation runs the stock internal/pipeline pass list
+// (DefaultPasses), so every phase carries a per-pass timing record (Table
+// III's t_swap/t_move fall out of the insert-swaps and schedule records) and
+// can be observed pass by pass through CompileWith.
 package core
 
 //lint:deterministic-package
@@ -19,9 +19,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/mapping"
 	"repro/internal/noise"
-	"repro/internal/optimize"
 	"repro/internal/pipeline"
-	"repro/internal/schedule"
 	"repro/internal/sim"
 	"repro/internal/swapins"
 )
@@ -60,27 +58,15 @@ func (cfg Config) inserter() swapins.Inserter {
 	return swapins.LinQ{}
 }
 
-// CompileResult is a fully compiled TILT program with its statistics.
+// CompileResult is a fully compiled TILT program: the final pass state
+// (native and physical circuits, mappings, schedule, swap-insertion and
+// optimizer statistics) plus the per-pass timing records.
 type CompileResult struct {
-	// Native is the input lowered to {RX, RY, RZ, XX} (logical qubits).
-	Native *circuit.Circuit
-	// Physical is the executable circuit over tape slots, with SWAPs.
-	Physical *circuit.Circuit
-	// Schedule is the tape itinerary for Physical.
-	Schedule *schedule.Schedule
-	// Swap-insertion statistics (Fig. 6 metrics).
-	SwapCount     int
-	OpposingSwaps int
-	// Mappings before and after swap insertion.
-	InitialMapping *mapping.Mapping
-	FinalMapping   *mapping.Mapping
+	pipeline.PassState
 	// Timings records every executed pass in order: wall-clock time plus
 	// gate counts before and after (Table III's t_swap and t_move are the
 	// insert-swaps and schedule records; see PassTime).
 	Timings []pipeline.PassTiming
-	// OptStats reports peephole-optimizer eliminations (zero unless
-	// Config.Optimize was set).
-	OptStats optimize.Stats
 }
 
 // PassTime returns the wall-clock time of the first pass with the given name
@@ -88,14 +74,6 @@ type CompileResult struct {
 func (r *CompileResult) PassTime(name string) time.Duration {
 	t, _ := pipeline.Timing(r.Timings, name)
 	return t.Wall
-}
-
-// OpposingRatio returns OpposingSwaps/SwapCount (0 when no swaps).
-func (r *CompileResult) OpposingRatio() float64 {
-	if r.SwapCount == 0 {
-		return 0
-	}
-	return float64(r.OpposingSwaps) / float64(r.SwapCount)
 }
 
 // Moves returns the scheduled tape-move count.
@@ -141,26 +119,17 @@ func CompileWith(ctx context.Context, c *circuit.Circuit, cfg Config, passes []p
 	if passes == nil {
 		passes = DefaultPasses(cfg)
 	}
-	st := pipeline.NewState(c, cfg.Device, cfg.NoiseParams())
+	r := &CompileResult{PassState: *pipeline.NewState(c, cfg.Device)}
 	p := &pipeline.Pipeline{Passes: passes, Observer: obs}
-	timings, err := p.Run(ctx, st)
+	timings, err := p.Run(ctx, &r.PassState)
 	if err != nil {
 		return nil, err
 	}
-	if st.Physical == nil || st.Schedule == nil {
-		return nil, st.Validate()
+	if r.Physical == nil || r.Schedule == nil {
+		return nil, r.Validate()
 	}
-	return &CompileResult{
-		Native:         st.Native,
-		Physical:       st.Physical,
-		Schedule:       st.Schedule,
-		SwapCount:      st.SwapCount,
-		OpposingSwaps:  st.OpposingSwaps,
-		InitialMapping: st.InitialMapping,
-		FinalMapping:   st.FinalMapping,
-		Timings:        timings,
-		OptStats:       st.OptStats,
-	}, nil
+	r.Timings = timings
+	return r, nil
 }
 
 // Simulate evaluates a compiled program under the config's noise model.

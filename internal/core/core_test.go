@@ -190,18 +190,6 @@ func TestCompileRejectsInvalidDevice(t *testing.T) {
 	}
 }
 
-func TestOpposingRatioZeroSafe(t *testing.T) {
-	bm := workloads.GHZ(8)
-	cr, err := CompileWith(context.Background(), bm.Circuit, smallCfg(8, 8), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cr.SwapCount != 0 || cr.OpposingRatio() != 0 {
-		t.Errorf("GHZ under full head needs no swaps: %d, ratio %g",
-			cr.SwapCount, cr.OpposingRatio())
-	}
-}
-
 func TestPropertyPipelineSoundOnRandomCircuits(t *testing.T) {
 	f := func(seed int64, headRaw uint8) bool {
 		n := 10

@@ -10,6 +10,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/mapping"
 	"repro/internal/optimize"
+	"repro/internal/pipeline"
 	"repro/internal/schedule"
 	"repro/internal/swapins"
 	"repro/internal/workloads"
@@ -41,7 +42,9 @@ func monolithicCompile(t *testing.T, c *circuit.Circuit, cfg Config) *CompileRes
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &CompileResult{
+	return &CompileResult{PassState: pipeline.PassState{
+		Device:         cfg.Device,
+		Input:          c,
 		Native:         native,
 		Physical:       ins.Physical,
 		Schedule:       sched,
@@ -50,7 +53,7 @@ func monolithicCompile(t *testing.T, c *circuit.Circuit, cfg Config) *CompileRes
 		InitialMapping: ins.InitialMapping,
 		FinalMapping:   ins.FinalMapping,
 		OptStats:       optStats,
-	}
+	}}
 }
 
 // assertCompileParity compares everything except wall-clock timings.

@@ -15,6 +15,7 @@ import (
 	"repro/internal/musiqc"
 	"repro/internal/noise"
 	"repro/internal/schedule"
+	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
@@ -376,32 +377,30 @@ type SchedulerRow struct {
 	SweepLog    float64
 }
 
-// SchedulerAblation compiles each benchmark a second time with the stock
-// schedule pass replaced by the naive sweep scheduler and compares moves and
-// success against Algorithm 2 — the ablation for the paper's second core
-// heuristic.
+// SchedulerAblation compiles each benchmark once and schedules its physical
+// circuit twice, with Algorithm 2 (the stock schedule pass) and with the
+// naive sweeping head, comparing moves and success — the ablation for the
+// paper's second core heuristic. Both rows go through the same noise walk.
 func SchedulerAblation(ctx context.Context, head int) ([]SchedulerRow, error) {
-	passes := tilt.StockPasses()
-	passes[len(passes)-1] = tilt.NewPass("sweep-schedule", func(ctx context.Context, s *tilt.PassState) error {
-		sched, err := schedule.Sweep(ctx, s.Physical, s.Device)
-		s.Schedule = sched
-		return err
-	})
 	var rows []SchedulerRow
 	for _, bm := range workloads.All() {
-		greedy, err := tilt.Execute(ctx, tilt.NewTILT(tilt.WithDevice(bm.Qubits(), head)), bm.Circuit)
+		a, greedy, err := compileAndSimulate(ctx, tilt.NewTILT(tilt.WithDevice(bm.Qubits(), head)), bm.Circuit)
 		if err != nil {
 			return nil, fmt.Errorf("scheduler ablation %s: %w", bm.Name, err)
 		}
-		be := tilt.NewTILT(tilt.WithDevice(bm.Qubits(), head), tilt.WithPasses(passes...))
-		sweep, err := tilt.Execute(ctx, be, bm.Circuit)
+		phys, dev := a.Compile.Physical, greedy.TILT.Device
+		sched, err := schedule.Sweep(ctx, phys, dev)
+		if err != nil {
+			return nil, fmt.Errorf("scheduler ablation %s sweep: %w", bm.Name, err)
+		}
+		sweep, err := sim.Simulate(ctx, phys, sched, dev, a.Noise())
 		if err != nil {
 			return nil, fmt.Errorf("scheduler ablation %s sweep: %w", bm.Name, err)
 		}
 		rows = append(rows, SchedulerRow{
 			Bench:       bm.Name,
 			GreedyMoves: greedy.TILT.Moves,
-			SweepMoves:  sweep.TILT.Moves,
+			SweepMoves:  sched.Moves,
 			GreedyLog:   greedy.LogSuccess,
 			SweepLog:    sweep.LogSuccess,
 		})

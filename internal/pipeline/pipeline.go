@@ -1,15 +1,16 @@
-// Package pipeline is the composable compiler-pass framework behind the LinQ
-// toolflow (paper Fig. 4). A Pipeline executes an ordered list of Passes over
-// a shared PassState, recording per-pass wall-clock timings and gate-count
-// deltas and observing context cancellation between passes; the stock passes
-// themselves observe cancellation inside their inner loops as well, so a
-// cancelled batch job stops mid-pass.
+// Package pipeline is the compiler-pass framework behind the LinQ toolflow
+// (paper Fig. 4). A Pipeline executes an ordered list of Passes over a shared
+// PassState, recording per-pass wall-clock timings and gate-count deltas,
+// reporting each pass to an optional Observer, and observing context
+// cancellation between passes; the stock passes themselves observe
+// cancellation inside their inner loops as well, so a cancelled batch job
+// stops mid-pass.
 //
 // The five LinQ phases — decompose, optimize, place, insert-swaps, schedule —
-// are provided as stock passes (Decompose, Optimize, Place, InsertSwaps,
-// ScheduleTape). Callers may reorder them, drop them, or interleave custom
-// passes; each stock pass validates its preconditions and returns a
-// descriptive error when sequenced before the state it consumes exists.
+// are the stock passes (Decompose, Optimize, Place, InsertSwaps,
+// ScheduleTape), which internal/core strings into the one pass list every
+// TILT compile runs. Each stock pass validates its preconditions and returns
+// a descriptive error when sequenced before the state it consumes exists.
 package pipeline
 
 import (
@@ -21,7 +22,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/device"
 	"repro/internal/mapping"
-	"repro/internal/noise"
 	"repro/internal/optimize"
 	"repro/internal/schedule"
 )
@@ -32,10 +32,6 @@ import (
 type PassState struct {
 	// Device is the target TILT machine (set at construction).
 	Device device.TILT
-	// Noise carries the Eq. 3–5 noise/timing constants for passes that
-	// score or annotate against the error model (set at construction; the
-	// stock compilation passes do not read it).
-	Noise noise.Params
 
 	// Input is the logical circuit handed to the pipeline (read-only).
 	Input *circuit.Circuit
@@ -62,8 +58,8 @@ type PassState struct {
 }
 
 // NewState returns a PassState ready for a pipeline run over circuit c.
-func NewState(c *circuit.Circuit, dev device.TILT, p noise.Params) *PassState {
-	return &PassState{Device: dev, Noise: p, Input: c}
+func NewState(c *circuit.Circuit, dev device.TILT) *PassState {
+	return &PassState{Device: dev, Input: c}
 }
 
 // GateCount returns the gate count of the most-refined circuit currently in
@@ -110,14 +106,13 @@ type PassTiming struct {
 func (t PassTiming) GateDelta() int { return t.GatesAfter - t.GatesBefore }
 
 // Observer receives pass lifecycle events during Pipeline.Run — the hook for
-// tracing, metrics, and progress reporting. Calls are sequential within one
-// Run (the pipeline is single-threaded), but an observer attached to
-// concurrent pipelines — e.g. one backend's observer across a batch of
-// Compiles — receives interleaved calls and must be safe for concurrent use.
-// Implementations must not mutate the state. The tracing plane rides this
-// hook: backends tee pass events into per-pass child spans of the compile
-// span (one observer per Compile, so the sequential-within-one-Run
-// guarantee is what makes that tee lock-free).
+// tracing and per-pass measurement. Calls are sequential within one Run (the
+// pipeline is single-threaded); an observer shared by concurrent Runs
+// receives interleaved calls and must be safe for concurrent use.
+// Implementations must not mutate the state. The TILT backend tees pass
+// events into per-pass child spans of the compile span (one observer per
+// Compile, so the sequential-within-one-Run guarantee is what makes that tee
+// lock-free).
 type Observer interface {
 	// PassStarted fires immediately before a pass runs.
 	PassStarted(name string, index int)
@@ -154,9 +149,6 @@ type Pipeline struct {
 	// Observer, when non-nil, receives pass lifecycle events.
 	Observer Observer
 }
-
-// New returns a pipeline over the given passes.
-func New(passes ...Pass) *Pipeline { return &Pipeline{Passes: passes} }
 
 // Run executes every pass in order, checking ctx between passes and timing
 // each one. It returns the timing records of the passes that completed; on

@@ -9,7 +9,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/device"
 	"repro/internal/mapping"
-	"repro/internal/noise"
 	"repro/internal/swapins"
 	"repro/internal/workloads"
 )
@@ -25,12 +24,12 @@ func stockPasses() []Pass {
 
 func ghzState(n, head int) *PassState {
 	bm := workloads.GHZ(n)
-	return NewState(bm.Circuit, device.TILT{NumIons: n, HeadSize: head}, noise.Default())
+	return NewState(bm.Circuit, device.TILT{NumIons: n, HeadSize: head})
 }
 
 func TestStockPipelineCompletesAndTimes(t *testing.T) {
 	st := ghzState(24, 8)
-	timings, err := New(stockPasses()...).Run(context.Background(), st)
+	timings, err := (&Pipeline{Passes: stockPasses()}).Run(context.Background(), st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,10 +105,10 @@ func TestPreCancelledContextRunsNoPass(t *testing.T) {
 	cancel()
 	st := ghzState(12, 6)
 	ran := false
-	p := New(NewPass("probe", func(ctx context.Context, s *PassState) error {
+	p := &Pipeline{Passes: []Pass{NewPass("probe", func(ctx context.Context, s *PassState) error {
 		ran = true
 		return nil
-	}))
+	})}}
 	timings, err := p.Run(ctx, st)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -121,9 +120,9 @@ func TestPreCancelledContextRunsNoPass(t *testing.T) {
 
 func TestCancellationErrorNotWrapped(t *testing.T) {
 	st := ghzState(12, 6)
-	p := New(NewPass("cancelling", func(ctx context.Context, s *PassState) error {
+	p := &Pipeline{Passes: []Pass{NewPass("cancelling", func(ctx context.Context, s *PassState) error {
 		return context.Canceled
-	}))
+	})}}
 	_, err := p.Run(context.Background(), st)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want bare context.Canceled", err)
@@ -142,7 +141,7 @@ func TestMisorderedPipelineFailsWithNamedPass(t *testing.T) {
 	}
 	for _, tc := range cases {
 		st := ghzState(12, 6)
-		_, err := New(tc.passes...).Run(context.Background(), st)
+		_, err := (&Pipeline{Passes: tc.passes}).Run(context.Background(), st)
 		if err == nil || !strings.Contains(err.Error(), "pipeline: pass") {
 			t.Errorf("%s: err = %v, want named pass error", tc.name, err)
 		}
@@ -158,7 +157,7 @@ func TestReorderedOptimizeAfterPlaceWorks(t *testing.T) {
 	for q := 0; q+1 < 12; q++ {
 		c.ApplyCNOT(q, q+1)
 	}
-	st := NewState(c, device.TILT{NumIons: 12, HeadSize: 6}, noise.Default())
+	st := NewState(c, device.TILT{NumIons: 12, HeadSize: 6})
 	passes := []Pass{
 		Decompose(),
 		Place(mapping.ProgramOrderPlacement),
@@ -166,7 +165,7 @@ func TestReorderedOptimizeAfterPlaceWorks(t *testing.T) {
 		InsertSwaps(nil, swapins.Options{}),
 		ScheduleTape(),
 	}
-	if _, err := New(passes...).Run(context.Background(), st); err != nil {
+	if _, err := (&Pipeline{Passes: passes}).Run(context.Background(), st); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Validate(); err != nil {
@@ -184,7 +183,7 @@ func TestCustomPassViaNewPass(t *testing.T) {
 		counted = s.Physical.Len()
 		return nil
 	}))
-	timings, err := New(passes...).Run(context.Background(), st)
+	timings, err := (&Pipeline{Passes: passes}).Run(context.Background(), st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +200,7 @@ func TestValidateNamesMissingPhase(t *testing.T) {
 	if err := st.Validate(); err == nil || !strings.Contains(err.Error(), NameDecompose) {
 		t.Errorf("empty state Validate = %v, want missing-decompose error", err)
 	}
-	if _, err := New(Decompose()).Run(context.Background(), st); err != nil {
+	if _, err := (&Pipeline{Passes: []Pass{Decompose()}}).Run(context.Background(), st); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Validate(); err == nil || !strings.Contains(err.Error(), NameInsertSwaps) {
@@ -210,10 +209,10 @@ func TestValidateNamesMissingPhase(t *testing.T) {
 }
 
 func TestNilStateRejected(t *testing.T) {
-	if _, err := New().Run(context.Background(), nil); err == nil {
+	if _, err := (&Pipeline{}).Run(context.Background(), nil); err == nil {
 		t.Error("nil state accepted")
 	}
-	if _, err := New().Run(context.Background(), &PassState{}); err == nil {
+	if _, err := (&Pipeline{}).Run(context.Background(), &PassState{}); err == nil {
 		t.Error("nil input circuit accepted")
 	}
 }

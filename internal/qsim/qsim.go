@@ -111,9 +111,6 @@ type Matrix4 [4][4]complex128
 
 // Gate matrices for every circuit.Kind.
 
-// MatI is the identity.
-func MatI() Matrix2 { return Matrix2{{1, 0}, {0, 1}} }
-
 // MatX is the Pauli-X matrix.
 func MatX() Matrix2 { return Matrix2{{0, 1}, {1, 0}} }
 

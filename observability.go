@@ -38,20 +38,16 @@ func ContextWithSpan(ctx context.Context, s *TraceSpan) context.Context {
 func SpanFromContext(ctx context.Context) *TraceSpan { return tracing.FromContext(ctx) }
 
 // passSpanObserver tees pass lifecycle events into child spans of the
-// enclosing compile span, one per pass, then forwards to the backend's
-// configured observer (if any). One instance serves one Pipeline.Run, whose
-// observer calls are sequential, so the current-span field needs no lock.
+// enclosing compile span, one per pass. One instance serves one
+// Pipeline.Run, whose observer calls are sequential, so the current-span
+// field needs no lock.
 type passSpanObserver struct {
-	inner  pipeline.Observer
 	parent *tracing.Span
 	cur    *tracing.Span
 }
 
 func (o *passSpanObserver) PassStarted(name string, index int) {
 	o.cur = o.parent.StartChild("pass " + name)
-	if o.inner != nil {
-		o.inner.PassStarted(name, index)
-	}
 }
 
 func (o *passSpanObserver) PassFinished(t pipeline.PassTiming, err error) {
@@ -60,7 +56,4 @@ func (o *passSpanObserver) PassFinished(t pipeline.PassTiming, err error) {
 	s.SetAttr("gates_before", strconv.Itoa(t.GatesBefore))
 	s.SetAttr("gates_after", strconv.Itoa(t.GatesAfter))
 	s.EndErr(err)
-	if o.inner != nil {
-		o.inner.PassFinished(t, err)
-	}
 }

@@ -1,12 +1,9 @@
 package tilt
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/mapping"
 	"repro/internal/metrics"
-	"repro/internal/pipeline"
 	"repro/internal/swapins"
 )
 
@@ -47,13 +44,6 @@ type config struct {
 	seed int64
 	// mcWorkers bounds the Monte-Carlo worker pool (0 = GOMAXPROCS).
 	mcWorkers int
-	// passes replaces the stock compiler pass list (WithPasses; nil means
-	// the stock LinQ pipeline for the configuration).
-	passes []pipeline.Pass
-	// extras are custom passes injected into the pass list (WithExtraPass).
-	extras []extraPass
-	// observer receives pass lifecycle events (WithPassObserver).
-	observer pipeline.Observer
 	// cacheSize bounds the compile cache (WithCompileCache; 0 = disabled).
 	cacheSize int
 	// mx holds the resolved instrument handles for the hot paths, so
@@ -100,43 +90,6 @@ func newBackendInstruments(r *metrics.Registry) *backendInstruments {
 		mcShardSec: r.Histogram("linq_mc_shard_seconds",
 			"Wall-clock time of one Monte-Carlo shard.", nil),
 	}
-}
-
-// extraPass is one WithExtraPass injection: pass runs right after the pass
-// named after ("" = append at the end of the pipeline).
-type extraPass struct {
-	after string
-	pass  pipeline.Pass
-}
-
-// passList materializes the compiler pass list: the custom list from
-// WithPasses (or the stock LinQ pipeline), with every WithExtraPass
-// injection spliced in after its anchor.
-func (c config) passList() ([]pipeline.Pass, error) {
-	passes := c.passes
-	if passes == nil {
-		passes = core.DefaultPasses(c.core)
-	} else {
-		passes = append([]pipeline.Pass(nil), passes...)
-	}
-	for _, e := range c.extras {
-		if e.after == "" {
-			passes = append(passes, e.pass)
-			continue
-		}
-		idx := -1
-		for i, p := range passes {
-			if p.Name() == e.after {
-				idx = i
-				break
-			}
-		}
-		if idx == -1 {
-			return nil, fmt.Errorf("tilt: WithExtraPass: no pass named %q in the pipeline", e.after)
-		}
-		passes = append(passes[:idx+1], append([]pipeline.Pass{e.pass}, passes[idx+1:]...)...)
-	}
-	return passes, nil
 }
 
 // Option configures a backend. Options are shared across backends; each
@@ -240,49 +193,6 @@ func WithSeed(s int64) Option {
 // The worker count changes wall-clock time only, never the estimates.
 func WithMCWorkers(n int) Option {
 	return func(c *config) { c.mcWorkers = n }
-}
-
-// WithPasses replaces the TILT compiler's stock pass list with an explicit
-// one, so callers can reorder or drop phases (for ablations) or assemble a
-// pipeline from scratch. The list must still produce a complete compilation
-// — a physical circuit and a schedule — or Compile returns an error naming
-// the missing phase. Combine with StockPasses to start from the defaults:
-//
-//	passes := tilt.StockPasses(tilt.WithOptimize())
-//	be := tilt.NewTILT(tilt.WithOptimize(), tilt.WithPasses(passes...))
-func WithPasses(passes ...Pass) Option {
-	return func(c *config) { c.passes = passes }
-}
-
-// WithExtraPass injects a custom pass into the TILT compiler pipeline right
-// after the pass named after (use the Pass* name constants; "" appends at
-// the end). Compile fails with a descriptive error when no pass with that
-// name is in the pipeline. Multiple WithExtraPass options apply in order:
-//
-//	peephole := tilt.NewPass("my-peephole", func(ctx context.Context, s *tilt.PassState) error {
-//		// rewrite s.Native in place
-//		return nil
-//	})
-//	be := tilt.NewTILT(tilt.WithExtraPass(tilt.PassDecompose, peephole))
-func WithExtraPass(after string, p Pass) Option {
-	return func(c *config) { c.extras = append(c.extras, extraPass{after: after, pass: p}) }
-}
-
-// WithPassObserver registers an observer for pass lifecycle events during
-// TILT compilation — the hook for tracing, metrics, and progress reporting.
-// Use PassObserverFuncs to adapt plain functions.
-//
-// When the compile context carries a trace span (ContextWithSpan, or a
-// jobs.Manager execution), the backend additionally tees the same pass
-// events into per-pass child spans; the configured observer still receives
-// every call.
-//
-// Within one Compile the observer's calls are sequential, but a backend
-// shared across goroutines (e.g. one backend fanned over a runner batch)
-// runs one pipeline per concurrent Compile, so the observer must be safe
-// for concurrent use in that setting.
-func WithPassObserver(obs PassObserver) Option {
-	return func(c *config) { c.observer = obs }
 }
 
 // WithMetrics instruments the backend against the given telemetry registry

@@ -3,10 +3,13 @@ package tilt_test
 import (
 	"context"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	tilt "repro"
+	"repro/internal/core"
+	"repro/internal/pipeline"
 	"repro/runner"
 )
 
@@ -54,137 +57,75 @@ func TestDefaultBackendReportsPassTimings(t *testing.T) {
 	}
 }
 
-func TestWithExtraPassInjectsCustomPass(t *testing.T) {
-	bench := tilt.GHZ(16)
-	sawNative := 0
-	probe := tilt.NewPass("probe-native", func(ctx context.Context, s *tilt.PassState) error {
-		sawNative = s.Native.Len()
-		return nil
-	})
-	be := tilt.NewTILT(tilt.WithDevice(16, 8), tilt.WithExtraPass(tilt.PassDecompose, probe))
-	art, err := be.Compile(context.Background(), bench.Circuit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sawNative == 0 || sawNative != art.Compile.Native.Len() {
-		t.Errorf("probe saw %d native gates, want %d", sawNative, art.Compile.Native.Len())
-	}
-	if len(art.Compile.Timings) != 5 {
-		t.Fatalf("got %d pass records, want 5", len(art.Compile.Timings))
-	}
-	if art.Compile.Timings[1].Pass != "probe-native" {
-		t.Errorf("pass 1 = %q, want the injected probe", art.Compile.Timings[1].Pass)
-	}
-	// The injected pass must not perturb the compilation itself.
-	plain, err := tilt.NewTILT(tilt.WithDevice(16, 8)).Compile(context.Background(), bench.Circuit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if art.Compile.Physical.String() != plain.Compile.Physical.String() {
-		t.Error("observer-only pass changed the compiled program")
-	}
-}
-
-func TestWithExtraPassTransformsNativeCircuit(t *testing.T) {
-	// A custom peephole that strips leading RZ rotations (they commute with
-	// nothing before them and only add duration here) must both run and
-	// change the compiled program.
-	c := tilt.NewCircuit(8)
-	c.ApplyRZ(0.4, 0)
-	c.ApplyH(0)
-	for q := 0; q+1 < 8; q++ {
+// TestCompilePassSpansMatchPassRecords: under a traced context, Compile
+// emits one "pass <name>" child of the compile span per Result.TILT.Passes
+// record, in record order, each carrying the record's gate counts.
+func TestCompilePassSpansMatchPassRecords(t *testing.T) {
+	c := tilt.NewCircuit(12)
+	c.ApplyRZ(0.3, 0)
+	c.ApplyRZ(0.4, 0) // merged by the optimize pass
+	for q := 0; q+1 < 12; q++ {
 		c.ApplyCNOT(q, q+1)
 	}
-	dropFirst := tilt.NewPass("drop-first-gate", func(ctx context.Context, s *tilt.PassState) error {
-		trimmed := tilt.NewCircuit(s.Native.NumQubits())
-		for _, g := range s.Native.Gates()[1:] {
-			if err := trimmed.Add(g); err != nil {
-				return err
-			}
+	tracer := tilt.NewTracer("test")
+	root := tracer.StartRoot("test")
+	ctx := tilt.ContextWithSpan(context.Background(), root)
+	res, err := tilt.Execute(ctx, tilt.NewTILT(tilt.WithDevice(12, 4), tilt.WithOptimize()), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	spans, ok := tracer.Trace(root.Context().TraceID)
+	if !ok {
+		t.Fatal("trace not stored")
+	}
+	var compileID string
+	for _, s := range spans {
+		if s.Name == "compile" {
+			compileID = s.SpanID
 		}
-		s.Native = trimmed
-		return nil
-	})
-	be := tilt.NewTILT(tilt.WithDevice(8, 4), tilt.WithExtraPass(tilt.PassDecompose, dropFirst))
-	art, err := be.Compile(context.Background(), c)
-	if err != nil {
-		t.Fatal(err)
 	}
-	plain, err := tilt.NewTILT(tilt.WithDevice(8, 4)).Compile(context.Background(), c)
-	if err != nil {
-		t.Fatal(err)
+	if compileID == "" {
+		t.Fatal("no compile span")
 	}
-	if got, want := art.Compile.Native.Len(), plain.Compile.Native.Len()-1; got != want {
-		t.Errorf("native gates = %d, want %d", got, want)
-	}
-}
-
-func TestWithExtraPassUnknownAnchorFails(t *testing.T) {
-	probe := tilt.NewPass("probe", func(ctx context.Context, s *tilt.PassState) error { return nil })
-	be := tilt.NewTILT(tilt.WithDevice(16, 8), tilt.WithExtraPass("no-such-pass", probe))
-	_, err := be.Compile(context.Background(), tilt.GHZ(16).Circuit)
-	if err == nil || !strings.Contains(err.Error(), "no-such-pass") {
-		t.Errorf("err = %v, want unknown-anchor error", err)
-	}
-}
-
-func TestWithPassesReordersPipeline(t *testing.T) {
-	// Optimize after place is a legal reordering of the stock list.
-	bench := tilt.GHZ(16)
-	passes := []tilt.Pass{
-		tilt.DecomposePass(),
-		tilt.PlacePass(tilt.ProgramOrderPlacement),
-		tilt.OptimizePass(),
-		tilt.SwapInsertPass(nil, tilt.SwapOptions{}),
-		tilt.SchedulePass(),
-	}
-	be := tilt.NewTILT(tilt.WithDevice(16, 8), tilt.WithPasses(passes...))
-	res, err := tilt.Execute(context.Background(), be, bench.Circuit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TILT.Passes[2].Pass != tilt.PassOptimize {
-		t.Errorf("pass 2 = %q, want optimize", res.TILT.Passes[2].Pass)
-	}
-	if res.SuccessRate <= 0 {
-		t.Errorf("success = %g", res.SuccessRate)
-	}
-}
-
-func TestWithPassesDroppedPhaseFails(t *testing.T) {
-	be := tilt.NewTILT(tilt.WithDevice(16, 8),
-		tilt.WithPasses(tilt.DecomposePass(), tilt.PlacePass(tilt.ProgramOrderPlacement)))
-	_, err := be.Compile(context.Background(), tilt.GHZ(16).Circuit)
-	if err == nil || !strings.Contains(err.Error(), "incomplete compilation") {
-		t.Errorf("err = %v, want incomplete-compilation error", err)
-	}
-}
-
-func TestWithPassObserverSeesPipeline(t *testing.T) {
-	var names []string
-	obs := tilt.PassObserverFuncs{
-		Finished: func(pt tilt.PassTiming, err error) {
-			if err != nil {
-				t.Errorf("pass %s: %v", pt.Pass, err)
+	var passSpans []tilt.SpanData
+	for _, s := range spans {
+		if strings.HasPrefix(s.Name, "pass ") {
+			if s.ParentID != compileID {
+				t.Errorf("span %q parent = %q, want the compile span %q", s.Name, s.ParentID, compileID)
 			}
-			names = append(names, pt.Pass)
-		},
+			passSpans = append(passSpans, s)
+		}
 	}
-	be := tilt.NewTILT(tilt.WithDevice(16, 8), tilt.WithPassObserver(obs))
-	if _, err := be.Compile(context.Background(), tilt.GHZ(16).Circuit); err != nil {
-		t.Fatal(err)
+	recs := res.TILT.Passes
+	if len(recs) != 5 || len(passSpans) != len(recs) {
+		t.Fatalf("%d pass spans for %d pass records, want 5 of each", len(passSpans), len(recs))
 	}
-	want := []string{tilt.PassDecompose, tilt.PassPlace, tilt.PassInsertSwaps, tilt.PassSchedule}
-	if !reflect.DeepEqual(names, want) {
-		t.Errorf("observed %v, want %v", names, want)
+	for i, rec := range recs {
+		s := passSpans[i]
+		if s.Name != "pass "+rec.Pass {
+			t.Errorf("span %d = %q, want %q", i, s.Name, "pass "+rec.Pass)
+		}
+		if s.Attrs["gates_before"] != strconv.Itoa(rec.GatesBefore) || s.Attrs["gates_after"] != strconv.Itoa(rec.GatesAfter) {
+			t.Errorf("span %q gates %s→%s, record %d→%d", s.Name,
+				s.Attrs["gates_before"], s.Attrs["gates_after"], rec.GatesBefore, rec.GatesAfter)
+		}
+		if s.Error != "" {
+			t.Errorf("span %q error %q", s.Name, s.Error)
+		}
+	}
+	if opt := recs[1]; opt.Pass != tilt.PassOptimize || opt.GateDelta() >= 0 {
+		t.Errorf("pass 1 = %q with delta %d, want optimize removing gates", opt.Pass, opt.GateDelta())
 	}
 }
 
+// TestDirectPipelineMatchesBackend: the backend compiles with exactly the
+// stock pass list, run directly over a fresh pass state.
 func TestDirectPipelineMatchesBackend(t *testing.T) {
 	bench := tilt.GHZ(16)
-	dev := tilt.Device{NumIons: 16, HeadSize: 8}
-	st := tilt.NewPassState(bench.Circuit, dev, tilt.DefaultNoise())
-	timings, err := tilt.NewPipeline(tilt.StockPasses()...).Run(context.Background(), st)
+	cfg := core.Config{Device: tilt.Device{NumIons: 16, HeadSize: 8}, Placement: tilt.ProgramOrderPlacement}
+	st := pipeline.NewState(bench.Circuit, cfg.Device)
+	timings, err := (&pipeline.Pipeline{Passes: core.DefaultPasses(cfg)}).Run(context.Background(), st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,6 +138,18 @@ func TestDirectPipelineMatchesBackend(t *testing.T) {
 	}
 	if st.Physical.String() != art.Compile.Physical.String() {
 		t.Error("direct pipeline and backend compile diverge")
+	}
+}
+
+// TestOpposingRatioZeroSafe: a compile that inserts no swaps reports a zero
+// opposing-swap ratio rather than 0/0.
+func TestOpposingRatioZeroSafe(t *testing.T) {
+	res, err := tilt.Execute(context.Background(), tilt.NewTILT(tilt.WithDevice(8, 8)), tilt.GHZ(8).Circuit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ts := res.TILT; ts.SwapCount != 0 || ts.OpposingRatio() != 0 {
+		t.Errorf("GHZ under full head needs no swaps: %d, ratio %g", ts.SwapCount, ts.OpposingRatio())
 	}
 }
 
@@ -266,6 +219,9 @@ func TestCompileCacheNotPoisonedByCallerMutation(t *testing.T) {
 	}
 	if hit.Circuit.Len() != gates {
 		t.Errorf("cached Artifact.Circuit has %d gates, want %d (caller mutation leaked in)", hit.Circuit.Len(), gates)
+	}
+	if hit.Compile.Input.Len() != gates {
+		t.Errorf("cached Artifact.Compile.Input has %d gates, want %d (caller mutation leaked in)", hit.Compile.Input.Len(), gates)
 	}
 }
 

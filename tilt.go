@@ -25,8 +25,6 @@
 package tilt
 
 import (
-	"context"
-
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/decompose"
@@ -60,35 +58,14 @@ type NoiseParams = noise.Params
 // the per-pass timing records.
 type CompileResult = core.CompileResult
 
-// Pass is one stage of the compiler pipeline. Implement it (or wrap a
-// function with NewPass) to inject custom compilation stages through
-// WithPasses and WithExtraPass.
-type Pass = pipeline.Pass
-
-// PassState is the shared compilation state a pipeline threads through its
-// passes: circuit, mappings, schedule, device, and noise model.
-type PassState = pipeline.PassState
-
-// PassTiming records one executed pass: wall-clock time and gate-count
-// deltas. Table III's t_swap/t_move are the PassInsertSwaps and PassSchedule
-// records.
+// PassTiming records one executed compiler pass: wall-clock time and
+// gate-count deltas. Table III's t_swap/t_move are the PassInsertSwaps and
+// PassSchedule records.
 type PassTiming = pipeline.PassTiming
 
-// PassObserver receives pass lifecycle events during compilation
-// (WithPassObserver) — the hook for tracing, metrics, and progress
-// reporting.
-type PassObserver = pipeline.Observer
-
-// PassObserverFuncs adapts plain functions to PassObserver; nil fields are
-// skipped.
-type PassObserverFuncs = pipeline.ObserverFuncs
-
-// Pipeline executes compiler passes in order over one PassState, with
-// per-pass timing, observation, and cancellation between passes.
-type Pipeline = pipeline.Pipeline
-
-// Stock pass names, in Fig. 4 toolflow order — the anchors WithExtraPass
-// accepts and the names PassTiming records carry.
+// Compiler pass names, in Fig. 4 toolflow order: the names PassTiming
+// records (Result.TILT.Passes) and the per-pass trace spans carry.
+// PassOptimize runs only on a backend built WithOptimize.
 const (
 	PassDecompose   = pipeline.NameDecompose
 	PassOptimize    = pipeline.NameOptimize
@@ -96,51 +73,6 @@ const (
 	PassInsertSwaps = pipeline.NameInsertSwaps
 	PassSchedule    = pipeline.NameSchedule
 )
-
-// NewPipeline returns a pipeline over the given passes for direct,
-// backend-free use; most callers instead pass WithPasses/WithExtraPass to
-// NewTILT and let the backend drive the pipeline. Drive it with a state from
-// NewPassState:
-//
-//	st := tilt.NewPassState(c, tilt.Device{NumIons: 64, HeadSize: 16}, tilt.DefaultNoise())
-//	timings, err := tilt.NewPipeline(tilt.StockPasses()...).Run(ctx, st)
-func NewPipeline(passes ...Pass) *Pipeline { return pipeline.New(passes...) }
-
-// NewPassState returns a compilation state for a direct Pipeline.Run over
-// the circuit.
-func NewPassState(c *Circuit, dev Device, p NoiseParams) *PassState {
-	return pipeline.NewState(c, dev, p)
-}
-
-// NewPass wraps a function as a named custom Pass.
-func NewPass(name string, run func(ctx context.Context, s *PassState) error) Pass {
-	return pipeline.NewPass(name, run)
-}
-
-// DecomposePass returns the stock native-gate lowering pass.
-func DecomposePass() Pass { return pipeline.Decompose() }
-
-// OptimizePass returns the stock peephole-optimization pass.
-func OptimizePass() Pass { return pipeline.Optimize() }
-
-// PlacePass returns the stock initial-placement pass for the strategy.
-func PlacePass(s Placement) Pass { return pipeline.Place(s) }
-
-// SwapInsertPass returns the stock swap-insertion pass (Algorithm 1 when ins
-// is LinQInserter(); nil means LinQInserter()).
-func SwapInsertPass(ins Inserter, opt SwapOptions) Pass { return pipeline.InsertSwaps(ins, opt) }
-
-// SchedulePass returns the stock tape-movement scheduling pass
-// (Algorithm 2).
-func SchedulePass() Pass { return pipeline.ScheduleTape() }
-
-// StockPasses returns the stock LinQ pass list for the given options —
-// the starting point for reordered or extended WithPasses pipelines. With no
-// options it is decompose → place → insert-swaps → schedule under the paper
-// defaults; WithOptimize adds the optimize pass after decompose.
-func StockPasses(opts ...Option) []Pass {
-	return core.DefaultPasses(newConfig(opts).core)
-}
 
 // MetricsRegistry is the telemetry registry behind WithMetrics: a
 // dependency-free set of named atomic counters, gauges, and latency
