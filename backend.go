@@ -3,6 +3,7 @@ package tilt
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -280,7 +281,7 @@ func (b *TILTBackend) Compile(ctx context.Context, c *Circuit) (*Artifact, error
 	if span != nil {
 		obs = &passSpanObserver{parent: span}
 	}
-	cr, err := core.CompileWith(ctx, c, cfg.core, nil, obs)
+	cr, err := core.CompileWith(ctx, c, cfg.core, obs)
 	if err != nil {
 		span.EndErr(err)
 		return nil, err
@@ -331,7 +332,7 @@ func (b *TILTBackend) Simulate(ctx context.Context, a *Artifact) (*Result, error
 		Moves:         a.Compile.Moves(),
 		DistSpacings:  a.Compile.DistSpacings(),
 		DistUm:        float64(a.Compile.DistSpacings()) * a.cfg.core.NoiseParams().IonSpacingUm,
-		Passes:        a.Compile.Timings,
+		Passes:        slices.Clone(a.Compile.Timings), // so no two Results alias one record slice
 		TSwap:         a.Compile.PassTime(pipeline.NameInsertSwaps),
 		TMove:         a.Compile.PassTime(pipeline.NameSchedule),
 		OptStats:      a.Compile.OptStats,
@@ -443,7 +444,7 @@ func (b *TILTBackend) AutoTune(ctx context.Context, c *Circuit, candidates []int
 	for _, l := range candidates {
 		trial := cfg
 		trial.Swap.MaxSwapLen = l
-		cr, err := core.CompileWith(ctx, c, trial, nil, nil)
+		cr, err := core.CompileWith(ctx, c, trial)
 		if err != nil {
 			return nil, -1, fmt.Errorf("tilt: AutoTune at MaxSwapLen=%d: %w", l, err)
 		}

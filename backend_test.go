@@ -42,7 +42,7 @@ func TestTILTBackendParity(t *testing.T) {
 	for _, bm := range tilt.Benchmarks() {
 		t.Run(bm.Name, func(t *testing.T) {
 			cfg := standardConfig(bm.Qubits(), 16)
-			refCr, err := core.CompileWith(ctx, bm.Circuit, cfg, nil, nil)
+			refCr, err := core.CompileWith(ctx, bm.Circuit, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,7 +158,7 @@ func TestAutoTuneParity(t *testing.T) {
 	for _, l := range []int{5, 4} {
 		cfg := standardConfig(12, 6)
 		cfg.Swap.MaxSwapLen = l
-		cr, err := core.CompileWith(ctx, bm.Circuit, cfg, nil, nil)
+		cr, err := core.CompileWith(ctx, bm.Circuit, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,16 +1,18 @@
 // Package core implements LinQ, the paper's compiler + simulator toolflow
 // for the TILT architecture (Fig. 4): native-gate decomposition, initial
 // qubit placement, swap insertion, tape-movement scheduling, and noisy
-// simulation. Compilation runs the stock internal/pipeline pass list
-// (DefaultPasses), so every phase carries a per-pass timing record (Table
-// III's t_swap/t_move fall out of the insert-swaps and schedule records) and
-// can be observed pass by pass through CompileWith.
+// simulation. CompileWith runs the passes as one straight-line sequence —
+// decompose → (optimize) → place → insert-swaps → schedule — so every phase
+// carries a per-pass timing record (Table III's t_swap/t_move fall out of
+// the insert-swaps and schedule records) and can be observed pass by pass
+// through an internal/pipeline Observer.
 package core
 
 //lint:deterministic-package
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -19,7 +21,9 @@ import (
 	"repro/internal/device"
 	"repro/internal/mapping"
 	"repro/internal/noise"
+	"repro/internal/optimize"
 	"repro/internal/pipeline"
+	"repro/internal/schedule"
 	"repro/internal/sim"
 	"repro/internal/swapins"
 )
@@ -58,11 +62,35 @@ func (cfg Config) inserter() swapins.Inserter {
 	return swapins.LinQ{}
 }
 
-// CompileResult is a fully compiled TILT program: the final pass state
-// (native and physical circuits, mappings, schedule, swap-insertion and
-// optimizer statistics) plus the per-pass timing records.
+// CompileResult is a fully compiled TILT program: the native and physical
+// circuits, mappings, schedule, swap-insertion and optimizer statistics,
+// plus the per-pass timing records.
 type CompileResult struct {
-	pipeline.PassState
+	// Device is the target TILT machine.
+	Device device.TILT
+
+	// Input is the logical circuit that was compiled (read-only).
+	Input *circuit.Circuit
+	// Native is the input lowered to the trapped-ion native gate set
+	// {RX, RY, RZ, XX} over logical qubits (after the optimizer, when it
+	// ran).
+	Native *circuit.Circuit
+	// InitialMapping and FinalMapping are the logical→physical assignments
+	// before and after swap insertion.
+	InitialMapping *mapping.Mapping
+	FinalMapping   *mapping.Mapping
+	// Physical is the executable circuit over tape slots, with SWAPs.
+	Physical *circuit.Circuit
+	// Schedule is the tape itinerary for Physical.
+	Schedule *schedule.Schedule
+
+	// SwapCount and OpposingSwaps are the Fig. 6 swap-insertion statistics.
+	SwapCount     int
+	OpposingSwaps int
+	// OptStats reports peephole-optimizer eliminations (zero unless
+	// Config.Optimize).
+	OptStats optimize.Stats
+
 	// Timings records every executed pass in order: wall-clock time plus
 	// gate counts before and after (Table III's t_swap and t_move are the
 	// insert-swaps and schedule records; see PassTime).
@@ -72,8 +100,12 @@ type CompileResult struct {
 // PassTime returns the wall-clock time of the first pass with the given name
 // (zero when no such pass ran).
 func (r *CompileResult) PassTime(name string) time.Duration {
-	t, _ := pipeline.Timing(r.Timings, name)
-	return t.Wall
+	for _, t := range r.Timings {
+		if t.Pass == name {
+			return t.Wall
+		}
+	}
+	return 0
 }
 
 // Moves returns the scheduled tape-move count.
@@ -82,30 +114,15 @@ func (r *CompileResult) Moves() int { return r.Schedule.Moves }
 // DistSpacings returns the scheduled tape travel in ion spacings.
 func (r *CompileResult) DistSpacings() int { return r.Schedule.Dist }
 
-// DefaultPasses returns the stock LinQ pass list for the configuration:
-// decompose → (optimize, when Config.Optimize) → place → insert-swaps →
-// schedule, the paper's Fig. 4 toolflow.
-func DefaultPasses(cfg Config) []pipeline.Pass {
-	passes := []pipeline.Pass{pipeline.Decompose()}
-	if cfg.Optimize {
-		passes = append(passes, pipeline.Optimize())
-	}
-	return append(passes,
-		pipeline.Place(cfg.Placement),
-		pipeline.InsertSwaps(cfg.inserter(), cfg.Swap),
-		pipeline.ScheduleTape(),
-	)
-}
-
-// CompileWith runs a pass list over a logical circuit (nil passes means
-// DefaultPasses(cfg), the stock decompose → place → insert swaps → schedule
-// pipeline), reporting pass lifecycle events to obs when non-nil. The input
-// circuit may contain any gate kind the decomposer understands (including
-// Toffolis). Cancellation of ctx is observed between passes and inside the
-// swap-insertion and scheduling inner loops. The pass list must produce a
-// complete compilation — a physical circuit and a schedule — or an error
-// naming the missing phase is returned.
-func CompileWith(ctx context.Context, c *circuit.Circuit, cfg Config, passes []pipeline.Pass, obs pipeline.Observer) (*CompileResult, error) {
+// CompileWith compiles a logical circuit for the configured device, running
+// the paper's Fig. 4 passes in order: decompose → (optimize, when
+// Config.Optimize) → place → insert-swaps → schedule. The input circuit may
+// contain any gate kind the decomposer understands (including Toffolis).
+// Each pass is timed into CompileResult.Timings and reported to every
+// non-nil observer. Cancellation of ctx is observed between passes and
+// inside the swap-insertion and scheduling inner loops, and comes back
+// unwrapped; any other pass error is wrapped with the pass name.
+func CompileWith(ctx context.Context, c *circuit.Circuit, cfg Config, obs ...pipeline.Observer) (*CompileResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -116,19 +133,81 @@ func CompileWith(ctx context.Context, c *circuit.Circuit, cfg Config, passes []p
 		return nil, fmt.Errorf("core: circuit width %d exceeds chain %d",
 			c.NumQubits(), cfg.Device.NumIons)
 	}
-	if passes == nil {
-		passes = DefaultPasses(cfg)
+	r := &CompileResult{Device: cfg.Device, Input: c, Timings: make([]pipeline.PassTiming, 0, 5)}
+	// work is the most refined circuit so far (input, native, then
+	// physical); each record counts its gates around the pass.
+	work := c
+	var err error
+	// pass runs one phase unless an earlier one failed, leaving the first
+	// failure in err.
+	pass := func(name string, run func() error) {
+		if err != nil {
+			return
+		}
+		if err = ctx.Err(); err != nil {
+			return
+		}
+		t := pipeline.PassTiming{Pass: name, Index: len(r.Timings), GatesBefore: work.Len()}
+		for _, o := range obs {
+			if o != nil {
+				o.PassStarted(name, t.Index)
+			}
+		}
+		start := time.Now() //lint:deterministic-exempt pass wall-clock only feeds the timing records and observers, never the compiled program
+		err = run()
+		t.Wall = time.Since(start) //lint:deterministic-exempt timing-only; the compiled program is untouched
+		t.GatesAfter = work.Len()
+		for _, o := range obs {
+			if o != nil {
+				o.PassFinished(t, err)
+			}
+		}
+		switch {
+		case err == nil:
+			r.Timings = append(r.Timings, t)
+		case !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded):
+			err = fmt.Errorf("pipeline: pass %q: %w", name, err)
+		}
 	}
-	r := &CompileResult{PassState: *pipeline.NewState(c, cfg.Device)}
-	p := &pipeline.Pipeline{Passes: passes, Observer: obs}
-	timings, err := p.Run(ctx, &r.PassState)
+
+	pass(pipeline.NameDecompose, func() error {
+		r.Native = decompose.ToNative(c)
+		work = r.Native
+		return nil
+	})
+	if cfg.Optimize {
+		pass(pipeline.NameOptimize, func() error {
+			r.Native, r.OptStats = optimize.Run(r.Native)
+			work = r.Native
+			return nil
+		})
+	}
+	pass(pipeline.NamePlace, func() error {
+		m0, err := mapping.Initial(r.Native, cfg.Device.NumIons, cfg.Placement)
+		r.InitialMapping = m0
+		return err
+	})
+	pass(pipeline.NameInsertSwaps, func() error {
+		res, err := cfg.inserter().Insert(ctx, r.Native, r.InitialMapping, cfg.Device, cfg.Swap)
+		if err != nil {
+			return err
+		}
+		r.Physical = res.Physical
+		r.InitialMapping = res.InitialMapping
+		r.FinalMapping = res.FinalMapping
+		r.SwapCount = res.SwapCount
+		r.OpposingSwaps = res.OpposingSwaps
+		work = r.Physical
+		return nil
+	})
+	pass(pipeline.NameSchedule, func() error {
+		sched, err := schedule.Tape(ctx, r.Physical, cfg.Device)
+		r.Schedule = sched
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	if r.Physical == nil || r.Schedule == nil {
-		return nil, r.Validate()
-	}
-	r.Timings = timings
 	return r, nil
 }
 

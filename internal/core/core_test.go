@@ -26,7 +26,7 @@ func smallCfg(n, head int) Config {
 
 // compileAndSimulate compiles with the stock passes and scores the result.
 func compileAndSimulate(ctx context.Context, c *circuit.Circuit, cfg Config) (*CompileResult, *sim.Result, error) {
-	cr, err := CompileWith(ctx, c, cfg, nil, nil)
+	cr, err := CompileWith(ctx, c, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -37,7 +37,7 @@ func compileAndSimulate(ctx context.Context, c *circuit.Circuit, cfg Config) (*C
 func TestCompileProducesValidProgram(t *testing.T) {
 	bm := workloads.QFTN(12)
 	cfg := smallCfg(12, 4)
-	cr, err := CompileWith(context.Background(), bm.Circuit, cfg, nil, nil)
+	cr, err := CompileWith(context.Background(), bm.Circuit, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,15 +60,10 @@ func TestCompileProducesValidProgram(t *testing.T) {
 	}
 }
 
-func TestCompiledSemanticsPreserved(t *testing.T) {
-	// The physical circuit, after restoring the final permutation, must be
-	// unitarily equivalent to the native circuit under the initial mapping.
-	bm := workloads.Random(7, 8, 3)
-	cfg := smallCfg(7, 3)
-	cr, err := CompileWith(context.Background(), bm.Circuit, cfg, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+// closedPhysical returns the physical circuit followed by the SWAPs that
+// carry every qubit from the final mapping back to the initial one, so it
+// must act as the native circuit placed by the initial mapping.
+func closedPhysical(cr *CompileResult) *circuit.Circuit {
 	out := cr.Physical.Clone()
 	fin := cr.FinalMapping.Clone()
 	for p := 0; p < fin.Len(); p++ {
@@ -80,7 +75,19 @@ func TestCompiledSemanticsPreserved(t *testing.T) {
 		out.MustAdd(circuit.SWAP, 0, p, p2)
 		fin.SwapPhysical(p, p2)
 	}
-	if !qsim.EquivalentUnderPermutation(cr.Native, out, cr.InitialMapping.LogicalToPhysical(), 3, 77) {
+	return out
+}
+
+func TestCompiledSemanticsPreserved(t *testing.T) {
+	// The physical circuit, after restoring the final permutation, must be
+	// unitarily equivalent to the native circuit under the initial mapping.
+	bm := workloads.Random(7, 8, 3)
+	cfg := smallCfg(7, 3)
+	cr, err := CompileWith(context.Background(), bm.Circuit, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !qsim.EquivalentUnderPermutation(cr.Native, closedPhysical(cr), cr.InitialMapping.LogicalToPhysical(), 3, 77) {
 		t.Fatal("compiled program is not unitarily equivalent to the source")
 	}
 }
@@ -178,14 +185,14 @@ func TestCustomNoiseParamsHonored(t *testing.T) {
 
 func TestCompileRejectsWideCircuit(t *testing.T) {
 	bm := workloads.GHZ(16)
-	if _, err := CompileWith(context.Background(), bm.Circuit, smallCfg(8, 4), nil, nil); err == nil {
+	if _, err := CompileWith(context.Background(), bm.Circuit, smallCfg(8, 4)); err == nil {
 		t.Error("circuit wider than device should fail")
 	}
 }
 
 func TestCompileRejectsInvalidDevice(t *testing.T) {
 	bm := workloads.GHZ(4)
-	if _, err := CompileWith(context.Background(), bm.Circuit, Config{Device: device.TILT{NumIons: 4, HeadSize: 1}}, nil, nil); err == nil {
+	if _, err := CompileWith(context.Background(), bm.Circuit, Config{Device: device.TILT{NumIons: 4, HeadSize: 1}}); err == nil {
 		t.Error("invalid device should fail")
 	}
 }

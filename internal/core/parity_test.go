@@ -42,7 +42,7 @@ func monolithicCompile(t *testing.T, c *circuit.Circuit, cfg Config) *CompileRes
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &CompileResult{PassState: pipeline.PassState{
+	return &CompileResult{
 		Device:         cfg.Device,
 		Input:          c,
 		Native:         native,
@@ -53,7 +53,7 @@ func monolithicCompile(t *testing.T, c *circuit.Circuit, cfg Config) *CompileRes
 		InitialMapping: ins.InitialMapping,
 		FinalMapping:   ins.FinalMapping,
 		OptStats:       optStats,
-	}}
+	}
 }
 
 // assertCompileParity compares everything except wall-clock timings.
@@ -94,7 +94,7 @@ func TestPipelineParityAllBenchmarks(t *testing.T) {
 			Placement: mapping.ProgramOrderPlacement,
 			Inserter:  swapins.LinQ{},
 		}
-		got, err := CompileWith(context.Background(), bm.Circuit, cfg, nil, nil)
+		got, err := CompileWith(context.Background(), bm.Circuit, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", bm.Name, err)
 		}
@@ -121,23 +121,11 @@ func TestPipelineParityVariants(t *testing.T) {
 		{"greedy", Config{Device: deviceFor(bm.Qubits(), 16), Placement: mapping.GreedyPlacement}},
 	}
 	for _, tc := range cases {
-		got, err := CompileWith(context.Background(), bm.Circuit, tc.cfg, nil, nil)
+		got, err := CompileWith(context.Background(), bm.Circuit, tc.cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		assertCompileParity(t, tc.name, got, monolithicCompile(t, bm.Circuit, tc.cfg))
-	}
-}
-
-// TestCompileWithIncompletePassListErrors verifies a pass list that drops a
-// required phase fails with an error naming the missing pass.
-func TestCompileWithIncompletePassListErrors(t *testing.T) {
-	bm := workloads.GHZ(8)
-	cfg := Config{Device: deviceFor(8, 4)}
-	passes := DefaultPasses(cfg)
-	_, err := CompileWith(context.Background(), bm.Circuit, cfg, passes[:len(passes)-1], nil)
-	if err == nil {
-		t.Fatal("pass list without schedule compiled")
 	}
 }
 
@@ -146,7 +134,12 @@ func TestCompilePreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	bm := workloads.GHZ(8)
-	if _, err := CompileWith(ctx, bm.Circuit, Config{Device: deviceFor(8, 4)}, nil, nil); err != context.Canceled {
+	ran := false
+	obs := pipeline.ObserverFuncs{Started: func(string, int) { ran = true }}
+	if _, err := CompileWith(ctx, bm.Circuit, Config{Device: deviceFor(8, 4)}, obs); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if ran {
+		t.Error("pass ran despite pre-cancelled context")
 	}
 }

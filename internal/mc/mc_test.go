@@ -30,7 +30,7 @@ func compileSmall(t *testing.T, n, head int, bm workloads.Benchmark) (*core.Comp
 		Placement: mapping.ProgramOrderPlacement,
 		Inserter:  swapins.LinQ{},
 	}
-	cr, err := core.CompileWith(context.Background(), bm.Circuit, cfg, nil, nil)
+	cr, err := core.CompileWith(context.Background(), bm.Circuit, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestInputValidation(t *testing.T) {
 	wide := device.TILT{NumIons: 32, HeadSize: 8}
 	crWide, err := core.CompileWith(ctx, workloads.GHZ(32).Circuit, core.Config{
 		Device: wide, Placement: mapping.ProgramOrderPlacement,
-	}, nil, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

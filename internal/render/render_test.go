@@ -20,7 +20,7 @@ func compileQFT(t *testing.T) (*core.CompileResult, core.Config) {
 		Placement: mapping.ProgramOrderPlacement,
 		Inserter:  swapins.LinQ{},
 	}
-	cr, err := core.CompileWith(context.Background(), workloads.QFTN(16).Circuit, cfg, nil, nil)
+	cr, err := core.CompileWith(context.Background(), workloads.QFTN(16).Circuit, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestTimelineShape(t *testing.T) {
 func TestTimelineScalesWideChains(t *testing.T) {
 	dev := device.TILT{NumIons: 256, HeadSize: 16}
 	cfg := core.Config{Device: dev, Placement: mapping.ProgramOrderPlacement}
-	cr, err := core.CompileWith(context.Background(), workloads.GHZ(256).Circuit, cfg, nil, nil)
+	cr, err := core.CompileWith(context.Background(), workloads.GHZ(256).Circuit, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

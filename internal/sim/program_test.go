@@ -118,7 +118,7 @@ func TestProgramMatchesReference(t *testing.T) {
 				Placement: mapping.ProgramOrderPlacement,
 				Inserter:  swapins.LinQ{},
 			}
-			cr, err := core.CompileWith(context.Background(), bm.Circuit, cfg, nil, nil)
+			cr, err := core.CompileWith(context.Background(), bm.Circuit, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,7 +201,7 @@ func FuzzSimulateMatchesReference(f *testing.F) {
 		}
 
 		cfg := core.Config{Device: dev, Noise: &p, Placement: placement, Swap: swapins.Options{MaxSwapLen: msl}}
-		cr, err := core.CompileWith(context.Background(), c, cfg, nil, nil)
+		cr, err := core.CompileWith(context.Background(), c, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

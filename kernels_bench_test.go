@@ -103,7 +103,7 @@ func mcSerialKernel(tb testing.TB) func(b *testing.B) {
 		Placement: mapping.ProgramOrderPlacement,
 		Inserter:  swapins.LinQ{},
 	}
-	cr, err := core.CompileWith(ctx, workloads.QFTN(10).Circuit, cfg, nil, nil)
+	cr, err := core.CompileWith(ctx, workloads.QFTN(10).Circuit, cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}

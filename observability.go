@@ -39,8 +39,8 @@ func SpanFromContext(ctx context.Context) *TraceSpan { return tracing.FromContex
 
 // passSpanObserver tees pass lifecycle events into child spans of the
 // enclosing compile span, one per pass. One instance serves one
-// Pipeline.Run, whose observer calls are sequential, so the current-span
-// field needs no lock.
+// core.CompileWith, whose observer calls are sequential, so the
+// current-span field needs no lock.
 type passSpanObserver struct {
 	parent *tracing.Span
 	cur    *tracing.Span

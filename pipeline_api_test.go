@@ -8,8 +8,6 @@ import (
 	"testing"
 
 	tilt "repro"
-	"repro/internal/core"
-	"repro/internal/pipeline"
 	"repro/runner"
 )
 
@@ -119,28 +117,6 @@ func TestCompilePassSpansMatchPassRecords(t *testing.T) {
 	}
 }
 
-// TestDirectPipelineMatchesBackend: the backend compiles with exactly the
-// stock pass list, run directly over a fresh pass state.
-func TestDirectPipelineMatchesBackend(t *testing.T) {
-	bench := tilt.GHZ(16)
-	cfg := core.Config{Device: tilt.Device{NumIons: 16, HeadSize: 8}, Placement: tilt.ProgramOrderPlacement}
-	st := pipeline.NewState(bench.Circuit, cfg.Device)
-	timings, err := (&pipeline.Pipeline{Passes: core.DefaultPasses(cfg)}).Run(context.Background(), st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(timings) != 4 {
-		t.Fatalf("got %d timings, want 4", len(timings))
-	}
-	art, err := tilt.NewTILT(tilt.WithDevice(16, 8)).Compile(context.Background(), bench.Circuit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Physical.String() != art.Compile.Physical.String() {
-		t.Error("direct pipeline and backend compile diverge")
-	}
-}
-
 // TestOpposingRatioZeroSafe: a compile that inserts no swaps reports a zero
 // opposing-swap ratio rather than 0/0.
 func TestOpposingRatioZeroSafe(t *testing.T) {
@@ -222,6 +198,39 @@ func TestCompileCacheNotPoisonedByCallerMutation(t *testing.T) {
 	}
 	if hit.Compile.Input.Len() != gates {
 		t.Errorf("cached Artifact.Compile.Input has %d gates, want %d (caller mutation leaked in)", hit.Compile.Input.Len(), gates)
+	}
+}
+
+// TestCachedResultsDoNotSharePassRecords: every Result owns its pass
+// records, so editing one Result's cannot reach a later Result of the same
+// artifact or of a compile-cache hit.
+func TestCachedResultsDoNotSharePassRecords(t *testing.T) {
+	ctx := context.Background()
+	be := tilt.NewTILT(tilt.WithDevice(8, 4), tilt.WithCompileCache(4))
+	a, err := be.Compile(ctx, tilt.GHZ(8).Circuit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1, err := be.Simulate(ctx, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1.TILT.Passes[0].Pass = "mutated"
+	r2, err := be.Simulate(ctx, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r3, err := tilt.Execute(ctx, be, tilt.GHZ(8).Circuit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r3.Cache.Hits != 1 {
+		t.Fatalf("cache = %+v, want the second compile to hit", r3.Cache)
+	}
+	for i, r := range []*tilt.Result{r2, r3} {
+		if got := r.TILT.Passes[0].Pass; got != tilt.PassDecompose {
+			t.Errorf("result %d: first pass record %q, want %q (an earlier Result's edit leaked in)", i+2, got, tilt.PassDecompose)
+		}
 	}
 }
 
