@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -88,6 +89,28 @@ func TestObserverSeesPassError(t *testing.T) {
 	}
 	if failed != pipeline.NameInsertSwaps || gotErr == nil {
 		t.Errorf("observer saw error %v from pass %q, want the insert-swaps error", gotErr, failed)
+	}
+}
+
+// TestPreCancelledContextRunsNoPass checks that a compile whose context is
+// already cancelled starts and finishes no pass and returns no result.
+func TestPreCancelledContextRunsNoPass(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var events []string
+	obs := pipeline.ObserverFuncs{
+		Started:  func(name string, _ int) { events = append(events, "start "+name) },
+		Finished: func(tt pipeline.PassTiming, _ error) { events = append(events, "finish "+tt.Pass) },
+	}
+	cr, err := CompileWith(ctx, workloads.GHZ(12).Circuit, smallCfg(12, 6), obs)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if cr != nil {
+		t.Errorf("pre-cancelled compile returned a result with %d timing records", len(cr.Timings))
+	}
+	if len(events) != 0 {
+		t.Errorf("pass events despite pre-cancelled context: %v", events)
 	}
 }
 
