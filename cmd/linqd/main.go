@@ -102,7 +102,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 		journalDir = fs.String("journal-dir", "", "write-ahead job journal directory (empty = in-memory only)")
 		journalSeg = fs.Int64("journal-segment-bytes", 0, "journal segment rotation size (0 = default 4MiB)")
-		journalNoF = fs.Bool("journal-nosync", false, "skip the per-append fsync (faster, loses the power-failure guarantee)")
+		journalNoF = fs.Bool("journal-nosync", false, "skip the fsync of each submission record before its 202 (faster, loses the power-failure guarantee; started and terminal records are not fsynced either way)")
 		tenantsCfg = fs.String("tenants", "", "tenants JSON config; turns on API-key auth, quotas, and rate limits")
 
 		logFormat   = fs.String("log-format", "text", `structured request/lifecycle log format: "text" or "json" (stderr)`)

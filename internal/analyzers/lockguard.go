@@ -22,6 +22,9 @@ import (
 //   - Backend method invocations (Compile/Simulate with a ctx first
 //     parameter) — a compile can run seconds and must never serialize on a
 //     bookkeeping mutex
+//   - fsync: (*os.File).Sync, or a Sync() call through an interface that
+//     can hold an *os.File — one slow disk would stall every caller of the
+//     lock
 //
 // The tracking is intra-procedural and statement-ordered: Lock() marks the
 // receiver held until an Unlock() in the same or a nested block, or to the
@@ -29,7 +32,7 @@ import (
 // //lint:lockguard-exempt <reason>.
 var LockGuard = &analysis.Analyzer{
 	Name: "lockguard",
-	Doc: "no blocking operations (channel ops, Wait, HTTP, Backend calls) " +
+	Doc: "no blocking operations (channel ops, Wait, HTTP, Backend calls, fsync) " +
 		"while a sync.Mutex/RWMutex is held",
 	Run: runLockGuard,
 }
@@ -256,6 +259,10 @@ func checkBlockingCall(pass *analysis.Pass, call *ast.CallExpr, lock string) {
 	case "Compile", "Simulate":
 		if analysis.SignatureTakesContext(sig) {
 			pass.Reportf(call.Pos(), "Backend %s call while %s is held: compiles/simulations can run for seconds; never serialize them on a bookkeeping mutex", fn.Name(), lock)
+		}
+	case "Sync":
+		if isNamed(recv, "os", "File") || types.IsInterface(recv) && sig.Params().Len() == 0 {
+			pass.Reportf(call.Pos(), "fsync (%s.Sync) while %s is held: a slow disk would stall every caller of the lock; sync after releasing it", recvLabel(recv), lock)
 		}
 	case "Do", "Get", "Post", "PostForm", "Head":
 		if isNamed(recv, "net/http", "Client") {

@@ -4,6 +4,7 @@ package clean
 
 import (
 	"context"
+	"os"
 	"sync"
 )
 
@@ -13,6 +14,8 @@ type Backend interface {
 
 type pool struct {
 	mu      sync.Mutex
+	f       *os.File
+	written int64
 	cond    *sync.Cond
 	ch      chan int
 	backend Backend
@@ -83,4 +86,27 @@ func (p *pool) exempted(v int) {
 	defer p.mu.Unlock()
 	//lint:lockguard-exempt buffered channel sized to the worker count; send cannot block
 	p.ch <- v
+}
+
+// fsyncOutside writes under the lock but fsyncs after releasing it, the
+// group-commit shape: the page cache takes the write, the disk flush
+// stalls no caller of the lock.
+func (p *pool) fsyncOutside(b []byte) error {
+	p.mu.Lock()
+	n, err := p.f.Write(b)
+	p.written += int64(n)
+	p.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return p.f.Sync()
+}
+
+// notAFile is legal: a Sync method that takes arguments is not an fsync.
+type notAFile interface{ Sync(v int) error }
+
+func (p *pool) syncWithArgs(n notAFile) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return n.Sync(1)
 }

@@ -4,6 +4,7 @@ package flagged
 import (
 	"context"
 	"net/http"
+	"os"
 	"sync"
 	"time"
 )
@@ -13,8 +14,17 @@ type Backend interface {
 	Simulate(ctx context.Context, prog string, shots int) ([]byte, error)
 }
 
+// syncer is a file as a write-ahead log sees it; an *os.File satisfies it.
+type syncer interface {
+	Write(p []byte) (int, error)
+	Sync() error
+}
+
 type store struct {
 	mu      sync.Mutex
+	rw      sync.RWMutex
+	f       *os.File
+	log     syncer
 	ch      chan int
 	wg      sync.WaitGroup
 	client  *http.Client
@@ -68,4 +78,20 @@ func (s *store) selectHeld(ctx context.Context) int {
 	case <-ctx.Done(): // want `channel receive while s\.mu is held`
 		return 0
 	}
+}
+
+func (s *store) fsyncHeld(b []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, err := s.f.Write(b); err != nil {
+		return err
+	}
+	return s.f.Sync() // want `fsync \(File\.Sync\) while s\.mu is held`
+}
+
+func (s *store) fsyncInterfaceHeld() error {
+	s.rw.RLock()
+	err := s.log.Sync() // want `fsync \(syncer\.Sync\) while s\.rw is held`
+	s.rw.RUnlock()
+	return err
 }

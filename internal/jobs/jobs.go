@@ -28,9 +28,15 @@
 // With a write-ahead journal attached (WithJournal), New replays the
 // journal: jobs that were queued at crash time re-queue, jobs that were in
 // flight re-run (deduplicated by fingerprint as usual), and terminal
-// results survive byte for byte. Only the submission record is durable.
-// Started and terminal records are advisory: a lost one means the job
-// runs again after a restart, deterministically, to the same result.
+// results survive byte for byte. Every record is written under the
+// manager's lock, so the log holds transitions in order, but none is
+// fsynced there. Only the submission record is durable: Submit fsyncs
+// through it after releasing the lock, by group commit, and a worker waits
+// for its subscribers' submissions to be durable before it runs an
+// execution. Started and terminal records are advisory: they survive
+// kill -9 from the page cache and become durable with a later fsync, and
+// one lost to power failure means the job runs again after a restart,
+// deterministically, to the same result.
 //
 // With a tenant registry attached (WithTenants), submissions are owned by
 // tenants: per-tenant queue quotas gate admission, per-tenant in-flight
@@ -228,6 +234,7 @@ type jobState struct {
 	state     State
 	exec      *execution
 	circuit   json.RawMessage // submission wire form, dropped once journaled
+	pos       int64           // journal position of the submitted record (0: needs no sync)
 
 	// span is the job's root span and queueSpan its queue-wait child (both
 	// nil without WithTracer; every tracing call is nil-safe). traceID is
@@ -407,11 +414,12 @@ func WithTracer(t *tracing.Tracer) Option {
 	return func(c *managerConfig) { c.tracer = t }
 }
 
-// WithJournal attaches a write-ahead journal. Each transition appends one
+// WithJournal attaches a write-ahead journal. Each transition writes one
 // record. Only the submission record is durable: it is fsynced before
-// Submit returns. Started and terminal records are advisory; losing one
-// means the job re-runs after a restart, deterministically, to the same
-// result. New replays the journal's surviving records — re-queueing
+// Submit returns, and before the job runs. Started and terminal records
+// are advisory: they are not fsynced on their own, and losing one to power
+// failure means the job re-runs after a restart, deterministically, to the
+// same result. New replays the journal's surviving records — re-queueing
 // queued jobs, re-running in-flight ones, restoring terminal snapshots —
 // then checkpoints the survivors so the journal restarts compact. The
 // manager owns the journal's write path from here on; the caller still
@@ -754,7 +762,11 @@ func (m *Manager) Backends() []string {
 // Submit accepts one job and returns its ID. The job runs asynchronously;
 // poll Get for progress and the result. With a journal attached, the
 // submission record is on disk (fsynced) before Submit returns — a
-// returned ID is a promise that survives kill -9.
+// returned ID is a promise that survives kill -9 and power loss. The fsync
+// runs after the manager's lock is released, and concurrent submissions
+// share one. If it fails, Submit returns the error and the job is
+// withdrawn: cancelled before it runs, unless it already finished as a
+// duplicate of an execution that was running when it was submitted.
 func (m *Manager) Submit(req Request) (string, error) {
 	in := req.Intake
 	if in == nil {
@@ -771,19 +783,38 @@ func (m *Manager) Submit(req Request) (string, error) {
 	}
 
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	j, err := m.submitLocked(req, in, circJSON)
+	m.mu.Unlock()
+	if err != nil {
+		return "", err
+	}
+	if err := m.syncTo(j.pos); err != nil {
+		m.mu.Lock()
+		if !j.state.Terminal() {
+			m.withdrawLocked(j, err)
+		}
+		m.mu.Unlock()
+		return "", fmt.Errorf("jobs: journal submit: %w", err)
+	}
+	return j.id, nil
+}
+
+// submitLocked admits one submission: it checks intake and the tenant's
+// quota, then journals the submitted record (written, not yet fsynced) and
+// queues the job.
+func (m *Manager) submitLocked(req Request, in *Intake, circJSON json.RawMessage) (*jobState, error) {
 	if m.closed {
-		return "", ErrShuttingDown
+		return nil, ErrShuttingDown
 	}
 	p, ok := m.pools[req.Backend]
 	if !ok {
-		return "", fmt.Errorf("%w: %q", ErrUnknownBackend, req.Backend)
+		return nil, fmt.Errorf("%w: %q", ErrUnknownBackend, req.Backend)
 	}
 	if m.treg != nil && req.Tenant != "" {
 		if t, known := m.treg.Lookup(req.Tenant); known && t.MaxQueued > 0 {
 			if ts := m.tenants[req.Tenant]; ts != nil && ts.queued >= t.MaxQueued {
 				m.mx.rejected.With(tenant.Label(req.Tenant), "queued_quota").Inc()
-				return "", fmt.Errorf("%w: tenant %q has %d jobs queued (max %d)",
+				return nil, fmt.Errorf("%w: tenant %q has %d jobs queued (max %d)",
 					ErrQuotaExceeded, req.Tenant, ts.queued, t.MaxQueued)
 			}
 		}
@@ -814,17 +845,35 @@ func (m *Manager) Submit(req Request) (string, error) {
 		j.queueSpan = j.span.StartChild("queue-wait")
 	}
 	if err := m.admitLocked(j, p, req.Backend+"\x00"+in.fingerprint, in.circuit); err != nil {
-		return "", fmt.Errorf("jobs: journal submit: %w", err)
+		return nil, fmt.Errorf("jobs: journal submit: %w", err)
 	}
-	return j.id, nil
+	return j, nil
+}
+
+// syncTo returns once the journal is durable through pos (at once without
+// a journal, or when pos is already durable). Callers must not hold m.mu.
+func (m *Manager) syncTo(pos int64) error {
+	if m.jnl == nil {
+		return nil
+	}
+	return m.jnl.SyncTo(pos)
+}
+
+// withdrawLocked cancels a live job whose submitted record could not be
+// made durable: it leaves the queue and its execution and never receives
+// a result, and the caller that submitted it gets the error instead of its
+// ID.
+func (m *Manager) withdrawLocked(j *jobState, err error) {
+	m.moveLocked(j, StateCancelled, time.Now(), nil, "jobs: journal submit: "+err.Error())
 }
 
 // admitLocked moves a new or replayed job into the live set and subscribes
 // it to its execution: the identical circuit already queued or running here
 // (dedup: every subscriber shares one compile+simulate), or a fresh
 // execution queued with its weighted-fair tag. A duplicate of a running
-// execution enters Running with its TTL satisfied. The transition journals
-// before anything changes, so a failed submission append admits nothing.
+// execution enters Running with its TTL satisfied. The transition writes
+// its journal record before anything changes, so a failed write admits
+// nothing.
 func (m *Manager) admitLocked(j *jobState, p *pool, key string, circ *tilt.Circuit) error {
 	e, live := m.inflight[key]
 	to := StateQueued
@@ -1200,12 +1249,21 @@ func (m *Manager) snapshotLocked(j *jobState) Job {
 // completion, Cancel and TTL expiry. From the (from, to) pair it derives
 // the journal record, the active set and tenant counts with their gauges,
 // the Stats counters, metrics and histograms, the spans, the terminal
-// bookkeeping (finishLocked) and the event. Only the submission record is
-// durable: its append error returns before anything changes. Started and
-// terminal records are advisory, so every other transition returns nil.
-func (m *Manager) moveLocked(j *jobState, to State, at time.Time, res *tilt.Result, errMsg string) error {
+// bookkeeping (finishLocked) and the event. Records are written here, in
+// transition order, and never fsynced: the lock is held. Only the
+// submission record is durable: its write error returns before anything
+// changes, and its position is kept for Submit and the worker to fsync
+// through once they have released the lock. Started and terminal records
+// are advisory, so every other transition returns nil. out is the
+// execution's result for a completion, nil otherwise.
+func (m *Manager) moveLocked(j *jobState, to State, at time.Time, out *outcome, errMsg string) error {
 	from := j.state
 	j.state = to // a new job is not yet reachable, so this undoes nothing on error
+	var res *tilt.Result
+	var wire json.RawMessage
+	if out != nil {
+		res, wire = out.res, out.wire
+	}
 	var op journal.Op
 	switch {
 	case m.jnl == nil, from == stateReplayed:
@@ -1220,10 +1278,14 @@ func (m *Manager) moveLocked(j *jobState, to State, at time.Time, res *tilt.Resu
 		op = journal.OpFinalized
 	}
 	if op != "" {
-		// Only the submission's append error matters: a lost started or
+		// Only the submission's write error matters: a lost started or
 		// terminal record just means the job re-runs after a restart.
-		if err := m.jnl.Append(j.record(op, at, res, errMsg)); err != nil && op == journal.OpSubmitted {
-			return err
+		pos, err := m.jnl.Write(j.record(op, at, wire, errMsg))
+		if op == journal.OpSubmitted {
+			if err != nil {
+				return err
+			}
+			j.pos = pos
 		}
 		j.circuit = nil
 	}
@@ -1266,6 +1328,14 @@ func (m *Manager) moveLocked(j *jobState, to State, at time.Time, res *tilt.Resu
 	}
 	m.emitLocked(j, errMsg)
 	return nil
+}
+
+// outcome is an execution's Result as its subscribers receive it, with the
+// wire form their terminal records journal: marshalled once per execution,
+// off the lock, and only for journaled managers.
+type outcome struct {
+	res  *tilt.Result
+	wire json.RawMessage
 }
 
 // finishLocked is moveLocked's terminal half: the job leaves its execution
@@ -1312,8 +1382,8 @@ func (m *Manager) finishLocked(j *jobState, from State, at time.Time, res *tilt.
 
 // record maps the job onto its journal record for op: the submission with
 // its deadline and circuit, the bare started marker, or the terminal
-// outcome with its result.
-func (j *jobState) record(op journal.Op, at time.Time, res *tilt.Result, errMsg string) journal.Record {
+// outcome with its result's wire form.
+func (j *jobState) record(op journal.Op, at time.Time, result json.RawMessage, errMsg string) journal.Record {
 	rec := journal.Record{Op: op, ID: j.id, Tenant: j.tenant, Backend: j.backend}
 	if op == journal.OpStarted {
 		return rec
@@ -1323,12 +1393,7 @@ func (j *jobState) record(op journal.Op, at time.Time, res *tilt.Result, errMsg 
 		rec.Deadline, rec.Circuit = j.deadline, j.circuit
 		return rec
 	}
-	rec.Finished, rec.State, rec.Error = at, string(j.state), errMsg
-	if res != nil {
-		if b, err := json.Marshal(res); err == nil {
-			rec.Result = b
-		}
-	}
+	rec.Finished, rec.State, rec.Error, rec.Result = at, string(j.state), errMsg, result
 	return rec
 }
 
@@ -1404,10 +1469,23 @@ func (p *pool) worker() {
 		p.running++
 		m.tstateLocked(e.tenant).runningExecs++
 		m.gaugeInflightLocked(e.tenant)
+		var pos int64
 		for _, j := range e.subs {
 			m.moveLocked(j, StateRunning, now, nil, "")
+			pos = max(pos, j.pos)
 		}
 		m.mu.Unlock()
+
+		// Nothing runs for a submission that is not durable yet. The wait
+		// usually joins the submitter's own fsync, already in flight.
+		if err := m.syncTo(pos); err != nil {
+			m.mu.Lock()
+			if !m.withdrawUndurableLocked(e, err) {
+				m.completeLocked(e, runner.JobResult{}, nil)
+				continue
+			}
+			m.mu.Unlock()
+		}
 
 		// One runner job per execution: panic recovery, latency metering,
 		// and cancellation semantics all come from the runner layer.
@@ -1416,10 +1494,30 @@ func (p *pool) worker() {
 			Backend: p.backend,
 			Circuit: e.circuit,
 		}}, m.runnerOpts...)[0]
+		var wire json.RawMessage
+		if m.jnl != nil && res.Result != nil {
+			// One marshal per execution, shared by every subscriber's
+			// terminal record; a Result that cannot be marshalled is
+			// journaled without one.
+			wire, _ = json.Marshal(res.Result)
+		}
 
 		m.mu.Lock()
-		m.completeLocked(e, res)
+		m.completeLocked(e, res, wire)
 	}
+}
+
+// withdrawUndurableLocked withdraws the execution's subscribers whose
+// submitted records the failed fsync left undurable, and reports whether
+// any (durable) subscriber is left to run it for.
+func (m *Manager) withdrawUndurableLocked(e *execution, err error) bool {
+	durable := m.jnl.Durable()
+	for _, j := range e.subs {
+		if j.pos > durable {
+			m.withdrawLocked(j, err)
+		}
+	}
+	return len(e.subs) > 0
 }
 
 // popLocked returns the next execution this worker may run, honoring the
@@ -1476,10 +1574,10 @@ func (m *Manager) eligibleLocked(e *execution) bool {
 // completeLocked retires a finished execution and fans its outcome out to
 // every remaining subscriber; the last one to leave retires the execution
 // from the dedup index and releases its context. All subscribers share the
-// same Result pointer: results are read-only and bit-identical by
-// construction, so duplicates genuinely pay for one compile and one
-// simulate.
-func (m *Manager) completeLocked(e *execution, res runner.JobResult) {
+// same Result pointer and its one journal wire form (nil without a
+// journal): results are read-only and bit-identical by construction, so
+// duplicates genuinely pay for one compile, one simulate and one marshal.
+func (m *Manager) completeLocked(e *execution, res runner.JobResult, wire json.RawMessage) {
 	e.pool.running--
 	m.tstateLocked(e.tenant).runningExecs--
 	m.gaugeInflightLocked(e.tenant)
@@ -1497,8 +1595,9 @@ func (m *Manager) completeLocked(e *execution, res runner.JobResult) {
 		}
 	}
 	now := time.Now()
+	out := &outcome{res: res.Result, wire: wire}
 	for _, j := range e.subs {
-		m.moveLocked(j, st, now, res.Result, errMsg)
+		m.moveLocked(j, st, now, out, errMsg)
 	}
 }
 

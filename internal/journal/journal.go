@@ -13,12 +13,22 @@
 // inside records reuse the lossless Circuit.MarshalJSON / Result JSON wire
 // forms, which are round-trip-tested and fuzz-covered elsewhere.
 //
-// Appends go to the active segment and are fsynced by default; when the
-// active segment outgrows the configured size it is sealed and a new one
-// started. Sealed segments whose every job has reached a terminal state —
-// and whose loss cannot resurrect a job (the terminal record either lives
-// in a later segment or the whole job is contained in the sealed one) —
-// are deleted at rotation time (compaction).
+// A record is written in two steps. Write frames it, writes it to the
+// active segment and returns its log position; the record is then in the
+// OS page cache, so it survives kill -9 of the daemon. SyncTo makes the
+// log durable (fsynced, so it survives power loss) through a position, by
+// group commit: one fsync covers every record written before it, and it
+// runs under no lock that Write takes. Append is Write then SyncTo. Frames
+// land in log order and replay truncates at the first torn one, so replay
+// after a power loss recovers a prefix of the log holding at least every
+// fsynced record.
+//
+// When the active segment outgrows the configured size it is fsynced,
+// sealed and a new one started. Sealed segments whose every job has
+// reached a terminal state — and whose loss cannot resurrect a job (the
+// terminal record either lives in a later segment or the whole job is
+// contained in the sealed one) — are deleted at rotation time
+// (compaction).
 //
 // Replay tolerates a torn tail: a record cut short by a crash (or any
 // frame whose checksum does not match) truncates the segment at the last
@@ -38,6 +48,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -138,16 +149,18 @@ func WithSegmentBytes(n int64) Option {
 	}
 }
 
-// WithoutSync disables the per-append fsync. Appends then ride the OS page
-// cache: much faster, but records written in the seconds before a hard
-// crash may be lost (they still replay cleanly as a torn tail). Meant for
-// tests and throwaway deployments.
+// WithoutSync turns every fsync off: SyncTo returns at once, and rotation,
+// Checkpoint and Close do not fsync. Records then ride the OS page cache:
+// much faster, but records written in the seconds before a power failure
+// may be lost (they still replay cleanly as a torn tail). Meant for tests
+// and throwaway deployments.
 func WithoutSync() Option {
 	return func(j *Journal) { j.noSync = true }
 }
 
 // WithMetrics instruments the journal against the registry: append, fsync,
-// and replay counters, torn-tail truncations, and segment/byte gauges.
+// and replay counters, the fsync latency histogram, torn-tail truncations,
+// and segment/byte gauges.
 // Without it (or with a nil registry) the journal books into a private
 // registry.
 func WithMetrics(r *metrics.Registry) Option {
@@ -158,6 +171,7 @@ func WithMetrics(r *metrics.Registry) Option {
 type instruments struct {
 	appends   *metrics.CounterVec // linq_journal_appends_total{op}
 	fsyncs    *metrics.Counter    // linq_journal_fsyncs_total
+	fsyncSec  *metrics.Histogram  // linq_journal_fsync_seconds
 	replayed  *metrics.CounterVec // linq_journal_replayed_total{op}
 	truncated *metrics.Counter    // linq_journal_torn_tail_truncated_total
 	skipped   *metrics.Counter    // linq_journal_records_skipped_total
@@ -177,6 +191,9 @@ func newInstruments(r *metrics.Registry) *instruments {
 			"Records appended to the write-ahead job journal, by record op.", "op"),
 		fsyncs: r.Counter("linq_journal_fsyncs_total",
 			"fsync calls on the active journal segment."),
+		fsyncSec: r.Histogram("linq_journal_fsync_seconds",
+			"Latency of one fsync of the active journal segment; a group commit's covers every record written before it.",
+			fsyncBuckets),
 		replayed: r.CounterVec("linq_journal_replayed_total",
 			"Records recovered during journal replay, by record op.", "op"),
 		truncated: r.Counter("linq_journal_torn_tail_truncated_total",
@@ -192,6 +209,21 @@ func newInstruments(r *metrics.Registry) *instruments {
 	}
 }
 
+// fsyncBuckets spans a page-cache flush on a fast SSD (tens of µs) up to
+// a stalled disk.
+var fsyncBuckets = []float64{
+	0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
+	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5,
+}
+
+// segmentFile is the active segment as the journal writes it: an *os.File,
+// which tests wrap to inject stalls and faults.
+type segmentFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
+}
+
 // jobSpan tracks where one job's records live, for compaction safety.
 type jobSpan struct {
 	firstSeg int // segment of the first record mentioning the job
@@ -205,12 +237,22 @@ type Journal struct {
 	segBytes int64
 	noSync   bool
 	mx       *instruments
+	// wrap, when set, wraps every segment file as it is opened: the fault
+	// seam, which only tests set.
+	wrap func(segmentFile) segmentFile
 
-	mu     sync.Mutex
-	f      *os.File
-	seq    int   // active segment sequence number
-	size   int64 // active segment size in bytes
-	closed bool
+	// syncMu serializes group-commit leaders in SyncTo; durable is the log
+	// position known to be fsynced. Neither is held while mu is, so a
+	// writer never waits on a disk flush.
+	syncMu  sync.Mutex
+	durable atomic.Int64
+
+	mu      sync.Mutex
+	f       segmentFile
+	seq     int   // active segment sequence number
+	size    int64 // active segment size in bytes
+	written int64 // log position: bytes written across all segments since Open
+	closed  bool
 
 	// replayable holds the records recovered by Open until Replay drains
 	// them (nil afterwards, and for fresh journals).
@@ -258,7 +300,7 @@ func Open(dir string, opts ...Option) (*Journal, error) {
 		last = seq
 	}
 	j.seq = last + 1
-	f, err := os.OpenFile(j.segmentPath(j.seq), os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
+	f, err := j.createSegment(j.seq)
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
@@ -295,64 +337,109 @@ func (j *Journal) Replay(fn func(Record) error) error {
 	return nil
 }
 
-// Append durably writes one record: frame, write, fsync (unless disabled),
-// rotating and compacting segments as needed. It returns once the record
-// is on disk, which is what makes a 202 Accepted a promise the daemon can
-// keep across kill -9.
+// Append durably writes one record: Write, then SyncTo its position. It
+// returns once the record is on disk (unless WithoutSync), which is what
+// makes a 202 Accepted a promise the daemon can keep across power loss.
 func (j *Journal) Append(rec Record) error {
+	pos, err := j.Write(rec)
+	if err != nil {
+		return err
+	}
+	return j.SyncTo(pos)
+}
+
+// Write frames one record and writes it to the active segment, rotating and
+// compacting segments as needed, and returns the record's log position: the
+// number of bytes written since Open, through the end of this record. The
+// record is then in the OS page cache, in log order, so it survives kill -9;
+// it survives power loss once SyncTo has covered its position (or a
+// rotation or Close has fsynced it).
+func (j *Journal) Write(rec Record) (int64, error) {
 	if !rec.Op.known() {
-		return fmt.Errorf("journal: unknown op %q", rec.Op)
+		return 0, fmt.Errorf("journal: unknown op %q", rec.Op)
 	}
 	if rec.ID == "" {
-		return fmt.Errorf("journal: record without a job ID")
+		return 0, fmt.Errorf("journal: record without a job ID")
 	}
 	frame, err := appendFrame(nil, rec)
 	if err != nil {
-		return fmt.Errorf("journal: marshal record: %w", err)
+		return 0, fmt.Errorf("journal: marshal record: %w", err)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
-		return ErrClosed
+		return 0, ErrClosed
 	}
 	if _, err := j.f.Write(frame); err != nil {
-		return fmt.Errorf("journal: append: %w", err)
+		return 0, fmt.Errorf("journal: append: %w", err)
 	}
 	j.size += int64(len(frame))
-	if !j.noSync {
-		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("journal: fsync: %w", err)
-		}
-		j.mx.fsyncs.Inc()
-	}
+	j.written += int64(len(frame))
+	pos := j.written
 	j.trackLocked(j.seq, rec)
 	j.mx.appends.With(string(rec.Op)).Inc() //lint:lockorder-exempt Journal.mu is the outer lock; metrics family.mu is a leaf never held across journal calls
 	j.mx.bytes.Set(float64(j.size))
 	if j.size >= j.segBytes {
 		if err := j.rotateLocked(); err != nil {
-			return err
+			return 0, err
 		}
 	}
+	return pos, nil
+}
+
+// SyncTo returns once the log is durable through pos, a position Write
+// returned. It is group commit with no committer goroutine: callers queue
+// on one sync mutex, and whoever holds it fsyncs everything written so far,
+// so the callers behind it whose positions that covered return without an
+// fsync of their own. The fsync runs with no lock held that Write takes.
+// SyncTo is a no-op for WithoutSync journals. After a failed fsync the next
+// SyncTo tries again.
+func (j *Journal) SyncTo(pos int64) error {
+	if j.noSync || j.durable.Load() >= pos {
+		return nil
+	}
+	j.syncMu.Lock()
+	defer j.syncMu.Unlock()
+	if j.durable.Load() >= pos {
+		return nil // the previous leader's fsync covered pos
+	}
+	j.mu.Lock()
+	f, end, closed := j.f, j.written, j.closed
+	j.mu.Unlock()
+	if closed {
+		return ErrClosed // Close's own fsync failed, or pos was never written
+	}
+	start := time.Now()
+	if err := f.Sync(); err != nil { //lint:lockguard-exempt syncMu only queues group-commit leaders, who wait for this fsync anyway; Write and holders of mu never take it
+		if j.durable.Load() >= pos {
+			return nil // a rotation fsynced and closed f meanwhile
+		}
+		return fmt.Errorf("journal: fsync: %w", err)
+	}
+	j.syncedLocked(start, end)
 	return nil
 }
 
-// Sync forces an fsync of the active segment (a no-op amortizer for
-// WithoutSync journals that still want occasional durability points).
-func (j *Journal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return ErrClosed
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("journal: fsync: %w", err)
-	}
+// Durable returns the log position through which records are known to be
+// fsynced: every position SyncTo has returned nil for, and more.
+func (j *Journal) Durable() int64 { return j.durable.Load() }
+
+// syncedLocked books one fsync of the active segment, begun at start, that
+// made the log durable through end. Callers hold syncMu or mu.
+func (j *Journal) syncedLocked(start time.Time, end int64) {
 	j.mx.fsyncs.Inc()
-	return nil
+	j.mx.fsyncSec.Observe(time.Since(start).Seconds())
+	for {
+		d := j.durable.Load()
+		if d >= end || j.durable.CompareAndSwap(d, end) {
+			return
+		}
+	}
 }
 
 // Checkpoint rewrites the journal as the given records: they are appended
-// to the active segment (fsynced once at the end), then every previous
+// to the active segment (fsynced once at the end, under the journal's lock:
+// it runs once, at start-up, before any writer), then every previous
 // segment is deleted. The manager calls this right after recovery with the
 // surviving state — live jobs as Submitted records, retained terminal
 // snapshots as Finalized/Cancelled records — so the journal shrinks back
@@ -380,12 +467,14 @@ func (j *Journal) Checkpoint(recs []Record) error {
 			return fmt.Errorf("journal: checkpoint: %w", err)
 		}
 		j.size += int64(len(j.buf))
+		j.written += int64(len(j.buf))
 	}
 	if !j.noSync {
-		if err := j.f.Sync(); err != nil {
+		start := time.Now()
+		if err := j.f.Sync(); err != nil { //lint:lockguard-exempt Checkpoint runs once at start-up, before any writer could wait on mu
 			return fmt.Errorf("journal: fsync: %w", err)
 		}
-		j.mx.fsyncs.Inc()
+		j.syncedLocked(start, j.written)
 	}
 	// The checkpoint supersedes all history: reset the tracking state to
 	// the checkpointed records alone, then drop the old segments.
@@ -410,7 +499,8 @@ func (j *Journal) Checkpoint(recs []Record) error {
 	return nil
 }
 
-// Close seals the journal. Further appends return ErrClosed.
+// Close fsyncs (unless WithoutSync) and seals the journal. Further writes
+// return ErrClosed.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -420,7 +510,10 @@ func (j *Journal) Close() error {
 	j.closed = true
 	var err error
 	if !j.noSync {
-		err = j.f.Sync()
+		start := time.Now()
+		if err = j.f.Sync(); err == nil { //lint:lockguard-exempt Close is the last call; the writers it would stall are gone
+			j.syncedLocked(start, j.written)
+		}
 	}
 	if cerr := j.f.Close(); err == nil {
 		err = cerr
@@ -459,19 +552,21 @@ func (j *Journal) trackLocked(seg int, rec Record) {
 }
 
 // rotateLocked seals the active segment, starts the next one, and compacts
-// sealed segments that can no longer matter to replay.
+// sealed segments that can no longer matter to replay. Its fsync makes every
+// position written so far durable.
 func (j *Journal) rotateLocked() error {
 	if !j.noSync {
-		if err := j.f.Sync(); err != nil {
+		start := time.Now()
+		if err := j.f.Sync(); err != nil { //lint:lockguard-exempt a sealed segment must be on disk before the next one starts; once per segment (4 MiB by default)
 			return fmt.Errorf("journal: fsync: %w", err)
 		}
-		j.mx.fsyncs.Inc()
+		j.syncedLocked(start, j.written)
 	}
 	if err := j.f.Close(); err != nil {
 		return fmt.Errorf("journal: rotate: %w", err)
 	}
 	j.seq++
-	f, err := os.OpenFile(j.segmentPath(j.seq), os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
+	f, err := j.createSegment(j.seq)
 	if err != nil {
 		return fmt.Errorf("journal: rotate: %w", err)
 	}
@@ -540,6 +635,19 @@ func (j *Journal) compactLocked() {
 		delete(j.segIDs, seq)
 		j.mx.compacted.Inc()
 	}
+}
+
+// createSegment creates segment seq, which must not exist yet, for
+// appending.
+func (j *Journal) createSegment(seq int) (segmentFile, error) {
+	f, err := os.OpenFile(j.segmentPath(seq), os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if j.wrap != nil {
+		return j.wrap(f), nil
+	}
+	return f, nil
 }
 
 // segmentPath renders the file name of segment seq.
