@@ -28,8 +28,8 @@ type faultDisk struct {
 	err     error         // non-nil: Sync fails with it
 	delay   time.Duration // every Sync takes at least this long
 	files   []*faultFile
-	syncs   atomic.Int64  // Sync calls that reached the disk
-	entered chan struct{} // one token per Sync that starts
+	syncs   atomic.Int64  // Sync calls made, failed ones included
+	entered chan struct{} // a token per Sync that starts; buffered and sent without blocking, so a test that does not read it never stalls a Sync
 }
 
 func newFaultDisk() *faultDisk { return &faultDisk{entered: make(chan struct{}, 1024)} }
