@@ -701,7 +701,7 @@ func (m *Manager) requeueLocked(r *replayedJob, seq uint64, now time.Time) journ
 	}
 	fail := func(outcome, errMsg string) journal.Record {
 		m.mx.replayed.With(rec.Backend, outcome).Inc()
-		m.moveLocked(j, StateFailed, now, nil, errMsg)
+		m.moveLocked(j, StateFailed, now, nil, nil, errMsg)
 		return j.record(journal.OpFinalized, now, nil, errMsg)
 	}
 	if r.running {
@@ -766,7 +766,10 @@ func (m *Manager) Backends() []string {
 // runs after the manager's lock is released, and concurrent submissions
 // share one. If it fails, Submit returns the error and the job is
 // withdrawn: cancelled before it runs, unless it already finished as a
-// duplicate of an execution that was running when it was submitted.
+// duplicate of an execution that was running when it was submitted. A
+// failed fsync is sticky (journal.SyncTo): every submission whose record it
+// held gets the error, whether its own Submit or a worker ran the fsync, and
+// every later one is refused until the journal is reopened.
 func (m *Manager) Submit(req Request) (string, error) {
 	in := req.Intake
 	if in == nil {
@@ -864,7 +867,7 @@ func (m *Manager) syncTo(pos int64) error {
 // a result, and the caller that submitted it gets the error instead of its
 // ID.
 func (m *Manager) withdrawLocked(j *jobState, err error) {
-	m.moveLocked(j, StateCancelled, time.Now(), nil, "jobs: journal submit: "+err.Error())
+	m.moveLocked(j, StateCancelled, time.Now(), nil, nil, "jobs: journal submit: "+err.Error())
 }
 
 // admitLocked moves a new or replayed job into the live set and subscribes
@@ -883,7 +886,7 @@ func (m *Manager) admitLocked(j *jobState, p *pool, key string, circ *tilt.Circu
 			to, j.deadline = StateRunning, time.Time{}
 		}
 	}
-	if err := m.moveLocked(j, to, j.submitted, nil, ""); err != nil {
+	if err := m.moveLocked(j, to, j.submitted, nil, nil, ""); err != nil {
 		return err
 	}
 	switch {
@@ -1048,7 +1051,7 @@ func (m *Manager) Wait(ctx context.Context, id string) (Job, error) {
 func (m *Manager) liveLocked(id string) (*jobState, bool) {
 	j, ok := m.jobs[id]
 	if now := time.Now(); ok && j.state == StateQueued && j.expired(now) {
-		m.moveLocked(j, StateFailed, now, nil, ErrTTLExpired.Error())
+		m.moveLocked(j, StateFailed, now, nil, nil, ErrTTLExpired.Error())
 		return nil, false
 	}
 	return j, ok
@@ -1187,7 +1190,7 @@ func (m *Manager) Cancel(id string) error {
 		}
 		return ErrNotFound
 	}
-	m.moveLocked(j, StateCancelled, time.Now(), nil, context.Canceled.Error())
+	m.moveLocked(j, StateCancelled, time.Now(), nil, nil, context.Canceled.Error())
 	return nil
 }
 
@@ -1254,16 +1257,12 @@ func (m *Manager) snapshotLocked(j *jobState) Job {
 // submission record is durable: its write error returns before anything
 // changes, and its position is kept for Submit and the worker to fsync
 // through once they have released the lock. Started and terminal records
-// are advisory, so every other transition returns nil. out is the
-// execution's result for a completion, nil otherwise.
-func (m *Manager) moveLocked(j *jobState, to State, at time.Time, out *outcome, errMsg string) error {
+// are advisory, so every other transition returns nil. res and wire are a
+// completion's Result and the wire form its terminal record journals, nil
+// for every other transition.
+func (m *Manager) moveLocked(j *jobState, to State, at time.Time, res *tilt.Result, wire json.RawMessage, errMsg string) error {
 	from := j.state
 	j.state = to // a new job is not yet reachable, so this undoes nothing on error
-	var res *tilt.Result
-	var wire json.RawMessage
-	if out != nil {
-		res, wire = out.res, out.wire
-	}
 	var op journal.Op
 	switch {
 	case m.jnl == nil, from == stateReplayed:
@@ -1328,14 +1327,6 @@ func (m *Manager) moveLocked(j *jobState, to State, at time.Time, out *outcome, 
 	}
 	m.emitLocked(j, errMsg)
 	return nil
-}
-
-// outcome is an execution's Result as its subscribers receive it, with the
-// wire form their terminal records journal: marshalled once per execution,
-// off the lock, and only for journaled managers.
-type outcome struct {
-	res  *tilt.Result
-	wire json.RawMessage
 }
 
 // finishLocked is moveLocked's terminal half: the job leaves its execution
@@ -1457,7 +1448,7 @@ func (p *pool) worker() {
 		now := time.Now()
 		for _, j := range e.subs {
 			if j.expired(now) {
-				m.moveLocked(j, StateFailed, now, nil, ErrTTLExpired.Error())
+				m.moveLocked(j, StateFailed, now, nil, nil, ErrTTLExpired.Error())
 			}
 		}
 		if len(e.subs) == 0 {
@@ -1471,7 +1462,7 @@ func (p *pool) worker() {
 		m.gaugeInflightLocked(e.tenant)
 		var pos int64
 		for _, j := range e.subs {
-			m.moveLocked(j, StateRunning, now, nil, "")
+			m.moveLocked(j, StateRunning, now, nil, nil, "")
 			pos = max(pos, j.pos)
 		}
 		m.mu.Unlock()
@@ -1508,8 +1499,9 @@ func (p *pool) worker() {
 }
 
 // withdrawUndurableLocked withdraws the execution's subscribers whose
-// submitted records the failed fsync left undurable, and reports whether
-// any (durable) subscriber is left to run it for.
+// submitted records the failed fsync left undurable (their Submit calls
+// fail with the same sticky error), and reports whether any (durable)
+// subscriber is left to run it for.
 func (m *Manager) withdrawUndurableLocked(e *execution, err error) bool {
 	durable := m.jnl.Durable()
 	for _, j := range e.subs {
@@ -1595,9 +1587,8 @@ func (m *Manager) completeLocked(e *execution, res runner.JobResult, wire json.R
 		}
 	}
 	now := time.Now()
-	out := &outcome{res: res.Result, wire: wire}
 	for _, j := range e.subs {
-		m.moveLocked(j, st, now, out, errMsg)
+		m.moveLocked(j, st, now, res.Result, wire, errMsg)
 	}
 }
 

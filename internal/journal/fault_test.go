@@ -26,6 +26,7 @@ type faultDisk struct {
 	mu      sync.Mutex
 	gate    chan struct{} // non-nil: Sync blocks until it is closed
 	err     error         // non-nil: Sync fails with it
+	errOnce error         // non-nil: the next Sync past the gate fails with it, later ones succeed (a writeback error reported once)
 	delay   time.Duration // every Sync takes at least this long
 	files   []*faultFile
 	syncs   atomic.Int64  // Sync calls made, failed ones included
@@ -65,6 +66,14 @@ func (d *faultDisk) stall(t *testing.T) (release func()) {
 func (d *faultDisk) set(err error, delay time.Duration) {
 	d.mu.Lock()
 	d.err, d.delay = err, delay
+	d.mu.Unlock()
+}
+
+// failOnce makes the next Sync past the stall gate fail with err and the
+// ones after it succeed.
+func (d *faultDisk) failOnce(err error) {
+	d.mu.Lock()
+	d.errOnce = err
 	d.mu.Unlock()
 }
 
@@ -114,7 +123,7 @@ func (ff *faultFile) Sync() error {
 	ff.mu.Unlock()
 	d := ff.disk
 	d.mu.Lock()
-	gate, err, delay := d.gate, d.err, d.delay
+	gate := d.gate
 	d.mu.Unlock()
 	select {
 	case d.entered <- struct{}{}:
@@ -123,6 +132,12 @@ func (ff *faultFile) Sync() error {
 	if gate != nil {
 		<-gate
 	}
+	d.mu.Lock()
+	err, delay := d.err, d.delay
+	if d.errOnce != nil {
+		err, d.errOnce = d.errOnce, nil
+	}
+	d.mu.Unlock()
 	time.Sleep(delay)
 	d.syncs.Add(1)
 	if err != nil {
@@ -277,17 +292,24 @@ func TestStalledFsyncDoesNotBlockReads(t *testing.T) {
 
 // TestFailedFsyncWithdrawsSubmission: a submission whose fsync fails is
 // refused with the error, never reaches the backend, and leaves nothing
-// queued or running; once the disk recovers, submissions run again.
+// queued or running. The failure is sticky: with the disk healthy again,
+// later submissions are still refused, until the journal is reopened.
+// Replay then finds the refused jobs cancelled, and submissions run again.
 func TestFailedFsyncWithdrawsSubmission(t *testing.T) {
+	dir := t.TempDir()
 	disk := newFaultDisk()
 	be := &countingBackend{}
-	mgr, _ := openManager(t, t.TempDir(), disk, be)
+	mgr, jnl := openManager(t, dir, disk, be)
 
 	injected := errors.New("injected EIO")
-	disk.set(injected, 0)
+	disk.failOnce(injected)
 	id, err := mgr.Submit(jobs.Request{Backend: "TILT", Circuit: circuit(0)})
 	if !errors.Is(err, injected) {
 		t.Fatalf("Submit = %q, %v; want the fsync error", id, err)
+	}
+	id, err = mgr.Submit(jobs.Request{Backend: "TILT", Circuit: circuit(1)})
+	if !errors.Is(err, injected) {
+		t.Fatalf("Submit after the failure = %q, %v; want the first fsync error", id, err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for st := mgr.Stats(); st.Queued+st.Running > 0; st = mgr.Stats() {
@@ -297,19 +319,93 @@ func TestFailedFsyncWithdrawsSubmission(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	list := mgr.List("")
-	if len(list) != 1 || list[0].State != jobs.StateCancelled || list[0].Result != nil {
-		t.Fatalf("withdrawn job reads %+v", list)
+	if len(list) != 2 {
+		t.Fatalf("%d jobs listed, want the 2 withdrawn ones", len(list))
 	}
-	disk.set(nil, 0)
-	ok, err := mgr.Submit(jobs.Request{Backend: "TILT", Circuit: circuit(1)})
+	for _, job := range list {
+		if job.State != jobs.StateCancelled || job.Result != nil {
+			t.Fatalf("withdrawn job reads %+v", job)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := mgr.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Close(); !errors.Is(err, injected) {
+		t.Fatalf("Close = %v, want the fsync error", err)
+	}
+
+	mgr, _ = openManager(t, dir, newFaultDisk(), be)
+	for _, old := range list {
+		if job, err := mgr.Get(old.ID); err != nil || job.State != jobs.StateCancelled {
+			t.Fatalf("withdrawn job %s replays as %v, %v", old.ID, job.State, err)
+		}
+	}
+	ok, err := mgr.Submit(jobs.Request{Backend: "TILT", Circuit: circuit(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if job := wait(t, mgr, ok); job.State != jobs.StateDone {
-		t.Fatalf("job after recovery ended %s: %s", job.State, job.Error)
+		t.Fatalf("job after reopening ended %s: %s", job.State, job.Error)
 	}
 	if n := be.compiles.Load(); n != 1 {
 		t.Fatalf("backend compiled %d circuits, want only the durable one", n)
+	}
+}
+
+// TestFsyncFailureReachesQueuedSubmitter: a submitter and the worker
+// dispatching its job both wait on the same fsync, one as the leader and
+// one queued behind it. The fsync fails and the disk would report success
+// to the next one. The submitter still gets the error, no second fsync
+// runs, and the backend never sees the job.
+func TestFsyncFailureReachesQueuedSubmitter(t *testing.T) {
+	disk := newFaultDisk()
+	be := &countingBackend{}
+	mgr, _ := openManager(t, t.TempDir(), disk, be)
+
+	release := disk.stall(t)
+	before := disk.syncs.Load()
+	submitted := make(chan error, 1)
+	go func() {
+		_, err := mgr.Submit(jobs.Request{Backend: "TILT", Circuit: circuit(0)})
+		submitted <- err
+	}()
+	select {
+	case <-disk.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the submission never reached fsync")
+	}
+	// The worker moves the job to running before its durability wait.
+	deadline := time.Now().Add(10 * time.Second)
+	for mgr.Stats().Running == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no worker picked the job up")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(10 * time.Millisecond) // let the second waiter queue on the leader
+	injected := errors.New("injected EIO")
+	disk.failOnce(injected)
+	release()
+
+	if err := <-submitted; !errors.Is(err, injected) {
+		t.Fatalf("Submit = %v, want the failed fsync's error", err)
+	}
+	// Shutdown waits for the worker, so its durability wait has returned.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := mgr.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st := mgr.Stats(); st.Queued+st.Running > 0 || st.Cancelled != 1 {
+		t.Errorf("withdrawn job not cancelled: %+v", st)
+	}
+	if n := disk.syncs.Load() - before; n != 1 {
+		t.Errorf("%d fsyncs, want only the failed one", n)
+	}
+	if n := be.compiles.Load(); n != 0 {
+		t.Errorf("backend compiled %d circuits for a submission that never became durable", n)
 	}
 }
 

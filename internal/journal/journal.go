@@ -21,7 +21,9 @@
 // runs under no lock that Write takes. Append is Write then SyncTo. Frames
 // land in log order and replay truncates at the first torn one, so replay
 // after a power loss recovers a prefix of the log holding at least every
-// fsynced record.
+// fsynced record. A failed fsync is sticky: no later fsync is trusted to
+// cover the records it held, so from then on no position past Durable is
+// reported durable (see SyncTo).
 //
 // When the active segment outgrows the configured size it is fsynced,
 // sealed and a new one started. Sealed segments whose every job has
@@ -241,10 +243,16 @@ type Journal struct {
 	// seam, which only tests set.
 	wrap func(segmentFile) segmentFile
 
-	// syncMu serializes group-commit leaders in SyncTo; durable is the log
-	// position known to be fsynced. Neither is held while mu is, so a
-	// writer never waits on a disk flush.
+	// syncMu queues group-commit leaders in SyncTo; it is taken before mu,
+	// never while mu is held, so a writer never waits on a leader. fsyncMu
+	// is a leaf lock held across every fsync of a segment file, so no two
+	// fsyncs overlap and a failure is recorded before the next one starts.
+	// syncErr, guarded by fsyncMu, is the first failed fsync's error.
+	// durable is the log position known to be fsynced; it advances only
+	// under fsyncMu, and never once syncErr is set.
 	syncMu  sync.Mutex
+	fsyncMu sync.Mutex
+	syncErr error
 	durable atomic.Int64
 
 	mu      sync.Mutex
@@ -392,8 +400,16 @@ func (j *Journal) Write(rec Record) (int64, error) {
 // on one sync mutex, and whoever holds it fsyncs everything written so far,
 // so the callers behind it whose positions that covered return without an
 // fsync of their own. The fsync runs with no lock held that Write takes.
-// SyncTo is a no-op for WithoutSync journals. After a failed fsync the next
-// SyncTo tries again.
+// SyncTo is a no-op for WithoutSync journals.
+//
+// A failed fsync is sticky. The kernel may report a writeback error to one
+// fsync only and then mark the failed pages clean, so a later fsync that
+// succeeds proves nothing about the records the failed one held. From the
+// first failure on, the log is durable only through Durable(): SyncTo
+// returns that failure for every later position, as do Checkpoint and
+// Close, so every caller whose record the failed flush held gets the
+// error. Writes still land in the page cache; reopening the journal
+// recovers from what is on disk.
 func (j *Journal) SyncTo(pos int64) error {
 	if j.noSync || j.durable.Load() >= pos {
 		return nil
@@ -404,37 +420,38 @@ func (j *Journal) SyncTo(pos int64) error {
 		return nil // the previous leader's fsync covered pos
 	}
 	j.mu.Lock()
-	f, end, closed := j.f, j.written, j.closed
+	f, end := j.f, j.written
 	j.mu.Unlock()
-	if closed {
-		return ErrClosed // Close's own fsync failed, or pos was never written
-	}
-	start := time.Now()
-	if err := f.Sync(); err != nil { //lint:lockguard-exempt syncMu only queues group-commit leaders, who wait for this fsync anyway; Write and holders of mu never take it
-		if j.durable.Load() >= pos {
-			return nil // a rotation fsynced and closed f meanwhile
-		}
-		return fmt.Errorf("journal: fsync: %w", err)
-	}
-	j.syncedLocked(start, end)
-	return nil
+	return j.fsync(f, end)
 }
 
 // Durable returns the log position through which records are known to be
 // fsynced: every position SyncTo has returned nil for, and more.
 func (j *Journal) Durable() int64 { return j.durable.Load() }
 
-// syncedLocked books one fsync of the active segment, begun at start, that
-// made the log durable through end. Callers hold syncMu or mu.
-func (j *Journal) syncedLocked(start time.Time, end int64) {
+// fsync makes the log durable through end by fsyncing f, the segment that
+// holds position end, unless an earlier fsync already covered end. It is
+// the journal's one fsync path: SyncTo's leaders, rotation, Checkpoint and
+// Close all come through it, and it keeps the first failure sticky.
+func (j *Journal) fsync(f segmentFile, end int64) error {
+	j.fsyncMu.Lock()
+	defer j.fsyncMu.Unlock()
+	if j.syncErr != nil {
+		return j.syncErr
+	}
+	if j.durable.Load() >= end {
+		return nil // a rotation or Close fsynced f, and may have closed it
+	}
+	start := time.Now()
+	err := f.Sync() //lint:lockguard-exempt fsyncMu only orders fsyncs against each other; SyncTo holds no lock Write takes, and the callers holding mu are rotation (once per segment), Checkpoint (start-up) and Close
 	j.mx.fsyncs.Inc()
 	j.mx.fsyncSec.Observe(time.Since(start).Seconds())
-	for {
-		d := j.durable.Load()
-		if d >= end || j.durable.CompareAndSwap(d, end) {
-			return
-		}
+	if err != nil {
+		j.syncErr = fmt.Errorf("journal: fsync: %w", err)
+		return j.syncErr
 	}
+	j.durable.Store(end)
+	return nil
 }
 
 // Checkpoint rewrites the journal as the given records: they are appended
@@ -470,11 +487,9 @@ func (j *Journal) Checkpoint(recs []Record) error {
 		j.written += int64(len(j.buf))
 	}
 	if !j.noSync {
-		start := time.Now()
-		if err := j.f.Sync(); err != nil { //lint:lockguard-exempt Checkpoint runs once at start-up, before any writer could wait on mu
-			return fmt.Errorf("journal: fsync: %w", err)
+		if err := j.fsync(j.f, j.written); err != nil {
+			return err
 		}
-		j.syncedLocked(start, j.written)
 	}
 	// The checkpoint supersedes all history: reset the tracking state to
 	// the checkpointed records alone, then drop the old segments.
@@ -500,7 +515,8 @@ func (j *Journal) Checkpoint(recs []Record) error {
 }
 
 // Close fsyncs (unless WithoutSync) and seals the journal. Further writes
-// return ErrClosed.
+// return ErrClosed. After a failed fsync, Close returns that failure: the
+// records written since the last good fsync may not be on disk.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -510,10 +526,7 @@ func (j *Journal) Close() error {
 	j.closed = true
 	var err error
 	if !j.noSync {
-		start := time.Now()
-		if err = j.f.Sync(); err == nil { //lint:lockguard-exempt Close is the last call; the writers it would stall are gone
-			j.syncedLocked(start, j.written)
-		}
+		err = j.fsync(j.f, j.written)
 	}
 	if cerr := j.f.Close(); err == nil {
 		err = cerr
@@ -552,15 +565,14 @@ func (j *Journal) trackLocked(seg int, rec Record) {
 }
 
 // rotateLocked seals the active segment, starts the next one, and compacts
-// sealed segments that can no longer matter to replay. Its fsync makes every
-// position written so far durable.
+// sealed segments that can no longer matter to replay. Its fsync, the one
+// fsync that runs under mu while writers are live (once per segment, 4 MiB
+// by default), makes every position written so far durable. A segment whose
+// fsync fails stays active rather than be sealed undurable: the failure is
+// sticky, and SyncTo reports it to every caller waiting on these records.
 func (j *Journal) rotateLocked() error {
-	if !j.noSync {
-		start := time.Now()
-		if err := j.f.Sync(); err != nil { //lint:lockguard-exempt a sealed segment must be on disk before the next one starts; once per segment (4 MiB by default)
-			return fmt.Errorf("journal: fsync: %w", err)
-		}
-		j.syncedLocked(start, j.written)
+	if !j.noSync && j.fsync(j.f, j.written) != nil {
+		return nil
 	}
 	if err := j.f.Close(); err != nil {
 		return fmt.Errorf("journal: rotate: %w", err)

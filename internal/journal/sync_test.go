@@ -145,25 +145,103 @@ func TestSyncToWithoutSyncIsNoop(t *testing.T) {
 	}
 }
 
-// TestSyncToFailureAndClose: a failed fsync reaches the caller and leaves
-// the position undurable; Close's fsync then covers it.
-func TestSyncToFailureAndClose(t *testing.T) {
-	j, _ := openCounting(t, 0)
+// TestFailedFsyncIsSticky: a failed fsync reaches the caller and leaves
+// the position undurable for good. Once the disk reports success again,
+// later SyncTo calls, a rotation and Close still return the failure and
+// Durable does not move, because a second fsync may succeed without the
+// failed records on disk.
+func TestFailedFsyncIsSticky(t *testing.T) {
+	j, syncs := openCounting(t, 0, WithSegmentBytes(256))
+	good := write(t, j, "j-0")
+	if err := j.SyncTo(good); err != nil {
+		t.Fatal(err)
+	}
 	pos := write(t, j, "j-1")
 	eio := errors.New("EIO")
 	f := j.f.(*countingFile)
 	f.err = eio
-	if err := j.SyncTo(pos); !errors.Is(err, eio) || j.Durable() >= pos {
-		t.Fatalf("SyncTo on a failing disk: %v, durable %d", err, j.Durable())
+	if err := j.SyncTo(pos); !errors.Is(err, eio) || j.Durable() != good {
+		t.Fatalf("SyncTo on a failing disk: %v, durable %d (want %d)", err, j.Durable(), good)
 	}
 	f.err = nil
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
+	n := syncs.Load()
+	if err := j.SyncTo(pos); !errors.Is(err, eio) {
+		t.Fatalf("SyncTo after the disk recovered: %v, want the first failure", err)
 	}
-	if err := j.SyncTo(pos); err != nil || j.Durable() < pos {
-		t.Fatalf("SyncTo after Close: %v, durable %d", err, j.Durable())
+	if err := j.SyncTo(good); err != nil {
+		t.Fatalf("SyncTo of a position fsynced before the failure: %v", err)
+	}
+	// Writes go on, and a rotation's fsync is refused too: the segment
+	// stays active instead of being sealed undurable.
+	var last int64
+	for k := 0; j.size < 256; k++ {
+		last = write(t, j, "j-"+string(rune('a'+k)))
+	}
+	if len(j.segIDs) != 1 || j.Durable() != good {
+		t.Fatalf("rotation after a failed fsync: %d segments, durable %d", len(j.segIDs), j.Durable())
+	}
+	if err := j.SyncTo(last); !errors.Is(err, eio) {
+		t.Fatalf("SyncTo of a later write: %v, want the first failure", err)
+	}
+	if err := j.Close(); !errors.Is(err, eio) {
+		t.Fatalf("Close: %v, want the first failure", err)
+	}
+	if syncs.Load() != n || j.Durable() != good {
+		t.Fatalf("%d fsyncs after the failure, durable %d; want none and %d", syncs.Load()-n, j.Durable(), good)
 	}
 	if _, err := j.Write(rec(OpStarted, "j-1", nil)); err != ErrClosed {
 		t.Fatalf("Write after Close: %v, want ErrClosed", err)
 	}
+}
+
+// TestSyncToQueuedBehindFailingLeader: callers queued behind a leader
+// whose fsync fails all get its error, even though the disk would report
+// success to a second fsync.
+func TestSyncToQueuedBehindFailingLeader(t *testing.T) {
+	j, syncs := openCounting(t, 0)
+	gate := make(chan struct{})
+	eio := errors.New("EIO")
+	f := j.f.(*countingFile)
+	j.f = &gatedFile{countingFile: f, gate: gate, entered: make(chan struct{}, 1), fail: eio}
+	p1 := write(t, j, "j-1")
+	errs := make(chan error, 3)
+	go func() { errs <- j.SyncTo(p1) }()
+	<-j.f.(*gatedFile).entered // the leader is inside its fsync
+	p2, p3 := write(t, j, "j-2"), write(t, j, "j-3")
+	for _, p := range []int64{p2, p3} {
+		go func() { errs <- j.SyncTo(p) }()
+	}
+	time.Sleep(10 * time.Millisecond) // let both queue on the leader
+	close(gate)
+	for range 3 {
+		if err := <-errs; !errors.Is(err, eio) {
+			t.Errorf("SyncTo = %v, want the leader's failure", err)
+		}
+	}
+	if n := syncs.Load(); n != 1 || j.Durable() != 0 {
+		t.Fatalf("%d fsyncs, durable %d; want only the leader's and nothing durable", n, j.Durable())
+	}
+}
+
+// gatedFile fails its first fsync, after blocking it until gate closes,
+// and lets every later one through: the kernel reporting a writeback error
+// once.
+type gatedFile struct {
+	*countingFile
+	gate    chan struct{}
+	entered chan struct{}
+	fail    error
+	once    sync.Once
+}
+
+func (f *gatedFile) Sync() error {
+	first := false
+	f.once.Do(func() { first = true })
+	if !first {
+		return f.countingFile.Sync()
+	}
+	f.entered <- struct{}{}
+	<-f.gate
+	f.syncs.Add(1)
+	return f.fail
 }
